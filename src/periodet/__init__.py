@@ -15,11 +15,9 @@ from .detection_dp import (
     BeliefGrid,
     DetectionCostSpec,
     DetectionSolution,
-    belief_transition,
-    continuation_integral,
+    detection_mdp,
     extract_thresholds,
     solve_detection,
-    stage_bellman,
 )
 from .ipid_model import (
     Gaussian,

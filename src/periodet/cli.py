@@ -22,7 +22,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -259,6 +259,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _write_sweep_csv(sweep, path: Path) -> None:
+    _write_csv(
+        path,
+        ["threshold", "cost", "std_error", "censored_fraction"],
+        [[p.threshold, p.cost, p.std_error, p.censored_fraction] for p in sweep.points],
+    )
+
+
 def write_solution_artifacts(solution: DetectionSolution, out_dir: Path, stem: str) -> list[Path]:
     T = solution.period
     grid = solution.grid.points
@@ -379,11 +387,7 @@ def cmd_sweep(args) -> int:
         cfg.scenario(), cfg.cost_spec(), grid, cfg.paths, seed=cfg.seed, horizon=cfg.horizon
     )
     out = Path(args.out_dir) / f"{Path(args.config).stem}_sweep.csv"
-    _write_csv(
-        out,
-        ["threshold", "cost", "std_error", "censored_fraction"],
-        [[p.threshold, p.cost, p.std_error, p.censored_fraction] for p in result.points],
-    )
+    _write_sweep_csv(result, out)
     best = result.best
     print(f"best single threshold: cost {best.cost:.4f} +- {best.std_error:.4f} "
           f"at A = {best.threshold}")
@@ -412,6 +416,10 @@ def cmd_tradeoff(args) -> int:
         if args.alpha
         else DEFAULT_TRADEOFF_ALPHAS
     )
+    return _tradeoff(cfg, alphas, Path(args.out_dir), Path(args.config).stem)
+
+
+def _tradeoff(cfg: ExperimentConfig, alphas, out_dir: Path, stem: str) -> int:
     scenario = cfg.scenario()
     info = kl_information(scenario)
     tail = prior_tail_exponent(GeometricPrior(cfg.rho))
@@ -429,8 +437,6 @@ def cmd_tradeoff(args) -> int:
             res.pfa_posterior,
             analytic_delay(alpha, info, tail),
         ])
-    out_dir = Path(args.out_dir)
-    stem = Path(args.config).stem
     out = out_dir / f"{stem}_tradeoff.csv"
     _write_csv(
         out,
@@ -450,14 +456,10 @@ def cmd_tradeoff(args) -> int:
     return EXIT_OK
 
 
-def _reproduce_table(table: str, out_dir: Path, paths_override: int | None, seed_override: int | None) -> int:
+def _reproduce_table(table: str, out_dir: Path, args) -> int:
     rows = []
     for row in REPRODUCE_TABLES[table]:
-        cfg = bundled_config(row.config)
-        if paths_override is not None:
-            cfg = _replace(cfg, paths=paths_override)
-        if seed_override is not None:
-            cfg = _replace(cfg, seed=seed_override)
+        cfg = _apply_overrides(bundled_config(row.config), args)
         solution = _solve_from_config(cfg)
         policy = PeriodicThresholds(tuple(min(a, 1.0) for a in solution.thresholds))
         optimal = estimate_bayes_cost(
@@ -491,57 +493,25 @@ def cmd_reproduce(args) -> int:
     out_dir = Path(args.out_dir)
     target = args.id
     if target in REPRODUCE_TABLES:
-        return _reproduce_table(target, out_dir, args.paths, args.seed)
+        return _reproduce_table(target, out_dir, args)
     if target in ("fig1", "fig2"):
-        cfg = bundled_config(REPRODUCE_FIGURES[target])
-        cfg = _apply_overrides(cfg, args)
+        cfg = _apply_overrides(bundled_config(REPRODUCE_FIGURES[target]), args)
         solution = _solve_from_config(cfg)
         write_solution_artifacts(solution, out_dir, target)
         sweep = sweep_single_threshold(
             cfg.scenario(), cfg.cost_spec(), DEFAULT_THRESHOLD_GRID, cfg.paths,
             seed=cfg.seed, horizon=cfg.horizon,
         )
-        _write_csv(
-            out_dir / f"{target}_sweep.csv",
-            ["threshold", "cost", "std_error", "censored_fraction"],
-            [[p.threshold, p.cost, p.std_error, p.censored_fraction] for p in sweep.points],
-        )
+        _write_sweep_csv(sweep, out_dir / f"{target}_sweep.csv")
         target_value = FIGURE_TARGETS[target][0]
         print(f"value at p=0: {solution.value_at_zero:.4f} (target {target_value})")
         print(f"thresholds: {np.round(solution.thresholds, 4).tolist()}")
         print(f"best single threshold cost: {sweep.best.cost:.4f}")
         return EXIT_OK if solution.converged else EXIT_NO_CONVERGENCE
     if target == "fig3":
-        cfg = bundled_config(REPRODUCE_FIGURES[target])
-        return _tradeoff_from_config(cfg, args, out_dir, "fig3")
+        cfg = _apply_overrides(bundled_config(REPRODUCE_FIGURES[target]), args)
+        return _tradeoff(cfg, DEFAULT_TRADEOFF_ALPHAS, out_dir, "fig3")
     raise ValueError(f"unknown reproduction id {target!r}")
-
-
-def _tradeoff_from_config(cfg: ExperimentConfig, args, out_dir: Path, stem: str) -> int:
-    cfg = _apply_overrides(cfg, args)
-    scenario = cfg.scenario()
-    info = kl_information(scenario)
-    tail = prior_tail_exponent(GeometricPrior(cfg.rho))
-    rows = []
-    for alpha in DEFAULT_TRADEOFF_ALPHAS:
-        res = estimate_add_pfa(
-            scenario, cfg.rho, 1.0 - alpha, cfg.paths, horizon=cfg.horizon, seed=cfg.seed
-        )
-        rows.append([alpha, abs(math.log(alpha)), res.add.estimate,
-                     res.conditional_add.estimate, res.pfa.estimate,
-                     res.pfa_posterior, analytic_delay(alpha, info, tail)])
-        print(f"alpha={alpha:g}: ADD {res.add.estimate:.2f}, "
-              f"analytic {rows[-1][-1]:.2f}")
-    _write_csv(
-        out_dir / f"{stem}_tradeoff.csv",
-        ["alpha", "log_alpha_magnitude", "add_sim", "conditional_add_sim",
-         "pfa_sim", "pfa_posterior", "add_analytic"],
-        rows,
-    )
-    _write_csv(out_dir / f"{stem}_trace.csv", ["n", "p", "change_active"],
-               _trace_rows(cfg, min(cfg.horizon, 600)))
-    print(f"wrote {out_dir / (stem + '_tradeoff.csv')}")
-    return EXIT_OK
 
 
 def cmd_mdp_solve(args) -> int:
@@ -573,12 +543,6 @@ def cmd_mdp_solve(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _replace(cfg: ExperimentConfig, **kw) -> ExperimentConfig:
-    from dataclasses import replace
-
-    return replace(cfg, **kw)
-
-
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     kw = {}
     if getattr(args, "seed", None) is not None:
@@ -589,7 +553,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         kw["grid_points"] = args.grid
     if getattr(args, "tol", None) is not None:
         kw["tolerance"] = args.tol
-    return _replace(cfg, **kw) if kw else cfg
+    return replace(cfg, **kw) if kw else cfg
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,11 +4,20 @@ The posterior change probability p is a sufficient statistic, so the
 detection problem becomes an MDP on [0, 1] with two actions.  Stopping at
 stage s costs lam_s * (1 - p) (false alarm risk); continuing costs
 d_s * p (expected one-step delay) plus the averaged cost-to-go over the
-next observation.  Curves are solved on a uniform belief grid by
-iterating the T-fold composition of the stage operators from the all-zero
-curve; values between grid points are linearly interpolated and the
-one-step integrals use composite Simpson quadrature on a truncated
-window.
+next observation.  ``detection_mdp`` builds it as a ``PeriodicMdp`` with
+discount 1 on the M points of a uniform belief grid plus one absorbing
+"stopped" state of cost 0, which stopping jumps to.  Continuing from grid
+belief p_i at stage s moves by the kernel
+
+    K_s[i, j] = sum_k w_k mix_ik hat_j(p'_ik):
+
+Simpson weights w_k on a truncated window for the next observation, the
+predictive mixture density mix_ik at node k, the posterior p'_ik after
+it, and the linear-interpolation weight hat_j of grid point j.  The mass
+the window misses goes to the stopped state, so it adds nothing to the
+cost-to-go; a row summing above one (a window too coarse for the stage's
+densities) fails the row-sum check of ``PeriodicMdp``.
+``solve_detection`` solves it with ``periodic_mdp.value_iterate``.
 
 Timing convention (applied identically here and in the Monte-Carlo
 harness): observations are numbered n = 1, 2, ..., and observation n has
@@ -30,17 +39,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief import belief_to_log_odds, log_odds_to_belief
 from .ipid_model import IpidScenario, _simpson_weights
+from .periodic_mdp import PeriodicMdp, _stage_q, value_iterate
 
 __all__ = [
     "DetectionCostSpec",
     "BeliefGrid",
     "QuadratureRule",
     "DetectionSolution",
-    "belief_transition",
-    "continuation_integral",
-    "stage_bellman",
+    "detection_mdp",
     "solve_detection",
     "extract_thresholds",
 ]
@@ -48,6 +55,8 @@ __all__ = [
 DEFAULT_GRID_POINTS = 100
 DEFAULT_QUADRATURE_NODES = 1601
 DEFAULT_WINDOW_SCALES = 8.0
+# beliefs per block when building K_s; bounds the temporaries to a few (16, N)
+_KERNEL_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -104,8 +113,7 @@ class QuadratureRule:
     """Composite Simpson nodes for one observation stage.
 
     The window spans ``window_scales`` standard deviations beyond both
-    density locations; Gaussian mass outside is far below the grid
-    interpolation error.
+    density locations; the mass outside it is reported by the solver.
     """
 
     nodes: np.ndarray
@@ -131,110 +139,54 @@ class QuadratureRule:
         return cls(nodes=x, weights=w)
 
 
-class _StageTables:
-    """Per-stage density values on the quadrature nodes, built once."""
-
-    def __init__(self, scenario: IpidScenario, n_nodes: int, window_scales: float):
-        self.rules = [
-            QuadratureRule.for_stage(scenario, s, n_nodes, window_scales)
-            for s in range(scenario.period)
-        ]
-        self.pre_vals = [
-            np.exp(scenario.pre[s].logpdf(r.nodes)) for s, r in enumerate(self.rules)
-        ]
-        self.post_vals = [
-            np.exp(scenario.post[s].logpdf(r.nodes)) for s, r in enumerate(self.rules)
-        ]
-
-
-def belief_transition(
-    p: float, rho: float, scenario: IpidScenario, obs_stage: int, x: float
-) -> float:
-    """Posterior after one more observation x at the given 0-based stage.
-
-    Same map as the scalar belief recursion (hazard pump then Bayes
-    update), evaluated through log odds; p = 1 is absorbing.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"belief must lie in [0, 1], got {p}")
-    if p == 1.0:
-        return 1.0
-    s = obs_stage % scenario.period
-    llr = scenario.post[s].logpdf(x) - scenario.pre[s].logpdf(x)
-    if math.isnan(llr):
-        raise ValueError(f"observation {x!r} is outside both stage-{s} supports")
-    pumped = np.logaddexp(belief_to_log_odds(p), math.log(rho)) - math.log1p(-rho)
-    return log_odds_to_belief(float(pumped + llr))
-
-
-def continuation_integral(
-    curve: np.ndarray,
-    grid: BeliefGrid,
-    p: float | np.ndarray,
-    rho: float,
+def detection_mdp(
     scenario: IpidScenario,
-    obs_stage: int,
-    quadrature: QuadratureRule | None = None,
-) -> float | np.ndarray:
-    """Expected value of ``curve`` at the post-observation belief.
-
-    Integrates curve(p'(x)) against the predictive mixture
-    ptilde * g(x) + (1 - ptilde) * f(x) of the stage-``obs_stage``
-    observation, with ptilde = p + (1 - p) rho.  ``curve`` is read by
-    linear interpolation on ``grid``.
-    """
-    s = obs_stage % scenario.period
-    rule = quadrature or QuadratureRule.for_stage(scenario, s)
-    f_vals = np.exp(scenario.pre[s].logpdf(rule.nodes))
-    g_vals = np.exp(scenario.post[s].logpdf(rule.nodes))
-    return _continuation(curve, grid, np.asarray(p, dtype=float), rho, f_vals, g_vals, rule.weights)
-
-
-def _continuation(curve, grid, p, rho, f_vals, g_vals, weights):
-    scalar = p.ndim == 0
-    p = np.atleast_1d(p)
-    if np.any((p < 0.0) | (p > 1.0)):
-        raise ValueError("beliefs must lie in [0, 1]")
-    pt = p + (1.0 - p) * rho
-    mix = pt[:, None] * g_vals[None, :] + (1.0 - pt)[:, None] * f_vals[None, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_next = np.where(mix > 0.0, pt[:, None] * g_vals[None, :] / np.where(mix > 0.0, mix, 1.0), 1.0)
-    vals = np.interp(p_next.ravel(), grid.points, curve).reshape(p_next.shape)
-    out = (vals * mix) @ weights
-    return float(out[0]) if scalar else out
-
-
-def stage_bellman(
-    curve: np.ndarray,
-    stage: int,
     costs: DetectionCostSpec,
-    grid: BeliefGrid,
-    scenario: IpidScenario,
-    quadrature: QuadratureRule | None = None,
-) -> np.ndarray:
-    """One stage operator on the grid: pointwise minimum of the stopping
-    cost lam_s (1 - p) and the continuation cost d_s p + A(p), where A
-    averages ``curve`` over the next observation (stage s + 1)."""
-    entry, _, _ = _stage_sweep(curve, stage, costs, grid, scenario, quadrature)
-    return entry
-
-
-def _stage_sweep(curve, stage, costs, grid, scenario, quadrature=None, tables=None):
-    s = stage % costs.period
-    if costs.period != scenario.period:
-        raise ValueError("cost spec period does not match scenario period")
-    nxt = (s + 1) % scenario.period
-    if tables is not None:
-        f_vals, g_vals, weights = tables.pre_vals[nxt], tables.post_vals[nxt], tables.rules[nxt].weights
-    else:
-        rule = quadrature or QuadratureRule.for_stage(scenario, nxt)
+    grid_resolution: int = DEFAULT_GRID_POINTS,
+    quadrature_nodes: int = DEFAULT_QUADRATURE_NODES,
+    window_scales: float = DEFAULT_WINDOW_SCALES,
+) -> PeriodicMdp:
+    """The detection problem as a periodic MDP: states 0..M-1 are the grid
+    beliefs and state M is the stopped state; action 0 continues (row K_s
+    plus the window's lost mass to state M) and action 1 stops."""
+    if scenario.period != costs.period:
+        raise ValueError(f"scenario period {scenario.period} != cost spec period {costs.period}")
+    grid = BeliefGrid(grid_resolution)
+    T, M, p = scenario.period, grid.resolution, grid.points
+    P = np.zeros((T, M + 1, 2, M + 1))
+    c = np.zeros((T, M + 1, 2))
+    P[:, :, 1, M] = 1.0  # stop, and stay stopped
+    P[:, M, 0, M] = 1.0
+    for s in range(T):
+        nxt = (s + 1) % T  # the continuation averages over the next observation
+        rule = QuadratureRule.for_stage(scenario, nxt, quadrature_nodes, window_scales)
         f_vals = np.exp(scenario.pre[nxt].logpdf(rule.nodes))
         g_vals = np.exp(scenario.post[nxt].logpdf(rule.nodes))
-        weights = rule.weights
-    p = grid.points
-    cont = costs.delay[s] * p + _continuation(curve, grid, p, costs.rho, f_vals, g_vals, weights)
-    stop = costs.false_alarm[s] * (1.0 - p)
-    return np.minimum(stop, cont), cont, stop
+        kernel = P[s, :M, 0, :M]
+        for lo in range(0, M, _KERNEL_BLOCK_ROWS):
+            rows = slice(lo, min(lo + _KERNEL_BLOCK_ROWS, M))
+            kernel[rows] = _kernel_rows(p[rows], costs.rho, f_vals, g_vals, rule.weights, M)
+        P[s, :M, 0, M] = np.maximum(1.0 - kernel.sum(axis=1), 0.0)
+        c[s, :M, 0] = costs.delay[s] * p
+        c[s, :M, 1] = costs.false_alarm[s] * (1.0 - p)
+    return PeriodicMdp(transitions=P, costs=c, discount=1.0)
+
+
+def _kernel_rows(p, rho, f_vals, g_vals, weights, M):
+    """Rows of K_s for the beliefs ``p``: each node's quadrature mass split
+    between the two grid points around its posterior belief."""
+    pt = (p + (1.0 - p) * rho)[:, None]
+    mix = pt * g_vals + (1.0 - pt) * f_vals
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p_next = np.where(mix > 0.0, pt * g_vals / np.where(mix > 0.0, mix, 1.0), 1.0)
+    u = p_next * (M - 1)
+    left = np.minimum(u.astype(np.intp), M - 2)
+    frac = u - left
+    mass = mix * weights
+    flat = left + M * np.arange(p.size)[:, None]
+    out = np.bincount(flat.ravel(), (mass * (1.0 - frac)).ravel(), minlength=p.size * M)
+    out += np.bincount((flat + 1).ravel(), (mass * frac).ravel(), minlength=p.size * M)
+    return out.reshape(p.size, M)
 
 
 @dataclass(frozen=True)
@@ -246,6 +198,8 @@ class DetectionSolution:
     branches.  ``thresholds[s]`` is the smallest grid belief at which
     stopping is weakly preferred, reported at grid precision.
     ``value_at_zero`` is the stage-0 entry curve at p = 0.
+    ``quadrature_mass_lost`` is the largest share of one continuation
+    row's mass that falls outside the truncated quadrature window.
     """
 
     grid: BeliefGrid
@@ -257,6 +211,7 @@ class DetectionSolution:
     value_at_zero: float
     converged: bool
     cycles: int
+    quadrature_mass_lost: float
     sup_history: np.ndarray = field(repr=False)
     l2_history: np.ndarray = field(repr=False)
 
@@ -274,61 +229,34 @@ def solve_detection(
     quadrature_nodes: int = DEFAULT_QUADRATURE_NODES,
     window_scales: float = DEFAULT_WINDOW_SCALES,
 ) -> DetectionSolution:
-    """Value-iterate the T-fold stage composition from the all-zero curve.
-
-    Convergence is declared on the sup norm of successive stage-0 entry
-    curves; the L2 distances are recorded per cycle as well.  The iterates
-    are pointwise nondecreasing, which is asserted each cycle.
-    """
-    if scenario.period != costs.period:
-        raise ValueError(
-            f"scenario period {scenario.period} != cost spec period {costs.period}"
-        )
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    """Value-iterate ``detection_mdp`` from the all-zero curve with
+    ``periodic_mdp.value_iterate`` (same tol, stopping rule and histories);
+    the returned curves come from one more cycle applied to its last
+    stage-0 iterate."""
+    mdp = detection_mdp(scenario, costs, grid_resolution, quadrature_nodes, window_scales)
+    result = value_iterate(mdp, tol=tol, max_cycles=max_cycles)
     grid = BeliefGrid(grid_resolution)
-    tables = _StageTables(scenario, quadrature_nodes, window_scales)
-    T = scenario.period
-    curve = np.zeros(grid.resolution)
-    sup_hist: list[float] = []
-    l2_hist: list[float] = []
-    converged = False
-    cycles = 0
-    for cycles in range(1, max_cycles + 1):
-        new = curve
-        for s in range(T - 1, -1, -1):
-            new, _, _ = _stage_sweep(new, s, costs, grid, scenario, tables=tables)
-        if np.any(new < curve - 1e-9):
-            raise AssertionError("value iterates must be pointwise nondecreasing")
-        diff = new - curve
-        sup_hist.append(float(np.max(np.abs(diff))))
-        l2_hist.append(float(np.linalg.norm(diff)))
-        curve = new
-        if sup_hist[-1] <= tol:
-            converged = True
-            break
-
-    # entry curves per stage against the converged stage-0 curve
-    entry = np.empty((T, grid.resolution))
-    cont = np.empty_like(entry)
-    stop = np.empty_like(entry)
-    tail = curve
+    T, M = mdp.period, grid.resolution
+    entry, cont, stop = (np.empty((T, M)) for _ in range(3))
+    tail = result.values[0]
     for s in range(T - 1, -1, -1):
-        entry[s], cont[s], stop[s] = _stage_sweep(tail, s, costs, grid, scenario, tables=tables)
-        tail = entry[s]
-    thresholds = extract_thresholds(cont, stop, grid)
+        q = _stage_q(tail, mdp, s)
+        cont[s], stop[s] = q[:M, 0], q[:M, 1]
+        tail = q.min(axis=1)
+        entry[s] = tail[:M]
     return DetectionSolution(
         grid=grid,
         costs=costs,
         stage_curves=entry,
         continue_curves=cont,
         stop_curves=stop,
-        thresholds=thresholds,
+        thresholds=extract_thresholds(cont, stop, grid),
         value_at_zero=float(entry[0, 0]),
-        converged=converged,
-        cycles=cycles,
-        sup_history=np.asarray(sup_hist),
-        l2_history=np.asarray(l2_hist),
+        converged=result.converged,
+        cycles=result.cycles,
+        quadrature_mass_lost=float(mdp.transitions[:, :M, 0, M].max()),
+        sup_history=result.sup_history,
+        l2_history=result.l2_history,
     )
 
 

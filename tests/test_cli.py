@@ -172,6 +172,23 @@ def test_cmd_reproduce_figure_small(tmp_path, capsys):
     assert "value at p=0" in capsys.readouterr().out
 
 
+def test_cmd_reproduce_table_applies_grid_and_tol(tmp_path):
+    from periodet import solve_detection
+
+    argv = ["reproduce", "table1", "--out-dir", str(tmp_path), "--paths", "200",
+            "--grid", "30", "--tol", "1e-4"]
+    assert main(argv) == 0
+    lines = (tmp_path / "table1.csv").read_text().splitlines()
+    got = [float(line.split(",")[6]) for line in lines[1:]]
+    want = []
+    for row in REPRODUCE_TABLES["table1"]:
+        cfg = bundled_config(row.config)
+        sol = solve_detection(cfg.scenario(), cfg.cost_spec(), grid_resolution=30, tol=1e-4)
+        want.append(sol.value_at_zero)
+    assert lines[0].split(",")[6] == "solver_value_at_zero"
+    assert got == want
+
+
 def test_cmd_mdp_solve_zero_costs(tmp_path, capsys):
     instance = tmp_path / "zero.mdp"
     instance.write_text(

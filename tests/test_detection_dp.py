@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,13 +10,18 @@ from periodet import (
     BeliefGrid,
     BeliefState,
     DetectionCostSpec,
+    Gaussian,
     GeometricPrior,
-    belief_transition,
-    continuation_integral,
+    IpidScenario,
+    StageValues,
+    apply_stage_operator,
+    detection_mdp,
+    finite_horizon_oracle,
+    fixed_point_residual,
     solve_detection,
-    stage_bellman,
     update_belief,
 )
+from periodet.cli import REPRODUCE_FIGURES, REPRODUCE_TABLES, bundled_config
 from periodet.detection_dp import QuadratureRule, extract_thresholds
 
 from conftest import make_scenario
@@ -44,6 +50,29 @@ def classical_shiryaev_solver(mean_shift, lam, d, rho, grid_points, tol=1e-6):
             return new
         J = new
     return J
+
+
+@dataclass(frozen=True)
+class Cauchy:
+    """Heavy-tailed custom density: a window of 8 scales misses ~7% of it."""
+
+    loc: float
+    scale: float = 1.0
+
+    def logpdf(self, x):
+        z = (np.asarray(x, dtype=float) - self.loc) / self.scale
+        return -np.log(math.pi * self.scale * (1.0 + z * z))
+
+    def sample(self, rng, size=None):
+        return self.loc + self.scale * rng.standard_cauchy(size)
+
+
+def continuation_kernel(scenario, stage, resolution, rho=0.01):
+    """K_s of ``detection_mdp``: the continue rows among the grid states."""
+    T = scenario.period
+    costs = DetectionCostSpec(false_alarm=(5.0,) * T, delay=(1.0,) * T, rho=rho)
+    mdp = detection_mdp(scenario, costs, resolution)
+    return mdp.transitions[stage, :resolution, 0, :resolution]
 
 
 # ── cost spec and grid types ───────────────────────────────────────────
@@ -75,62 +104,114 @@ def test_quadrature_window_must_cover_locations():
         QuadratureRule.for_stage(scen, 0, window_scales=0.0)
 
 
-# ── belief transition ──────────────────────────────────────────────────
+# ── belief transition: where K_s sends each grid belief ────────────────
 
 
 def test_transition_absorbing_at_one():
     scen = make_scenario([0.0, 0.0], [2.0, 1.0])
-    for x in (-10.0, 0.0, 10.0):
-        assert belief_transition(1.0, 0.01, scen, 0, x) == 1.0
+    for s in range(2):
+        K = continuation_kernel(scen, s, 50)
+        assert np.all(K[-1, :-1] == 0.0)
+        assert K[-1, -1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transition_identical_densities_ignores_observation():
+    # p' = ptilde whatever is observed, so each row sits on the grid points
+    # around ptilde (within rounding of it) and interpolates it exactly
     same = make_scenario([0.0], [0.0])
-    vals = {belief_transition(0.3, 0.05, same, 0, x) for x in (-3.0, 0.0, 3.0)}
-    assert len(vals) == 1
-    assert vals.pop() == pytest.approx(0.3 + 0.7 * 0.05, abs=1e-12)
+    grid = BeliefGrid(50)
+    K = continuation_kernel(same, 0, 50, rho=0.05)
+    pt = grid.points + (1 - grid.points) * 0.05
+    for i in range(50):
+        support = grid.points[np.flatnonzero(K[i])]
+        assert np.all(np.abs(support - pt[i]) < grid.step + 1e-12)
+    np.testing.assert_allclose(K @ grid.points, pt, atol=1e-12)
 
 
 def test_transition_matches_scalar_recursion():
+    # K_s rebuilt one (belief, node) pair at a time from the scalar filter
     scen = make_scenario([0.0, 0.0], [2.0, 1.0])
-    rng = np.random.default_rng(0)
-    prior = GeometricPrior(0.01)
-    for _ in range(10_000):
-        p = rng.random()
-        x = rng.normal() * 3
-        s = rng.integers(0, 2)
-        via_dp = belief_transition(p, 0.01, scen, s, x)
-        via_filter = update_belief(BeliefState(p, n=int(s)), prior, scen, x).p
-        assert via_dp == pytest.approx(via_filter, abs=1e-12)
+    rho, M = 0.01, 7
+    grid = BeliefGrid(M).points
+    prior = GeometricPrior(rho)
+    for s in range(2):
+        nxt = (s + 1) % 2  # decision after stage s averages the next observation
+        rule = QuadratureRule.for_stage(scen, nxt)
+        f = np.exp(scen.pre[nxt].logpdf(rule.nodes))
+        g = np.exp(scen.post[nxt].logpdf(rule.nodes))
+        expected = np.zeros((M, M))
+        for i, p in enumerate(grid):
+            pt = p + (1 - p) * rho
+            for x, w, fx, gx in zip(rule.nodes, rule.weights, f, g):
+                p_next = update_belief(BeliefState(p, n=nxt), prior, scen, x).p
+                hat = np.maximum(0.0, 1.0 - np.abs(p_next - grid) * (M - 1))
+                expected[i] += w * (pt * gx + (1 - pt) * fx) * hat
+        np.testing.assert_allclose(continuation_kernel(scen, s, M), expected, rtol=0, atol=1e-12)
 
 
-# ── continuation integral ──────────────────────────────────────────────
+# ── continuation kernel ────────────────────────────────────────────────
 
 
 def test_continuation_zero_curve():
     scen = make_scenario([0.0, 0.0], [2.0, 1.0])
-    grid = BeliefGrid(50)
-    out = continuation_integral(np.zeros(50), grid, 0.4, 0.01, scen, 0)
-    assert out == pytest.approx(0.0, abs=1e-12)
+    for s in range(2):
+        K = continuation_kernel(scen, s, 50)
+        assert np.all(K >= 0.0)
+        assert K @ np.zeros(50) == pytest.approx(np.zeros(50), abs=1e-12)
 
 
 def test_continuation_constant_curve_is_normalized():
     scen = make_scenario([0.0, 0.0], [2.0, 1.0])
-    grid = BeliefGrid(50)
-    for p in (0.0, 0.3, 1.0):
-        out = continuation_integral(np.full(50, 7.5), grid, p, 0.01, scen, 1)
-        assert out == pytest.approx(7.5, rel=1e-9)
+    for s in range(2):
+        K = continuation_kernel(scen, s, 50)
+        np.testing.assert_allclose(K.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(K @ np.full(50, 7.5), 7.5, rtol=1e-9)
 
 
 def test_continuation_identity_curve_gives_pumped_belief():
-    # E[p'] = ptilde: the posterior is a martingale over the predictive mixture
+    # E[p'] = ptilde: the posterior is a martingale over the predictive
+    # mixture, and interpolating the identity curve is exact on any grid
     scen = make_scenario([0.0, 0.0], [2.0, 1.0])
-    grid = BeliefGrid(4001)  # fine grid so interpolation error is negligible
-    curve = grid.points.copy()
-    for p in (0.0, 0.25, 0.8):
-        pt = p + (1 - p) * 0.01
-        out = continuation_integral(curve, grid, p, 0.01, scen, 0)
-        assert out == pytest.approx(pt, abs=1e-7)
+    grid = BeliefGrid(50)
+    pt = grid.points + (1 - grid.points) * 0.01
+    for s in range(2):
+        K = continuation_kernel(scen, s, 50)
+        np.testing.assert_allclose(K @ grid.points, pt, rtol=0, atol=1e-12)
+
+
+def test_quadrature_mass_lost_heavy_tails():
+    scen = IpidScenario(pre=(Cauchy(0.0),), post=(Cauchy(2.0),))
+    costs = DetectionCostSpec(false_alarm=(5.0,), delay=(1.0,), rho=0.01)
+    sol = solve_detection(scen, costs, tol=1e-12)
+    # the window [-8, 10] misses the same tail mass under both laws
+    outside = 1.0 - (math.atan(8.0) + math.atan(10.0)) / math.pi
+    assert sol.quadrature_mass_lost == pytest.approx(outside, abs=1e-6)
+    # the lost mass adds nothing: the continuation equals the interpolated
+    # integral over the window alone
+    rule = QuadratureRule.for_stage(scen, 0)
+    f, g = (np.exp(d.logpdf(rule.nodes)) for d in (scen.pre[0], scen.post[0]))
+    p = sol.grid.points
+    pt = (p + (1 - p) * 0.01)[:, None]
+    mix = pt * g + (1 - pt) * f
+    cont = p + (np.interp(pt * g / mix, p, sol.stage_curves[0]) * mix) @ rule.weights
+    np.testing.assert_allclose(sol.continue_curves[0], cont, rtol=0, atol=1e-10)
+
+
+def test_bundled_configs_lose_no_quadrature_mass():
+    names = {row.config for rows in REPRODUCE_TABLES.values() for row in rows}
+    for name in names | set(REPRODUCE_FIGURES.values()):
+        cfg = bundled_config(name)
+        sol = solve_detection(cfg.scenario(), cfg.cost_spec(), max_cycles=1)
+        assert sol.quadrature_mass_lost < 1e-12, name
+
+
+def test_unresolvable_stage_raises():
+    # a window 160 wide cannot resolve a pre-change spike of width 1e-3:
+    # Simpson overshoots and continuation rows sum to about 26
+    scen = IpidScenario(pre=(Gaussian(0.0, 1e-6),), post=(Gaussian(0.0, 100.0),))
+    costs = DetectionCostSpec(false_alarm=(5.0,), delay=(1.0,), rho=0.01)
+    with pytest.raises(ValueError, match="sums to"):
+        solve_detection(scen, costs)
 
 
 # ── stage operator ─────────────────────────────────────────────────────
@@ -138,18 +219,21 @@ def test_continuation_identity_curve_gives_pumped_belief():
 
 def test_stage_bellman_boundary_values(alternating_t2):
     scenario, costs = alternating_t2
-    grid = BeliefGrid(100)
-    out = stage_bellman(np.zeros(100), 0, costs, grid, scenario)
-    assert out[-1] == pytest.approx(0.0, abs=1e-12)  # p = 1: stop is free
+    mdp = detection_mdp(scenario, costs, 100)
+    out = apply_stage_operator(np.zeros(101), mdp, 0)
+    assert out[99] == pytest.approx(0.0, abs=1e-12)  # p = 1: stop is free
     assert out[0] == pytest.approx(0.0, abs=1e-12)  # zero tail: continue is free
+    assert out[100] == 0.0  # the stopped state costs nothing
 
 
 def test_first_sweep_shape(alternating_t2):
     scenario, costs = alternating_t2
     grid = BeliefGrid(100)
-    cur = np.zeros(100)
+    mdp = detection_mdp(scenario, costs, 100)
+    cur = np.zeros(101)
     for s in (1, 0):
-        cur = stage_bellman(cur, s, costs, grid, scenario)
+        cur = apply_stage_operator(cur, mdp, s)
+    cur = cur[:100]
     stop0 = costs.false_alarm[0] * (1 - grid.points)
     assert np.all(cur >= -1e-12)
     assert np.all(cur <= stop0 + 1e-12)  # capped by the stopping cost
@@ -158,6 +242,16 @@ def test_first_sweep_shape(alternating_t2):
     slopes = np.sign(np.round(np.diff(cur), 12))
     changes = np.count_nonzero(np.diff(slopes[slopes != 0]))
     assert changes <= 1
+
+
+def test_finite_horizon_oracle_reaches_solved_curve(alternating_t2):
+    scenario, costs = alternating_t2
+    M = 30
+    mdp = detection_mdp(scenario, costs, M)
+    sol = solve_detection(scenario, costs, grid_resolution=M, tol=1e-10)
+    oracle = np.array([finite_horizon_oracle(mdp, h)[:M] for h in (0, 2, 10, 50, 250, 1000)])
+    assert np.all(np.diff(oracle, axis=0) >= -1e-12)  # nondecreasing in the horizon
+    np.testing.assert_allclose(oracle[-1], sol.stage_curves[0], rtol=0, atol=1e-8)
 
 
 # ── full solve ─────────────────────────────────────────────────────────
@@ -203,11 +297,11 @@ def test_solve_records_histories(solved_t2):
 
 def test_fixed_point_residual_at_convergence(alternating_t2, solved_t2):
     scenario, costs = alternating_t2
-    grid = solved_t2.grid
-    cur = solved_t2.stage_curves[0]
-    for s in range(scenario.period - 1, -1, -1):
-        cur = stage_bellman(cur, s, costs, grid, scenario)
-    assert np.max(np.abs(cur - solved_t2.stage_curves[0])) <= 1e-6
+    sol = solved_t2
+    mdp = detection_mdp(scenario, costs, sol.grid.resolution)
+    entry = np.pad(sol.stage_curves, ((0, 0), (0, 1)))  # the stopped state costs 0
+    values = StageValues(entry, sol.converged, sol.cycles, sol.sup_history, sol.l2_history)
+    assert fixed_point_residual(values, mdp) <= 1e-6
 
 
 def test_t4_solve_structure(solved_t4):
