@@ -2,14 +2,12 @@
 periodically distributed data."""
 
 from .belief import (
-    BeliefState,
     BeliefUpdateError,
     OddsState,
     belief_to_log_odds,
+    log_odds_step_geometric,
     log_odds_to_belief,
-    update_belief,
-    update_odds_general,
-    update_odds_geometric,
+    update_odds,
 )
 from .detection_dp import (
     BeliefGrid,
@@ -29,7 +27,6 @@ from .ipid_model import (
     log_likelihood_ratio,
     prior_tail_exponent,
     sample_path,
-    stage_of,
 )
 from .monte_carlo import (
     AddPfaResult,
@@ -40,7 +37,6 @@ from .monte_carlo import (
     estimate_add_pfa,
     estimate_bayes_cost,
     lower_bound_check,
-    run_policy,
     sweep_single_threshold,
 )
 from .periodic_mdp import (

@@ -1,19 +1,22 @@
-"""Recursive posterior change statistics.
+"""The posterior change odds, advanced one observation at a time.
 
-Two equivalent statistics are tracked: the posterior change probability
-p_n = P(nu <= n | Y_1..Y_n) and its odds R_n = p_n / (1 - p_n).  Both are
-computed in the log-odds domain; the probability-domain recursion
+The detection statistic is the posterior change probability
+p_n = P(nu <= n | Y_1..Y_n), carried as its log odds
+log R_n = log(p_n / (1 - p_n)).  The probability-domain recursion
 saturates at 1.0 in floating point after long post-change stretches,
-while log odds stay finite and exact far beyond that.
+while log odds stay finite and exact far beyond that; callers that need
+p read it back with ``log_odds_to_belief``.
 
-For a geometric prior one step is
+``update_odds`` is the one recursion.  Each step pumps the odds by the
+prior hazard, then scales them by the stage-matched likelihood ratio
+exp(Z_n) of observation n.  For a geometric prior the step is
 
     log R_n = log(R_{n-1} + rho) - log(1 - rho) + Z_n,
 
-with Z_n the stage-matched log likelihood ratio of observation n.  For a
-general prior the hazard factor rho is replaced by mass/tail ratios of
-the tabulated prior.  A state pinned at p = 1 (log odds +inf) stays
-pinned: the change is absorbing.
+the arithmetic of ``log_odds_step_geometric``, which the Monte-Carlo
+engine runs vectorized over paths.  For a tabulated prior the hazard
+comes from the mass/tail ratios of the table.  A state pinned at p = 1
+(log odds +inf) stays pinned: the change is absorbing.
 """
 
 from __future__ import annotations
@@ -23,21 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ipid_model import (
-    ChangePrior,
-    GeometricPrior,
-    IpidScenario,
-    TabulatedPrior,
-    log_likelihood_ratio,
-)
+from .ipid_model import ChangePrior, GeometricPrior, IpidScenario, log_likelihood_ratio
 
 __all__ = [
-    "BeliefState",
     "OddsState",
     "BeliefUpdateError",
-    "update_belief",
-    "update_odds_geometric",
-    "update_odds_general",
+    "update_odds",
     "belief_to_log_odds",
     "log_odds_to_belief",
     "log_odds_step_geometric",
@@ -46,20 +40,6 @@ __all__ = [
 
 class BeliefUpdateError(ValueError):
     """Observation is outside the support of both stage densities."""
-
-
-@dataclass(frozen=True)
-class BeliefState:
-    """Posterior change probability after n observations; p = 0 at n = 0."""
-
-    p: float
-    n: int = 0
-
-    def __post_init__(self):
-        if not (0.0 <= self.p <= 1.0):
-            raise ValueError(f"belief must lie in [0, 1], got {self.p}")
-        if self.n < 0:
-            raise ValueError("time index must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -100,8 +80,8 @@ def log_odds_to_belief(log_r: float) -> float:
 
 
 def log_odds_step_geometric(log_r, rho: float, llr):
-    """One update in log-odds form.  Vectorizes over both arguments; the
-    scalar recursions and the Monte-Carlo engine share this arithmetic."""
+    """One geometric-prior step in log-odds form.  Vectorizes over log_r
+    and llr; ``update_odds`` and the Monte-Carlo engine share it."""
     pumped = np.logaddexp(log_r, math.log(rho)) - math.log1p(-rho)
     return pumped + llr
 
@@ -115,52 +95,27 @@ def _checked_llr(scenario: IpidScenario, n: int, y: float) -> float:
     return llr
 
 
-def update_belief(
-    state: BeliefState, prior: GeometricPrior, scenario: IpidScenario, y: float
-) -> BeliefState:
-    """Advance the posterior probability by one observation.
-
-    Equivalent to p' = ptilde g(y) / (ptilde g(y) + (1 - ptilde) f(y)) with
-    ptilde = p + (1 - p) rho, evaluated through log odds for stability.
-    General priors go through ``update_odds_general`` instead.
-    """
-    if not isinstance(prior, GeometricPrior):
-        raise TypeError("update_belief requires a geometric prior")
-    n = state.n + 1
-    if state.p == 1.0:
-        return BeliefState(1.0, n)
-    llr = _checked_llr(scenario, n, y)
-    log_r = log_odds_step_geometric(belief_to_log_odds(state.p), prior.rho, llr)
-    return BeliefState(log_odds_to_belief(float(log_r)), n)
-
-
-def update_odds_geometric(
-    state: OddsState, rho: float, scenario: IpidScenario, y: float
-) -> OddsState:
-    """Advance log R by one observation under a geometric prior:
-    R' = ((R + rho) / (1 - rho)) * g(y) / f(y)."""
-    if not (0.0 < rho < 1.0):
-        raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    n = state.n + 1
-    if state.log_r == math.inf:
-        return OddsState(math.inf, n)
-    llr = _checked_llr(scenario, n, y)
-    return OddsState(float(log_odds_step_geometric(state.log_r, rho, llr)), n)
-
-
-def update_odds_general(
+def update_odds(
     state: OddsState, prior: ChangePrior, scenario: IpidScenario, y: float
 ) -> OddsState:
-    """Advance log R under an arbitrary prior with computable tails:
+    """Advance log R by one observation y.
+
+    A geometric prior takes R' = ((R + rho) / (1 - rho)) g(y) / f(y).  A
+    tabulated prior takes
 
         R_n = (R_{n-1} Gamma_{n-1} / Gamma_n + pi_n / Gamma_n) g(y) / f(y)
 
-    with Gamma_n = P(nu > n).  Requires Gamma_n > 0; once the tabulated
-    tail is exhausted the recursion is undefined and an error is raised.
-    Specializes to the geometric step when the prior is geometric.
+    with Gamma_n = P(nu > n), which needs n within the table and
+    Gamma_n > 0; past either the recursion is undefined and an error is
+    raised.
     """
     n = state.n + 1
-    if isinstance(prior, TabulatedPrior) and n > prior.table_length:
+    if isinstance(prior, GeometricPrior):
+        if state.log_r == math.inf:
+            return OddsState(math.inf, n)
+        llr = _checked_llr(scenario, n, y)
+        return OddsState(float(log_odds_step_geometric(state.log_r, prior.rho, llr)), n)
+    if n > prior.table_length:
         raise ValueError(f"prior table exhausted at time {n}")
     log_tail_prev = prior.log_tail(n - 1)
     log_tail = prior.log_tail(n)

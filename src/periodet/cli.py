@@ -28,12 +28,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .belief import log_odds_to_belief, log_odds_step_geometric, belief_to_log_odds
+from .belief import OddsState, log_odds_to_belief, update_odds
 from .detection_dp import DetectionCostSpec, DetectionSolution, solve_detection
 from .ipid_model import Gaussian, GeometricPrior, IpidScenario, kl_information, prior_tail_exponent, sample_path
 from .monte_carlo import (
     PeriodicThresholds,
     SingleThreshold,
+    SweepResult,
     analytic_delay,
     default_horizon,
     estimate_add_pfa,
@@ -105,24 +106,30 @@ class ExperimentConfig:
         )
 
 
+def _positive(v: float) -> bool:
+    return 0.0 < v < math.inf
+
+
+# scalar field: (parser, range test, the range it stands for)
 _SCALAR_FIELDS = {
-    "period": int,
-    "rho": float,
-    "grid_points": int,
-    "tolerance": float,
-    "max_cycles": int,
-    "paths": int,
-    "horizon": int,
-    "seed": int,
+    "period": (int, lambda v: v >= 1, ">= 1"),
+    "rho": (float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "grid_points": (int, lambda v: v >= 2, ">= 2"),
+    "tolerance": (float, _positive, "finite and > 0"),
+    "max_cycles": (int, lambda v: v >= 1, ">= 1"),
+    "paths": (int, lambda v: v >= 1, ">= 1"),
+    "horizon": (int, lambda v: v >= 1, ">= 1"),
+    "seed": (int, lambda v: v >= 0, ">= 0"),
 }
-_LIST_FIELDS = (
-    "pre_means",
-    "pre_vars",
-    "post_means",
-    "post_vars",
-    "false_alarm_penalties",
-    "delay_penalties",
-)
+# list field: (range test for every entry, the range it stands for)
+_LIST_FIELDS = {
+    "pre_means": (math.isfinite, "finite"),
+    "pre_vars": (_positive, "finite and > 0"),
+    "post_means": (math.isfinite, "finite"),
+    "post_vars": (_positive, "finite and > 0"),
+    "false_alarm_penalties": (_positive, "finite and > 0"),
+    "delay_penalties": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+}
 _REQUIRED = ("period", "rho", "pre_means", "post_means",
              "false_alarm_penalties", "delay_penalties")
 
@@ -130,8 +137,9 @@ _REQUIRED = ("period", "rho", "pre_means", "post_means",
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     """Parse a flat ``key = value`` config.
 
-    Lists are comma separated; '#' starts a comment.  Every violation is
-    reported with the source name and line number of the offending field.
+    Lists are comma separated; '#' starts a comment.  Every violation,
+    an out-of-range value included, is reported with the source name and
+    line number of the offending field.
     """
     values: dict[str, object] = {}
     lines_of: dict[str, int] = {}
@@ -147,25 +155,28 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         if key in values:
             raise ConfigError(source, line_no, f"duplicate field {key!r} (first at line {lines_of[key]})")
         if key in _SCALAR_FIELDS:
+            parse, in_range, what = _SCALAR_FIELDS[key]
             try:
-                values[key] = _SCALAR_FIELDS[key](value)
+                values[key] = parse(value)
             except ValueError:
                 raise ConfigError(source, line_no, f"field {key!r}: bad value {value!r}") from None
+            items = (values[key],)
         elif key in _LIST_FIELDS:
+            in_range, what = _LIST_FIELDS[key]
             try:
-                values[key] = tuple(float(v) for v in value.replace(",", " ").split())
+                values[key] = items = tuple(float(v) for v in value.replace(",", " ").split())
             except ValueError:
                 raise ConfigError(source, line_no, f"field {key!r}: bad list {value!r}") from None
         else:
             raise ConfigError(source, line_no, f"unknown field {key!r}")
+        if not all(in_range(v) for v in items):
+            raise ConfigError(source, line_no, f"field {key!r} must be {what}, got {value!r}")
         lines_of[key] = line_no
 
     for key in _REQUIRED:
         if key not in values:
             raise ConfigError(source, 0, f"missing required field {key!r}")
     period = int(values["period"])  # type: ignore[arg-type]
-    if period < 1:
-        raise ConfigError(source, lines_of["period"], "period must be >= 1")
     values.setdefault("pre_vars", (1.0,) * period)
     values.setdefault("post_vars", (1.0,) * period)
     for key in _LIST_FIELDS:
@@ -176,19 +187,20 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
                 lines_of.get(key, lines_of["period"]),
                 f"field {key!r} has {len(seq)} entries, period is {period}",  # type: ignore[arg-type]
             )
-    rho = float(values["rho"])  # type: ignore[arg-type]
-    if not 0.0 < rho < 1.0:
-        raise ConfigError(source, lines_of["rho"], f"rho must lie in (0, 1), got {rho}")
     values.setdefault("grid_points", 100)
     values.setdefault("tolerance", 1e-6)
     values.setdefault("max_cycles", 100_000)
     values.setdefault("paths", 10_000)
-    values.setdefault("horizon", default_horizon(rho))
+    values.setdefault("horizon", default_horizon(float(values["rho"])))  # type: ignore[arg-type]
     values.setdefault("seed", 0)
     try:
-        return ExperimentConfig(**values)  # type: ignore[arg-type]
+        cfg = ExperimentConfig(**values)  # type: ignore[arg-type]
+        # the model types own their checks; any the ranges above miss fail here
+        cfg.scenario()
+        cfg.cost_spec()
     except (TypeError, ValueError) as exc:
         raise ConfigError(source, 0, str(exc)) from exc
+    return cfg
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -332,10 +344,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK if solution.converged else EXIT_NO_CONVERGENCE
 
 
-def _parse_policy(spec: str, solution_provider) -> SingleThreshold | PeriodicThresholds:
-    if spec == "optimal":
-        solution = solution_provider()
-        return PeriodicThresholds(tuple(min(a, 1.0) for a in solution.thresholds))
+def _parse_policy(spec: str) -> SingleThreshold | PeriodicThresholds:
     kind, _, rest = spec.partition(":")
     if kind == "single":
         return SingleThreshold(float(rest))
@@ -349,16 +358,13 @@ def _parse_policy(spec: str, solution_provider) -> SingleThreshold | PeriodicThr
 def cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     exit_code = EXIT_OK
-    solution_box: list[DetectionSolution] = []
-
-    def provider() -> DetectionSolution:
+    if args.policy == "optimal":
         solution = _solve_from_config(cfg)
-        solution_box.append(solution)
-        return solution
-
-    policy = _parse_policy(args.policy, provider)
-    if solution_box and not solution_box[0].converged:
-        exit_code = EXIT_NO_CONVERGENCE
+        policy = PeriodicThresholds(tuple(solution.thresholds))
+        if not solution.converged:
+            exit_code = EXIT_NO_CONVERGENCE
+    else:
+        policy = _parse_policy(args.policy)
     report = estimate_bayes_cost(
         cfg.scenario(), cfg.cost_spec(), policy, cfg.paths, horizon=cfg.horizon, seed=cfg.seed
     )
@@ -397,15 +403,13 @@ def cmd_sweep(args) -> int:
 
 def _trace_rows(cfg: ExperimentConfig, horizon: int) -> list[list]:
     scenario = cfg.scenario()
-    path = sample_path(scenario, GeometricPrior(cfg.rho), horizon, cfg.seed)
-    log_r = -math.inf
+    prior = GeometricPrior(cfg.rho)
+    path = sample_path(scenario, prior, horizon, cfg.seed)
+    state = OddsState(-math.inf)
     rows = []
-    for n in range(1, horizon + 1):
-        s = (n - 1) % scenario.period
-        y = path.observations[n - 1]
-        llr = scenario.post[s].logpdf(y) - scenario.pre[s].logpdf(y)
-        log_r = float(log_odds_step_geometric(log_r, cfg.rho, llr))
-        rows.append([n, log_odds_to_belief(log_r), int(path.change_active(n))])
+    for y in path.observations:
+        state = update_odds(state, prior, scenario, y)
+        rows.append([state.n, log_odds_to_belief(state.log_r), int(path.change_active(state.n))])
     return rows
 
 
@@ -456,18 +460,24 @@ def _tradeoff(cfg: ExperimentConfig, alphas, out_dir: Path, stem: str) -> int:
     return EXIT_OK
 
 
+def _solve_and_sweep(cfg: ExperimentConfig) -> tuple[DetectionSolution, SweepResult]:
+    """The solved policy and the single-threshold sweep it is compared with."""
+    solution = _solve_from_config(cfg)
+    sweep = sweep_single_threshold(
+        cfg.scenario(), cfg.cost_spec(), DEFAULT_THRESHOLD_GRID, cfg.paths,
+        seed=cfg.seed, horizon=cfg.horizon,
+    )
+    return solution, sweep
+
+
 def _reproduce_table(table: str, out_dir: Path, args) -> int:
     rows = []
     for row in REPRODUCE_TABLES[table]:
         cfg = _apply_overrides(bundled_config(row.config), args)
-        solution = _solve_from_config(cfg)
-        policy = PeriodicThresholds(tuple(min(a, 1.0) for a in solution.thresholds))
+        solution, sweep = _solve_and_sweep(cfg)
+        policy = PeriodicThresholds(tuple(solution.thresholds))
         optimal = estimate_bayes_cost(
             cfg.scenario(), cfg.cost_spec(), policy, cfg.paths, horizon=cfg.horizon, seed=cfg.seed
-        )
-        sweep = sweep_single_threshold(
-            cfg.scenario(), cfg.cost_spec(), DEFAULT_THRESHOLD_GRID, cfg.paths,
-            seed=cfg.seed, horizon=cfg.horizon,
         )
         best = sweep.best
         rows.append([
@@ -496,12 +506,8 @@ def cmd_reproduce(args) -> int:
         return _reproduce_table(target, out_dir, args)
     if target in ("fig1", "fig2"):
         cfg = _apply_overrides(bundled_config(REPRODUCE_FIGURES[target]), args)
-        solution = _solve_from_config(cfg)
+        solution, sweep = _solve_and_sweep(cfg)
         write_solution_artifacts(solution, out_dir, target)
-        sweep = sweep_single_threshold(
-            cfg.scenario(), cfg.cost_spec(), DEFAULT_THRESHOLD_GRID, cfg.paths,
-            seed=cfg.seed, horizon=cfg.horizon,
-        )
         _write_sweep_csv(sweep, out_dir / f"{target}_sweep.csv")
         target_value = FIGURE_TARGETS[target][0]
         print(f"value at p=0: {solution.value_at_zero:.4f} (target {target_value})")
@@ -594,11 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run a bundled experiment batch")
     p.add_argument("id", choices=sorted(REPRODUCE_TABLES) + sorted(REPRODUCE_FIGURES))
-    p.add_argument("--out-dir", default="periodet-results")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--paths", type=int, default=None)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    common(p, config_required=False)
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("mdp-solve", help="solve a periodic MDP instance file")

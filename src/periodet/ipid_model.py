@@ -9,8 +9,8 @@ asymptotic detection delay: the period-averaged Kullback-Leibler
 divergence and the prior's tail exponent.
 
 Indexing: observation n >= 1 has 0-based stage (n - 1) % T, so the density
-lists are addressed as pre[stage], post[stage].  The 1-based helper
-``stage_of`` is the only place the off-by-one lives.
+lists are addressed as pre[stage], post[stage].  ``IpidScenario.stage_index``
+is the only place the off-by-one lives.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "ChangePrior",
     "SamplePath",
     "TruncatedTailWarning",
-    "stage_of",
     "log_likelihood_ratio",
     "sample_path",
     "kl_information",
@@ -123,13 +122,6 @@ class IpidScenario:
         if n < 1:
             raise ValueError(f"observation index must be >= 1, got {n}")
         return (n - 1) % self.period
-
-
-def stage_of(n: int, period: int) -> int:
-    """1-based stage of observation n: ((n-1) mod T) + 1."""
-    if n < 1 or period < 1:
-        raise ValueError("need n >= 1 and period >= 1")
-    return (n - 1) % period + 1
 
 
 def log_likelihood_ratio(scenario: IpidScenario, n: int, y) -> float:
@@ -287,10 +279,9 @@ def sample_path(
         raise ValueError("tabulated prior is shorter than the horizon")
     rng = np.random.default_rng(seed)
     nu = int(prior.sample(rng))
-    T = scenario.period
     obs = np.empty(horizon)
     for n in range(1, horizon + 1):
-        s = (n - 1) % T
+        s = scenario.stage_index(n)
         law = scenario.post[s] if n >= nu else scenario.pre[s]
         obs[n - 1] = law.sample(rng)
     return SamplePath(

@@ -28,8 +28,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .belief import belief_to_log_odds, log_odds_to_belief
-from .ipid_model import GeometricPrior, IpidScenario, SamplePath, kl_information, prior_tail_exponent
+from .belief import belief_to_log_odds, log_odds_step_geometric
+from .ipid_model import (
+    GeometricPrior,
+    IpidScenario,
+    kl_information,
+    log_likelihood_ratio,
+    prior_tail_exponent,
+)
 from .detection_dp import DetectionCostSpec
 
 __all__ = [
@@ -41,7 +47,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "LowerBoundRow",
-    "run_policy",
     "estimate_bayes_cost",
     "sweep_single_threshold",
     "estimate_add_pfa",
@@ -127,32 +132,6 @@ def default_horizon(rho: float) -> int:
     return int(math.ceil(50.0 / rho))
 
 
-def run_policy(
-    path: SamplePath, policy: StoppingPolicy, rho: float, scenario: IpidScenario
-) -> int | None:
-    """Alarm time of the policy on one path, or None if it never alarms.
-
-    Runs the scalar belief recursion and stops at the first n >= 1 with
-    p_n strictly above the stage threshold.
-    """
-    T = scenario.period
-    thresholds = policy.stage_thresholds(T)
-    log_thr = np.array([belief_to_log_odds(a) for a in thresholds])
-    log_rho = math.log(rho)
-    log_1m_rho = math.log1p(-rho)
-    log_r = -math.inf
-    for n in range(1, path.horizon + 1):
-        s = (n - 1) % T
-        y = path.observations[n - 1]
-        llr = scenario.post[s].logpdf(y) - scenario.pre[s].logpdf(y)
-        if math.isnan(llr):
-            raise ValueError(f"observation {y!r} at time {n} is outside both supports")
-        log_r = np.logaddexp(log_r, log_rho) - log_1m_rho + llr
-        if log_r > log_thr[s]:
-            return n
-    return None
-
-
 def _simulate_stopping(
     scenario: IpidScenario,
     rho: float,
@@ -161,33 +140,30 @@ def _simulate_stopping(
     horizon: int,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized runs of a threshold rule over fresh sample paths.
+    """Vectorized runs of a threshold rule over fresh sample paths; the
+    odds of the still-running paths advance by ``log_odds_step_geometric``.
 
     Returns (nu, tau, log_r_at_tau); both times use horizon + 1 as the
     beyond-horizon sentinel (change never arrived / policy never alarmed).
     """
     if n_paths < 1 or horizon < 1:
         raise ValueError("need n_paths >= 1 and horizon >= 1")
-    T = scenario.period
     rng = np.random.default_rng(seed)
     nu = rng.geometric(rho, n_paths).astype(np.int64)
     nu = np.minimum(nu, horizon + 1)
     log_thr = np.array([belief_to_log_odds(a) for a in thresholds])
-    log_rho = math.log(rho)
-    log_1m_rho = math.log1p(-rho)
 
     tau = np.full(n_paths, horizon + 1, dtype=np.int64)
     log_r_at_tau = np.full(n_paths, math.inf)
     alive = np.arange(n_paths)
     log_r = np.full(n_paths, -math.inf)
     for n in range(1, horizon + 1):
-        s = (n - 1) % T
+        s = scenario.stage_index(n)
         post = nu[alive] <= n
         y = np.empty(alive.size)
         y[post] = scenario.post[s].sample(rng, int(post.sum()))
         y[~post] = scenario.pre[s].sample(rng, int(alive.size - post.sum()))
-        llr = scenario.post[s].logpdf(y) - scenario.pre[s].logpdf(y)
-        log_r = np.logaddexp(log_r, log_rho) - log_1m_rho + llr
+        log_r = log_odds_step_geometric(log_r, rho, log_likelihood_ratio(scenario, n, y))
         crossed = log_r > log_thr[s]
         if crossed.any():
             hit = alive[crossed]
@@ -279,8 +255,11 @@ def sweep_single_threshold(
 ) -> SweepResult:
     """Bayes cost of the single-threshold rule over a grid of thresholds.
 
-    Every grid point reuses the same seed (common random numbers), which
-    smooths the curve and sharpens the argmin.
+    Every grid point reuses the same seed, so all points share the change
+    points nu and nothing else: observations are drawn only for the paths
+    still running, so after the first alarm that differs between two
+    thresholds their paths see different draws.  The points are not
+    common-random-number estimates of one another.
     """
     points = []
     for a in threshold_grid:

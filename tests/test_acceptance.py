@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from periodet import (
-    BeliefState,
     GeometricPrior,
     OddsState,
     PeriodicThresholds,
+    TabulatedPrior,
     analytic_delay,
     estimate_add_pfa,
     estimate_bayes_cost,
@@ -36,8 +36,7 @@ from periodet import (
     simulate_policy,
     solve_detection,
     sweep_single_threshold,
-    update_belief,
-    update_odds_geometric,
+    update_odds,
     value_iterate,
 )
 from periodet.cli import DEFAULT_THRESHOLD_GRID, REPRODUCE_TABLES, bundled_config
@@ -246,16 +245,19 @@ def test_criterion_8_property_suites(solved_t2, solved_t4, alternating_t2):
     guarantees against an independent oracle, the classical reduction, the
     structural invariants of solved stopping problems, and solver-vs-
     simulation consistency on every bundled scenario."""
-    # belief/odds cross-recursion to 1e-9 on randomized sample paths
+    # geometric vs tabulated-prior recursion to 1e-9 in p on randomized
+    # sample paths
     scen = make_scenario([0.0, 0.0], [1.0, 0.25])
     prior = GeometricPrior(0.02)
+    table = TabulatedPrior.truncated_geometric(prior.rho, 200)
     for seed in range(10):
         path = sample_path(scen, prior, horizon=200, seed=seed)
-        belief, odds = BeliefState(0.0), OddsState(-math.inf)
+        geometric, tabulated = OddsState(-math.inf), OddsState(-math.inf)
         for y in path.observations:
-            belief = update_belief(belief, prior, scen, y)
-            odds = update_odds_geometric(odds, prior.rho, scen, y)
-            assert abs(log_odds_to_belief(odds.log_r) - belief.p) <= 1e-9
+            geometric = update_odds(geometric, prior, scen, y)
+            tabulated = update_odds(tabulated, table, scen, y)
+            gap = log_odds_to_belief(tabulated.log_r) - log_odds_to_belief(geometric.log_r)
+            assert abs(gap) <= 1e-9
 
     # value iteration: monotone iterates, residual at tol, oracle sandwich
     # on 50 random small instances at discount 0.9

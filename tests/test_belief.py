@@ -7,18 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodet import (
-    BeliefState,
     BeliefUpdateError,
-    Gaussian,
     GeometricPrior,
     IpidScenario,
     OddsState,
     TabulatedPrior,
     belief_to_log_odds,
     log_odds_to_belief,
-    update_belief,
-    update_odds_general,
-    update_odds_geometric,
+    sample_path,
+    update_odds,
 )
 
 from conftest import make_scenario
@@ -34,33 +31,34 @@ def plain_domain_update(p, rho, scenario, n, y):
     return pt * g / (pt * g + (1.0 - pt) * f)
 
 
+def step_belief(p, prior, scenario, y, n=0):
+    """One ``update_odds`` step from belief p after n observations, read
+    back as a belief."""
+    state = update_odds(OddsState(belief_to_log_odds(p), n), prior, scenario, y)
+    return log_odds_to_belief(state.log_r)
+
+
 # ── single-step examples ───────────────────────────────────────────────
 
 
 def test_update_belief_identical_densities_accumulates_prior():
     same = make_scenario([0.0], [0.0])
-    state = update_belief(BeliefState(0.0), GeometricPrior(0.01), same, y=1.3)
-    assert state.p == pytest.approx(0.01, abs=1e-12)
+    state = update_odds(OddsState(-math.inf), GeometricPrior(0.01), same, y=1.3)
+    assert log_odds_to_belief(state.log_r) == pytest.approx(0.01, abs=1e-12)
     assert state.n == 1
 
 
 def test_update_belief_absorbing_at_one():
     scen = make_scenario([0.0], [2.0])
     for y in (-50.0, 0.0, 50.0):
-        assert update_belief(BeliefState(1.0, 3), GeometricPrior(0.05), scen, y).p == 1.0
+        state = update_odds(OddsState(math.inf, 3), GeometricPrior(0.05), scen, y)
+        assert log_odds_to_belief(state.log_r) == 1.0
 
 
 def test_update_belief_zero_llr_observation():
     # at y = 1 the strong-stage likelihood ratio is exactly 1
     scen = make_scenario([0.0], [2.0])
-    state = update_belief(BeliefState(0.0), GeometricPrior(0.01), scen, y=1.0)
-    assert state.p == pytest.approx(0.01, abs=1e-12)
-
-
-def test_update_belief_requires_geometric_prior():
-    scen = make_scenario([0.0], [2.0])
-    with pytest.raises(TypeError):
-        update_belief(BeliefState(0.0), TabulatedPrior.from_masses([0.5, 0.5]), scen, 0.0)
+    assert step_belief(0.0, GeometricPrior(0.01), scen, y=1.0) == pytest.approx(0.01, abs=1e-12)
 
 
 @given(
@@ -71,7 +69,7 @@ def test_update_belief_requires_geometric_prior():
 )
 def test_update_belief_matches_plain_domain(p, rho, y, theta):
     scen = make_scenario([0.0, 0.0], [theta, theta / 2.0])
-    got = update_belief(BeliefState(p, 4), GeometricPrior(rho), scen, y).p
+    got = step_belief(p, GeometricPrior(rho), scen, y, n=4)
     want = plain_domain_update(p, rho, scen, 5, y)
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -79,7 +77,7 @@ def test_update_belief_matches_plain_domain(p, rho, y, theta):
 def test_update_belief_outside_both_supports():
     scen = make_scenario([0.0], [2.0])
     with pytest.raises(BeliefUpdateError):
-        update_belief(BeliefState(0.2), GeometricPrior(0.01), scen, y=math.inf)
+        update_odds(OddsState(belief_to_log_odds(0.2)), GeometricPrior(0.01), scen, y=math.inf)
 
 
 @dataclass(frozen=True)
@@ -101,15 +99,15 @@ class UnitUniform:
 def test_update_belief_bounded_supports_error():
     scen = IpidScenario(pre=(UnitUniform(),), post=(UnitUniform(),))
     with pytest.raises(BeliefUpdateError, match="outside both"):
-        update_belief(BeliefState(0.1), GeometricPrior(0.01), scen, y=2.5)
+        update_odds(OddsState(belief_to_log_odds(0.1)), GeometricPrior(0.01), scen, y=2.5)
 
 
-# ── odds recursions ────────────────────────────────────────────────────
+# ── geometric and tabulated priors ─────────────────────────────────────
 
 
 def test_odds_geometric_first_step():
     same = make_scenario([0.0], [0.0])  # LLR = 0 everywhere
-    state = update_odds_geometric(OddsState(-math.inf), 0.01, same, y=0.4)
+    state = update_odds(OddsState(-math.inf), GeometricPrior(0.01), same, y=0.4)
     assert math.exp(state.log_r) == pytest.approx(0.01 / 0.99, rel=1e-12)
 
 
@@ -117,14 +115,14 @@ def test_odds_geometric_arithmetic_example():
     # R' = ((1 + 0.01) / 0.99) * 2 when the likelihood ratio is 2
     scen = make_scenario([0.0], [2.0])
     y = (math.log(2.0) + 2.0) / 2.0  # solves theta*y - theta^2/2 = log 2
-    state = update_odds_geometric(OddsState(0.0), 0.01, scen, y=y)
+    state = update_odds(OddsState(0.0), GeometricPrior(0.01), scen, y=y)
     assert math.exp(state.log_r) == pytest.approx((1.01 / 0.99) * 2.0, rel=1e-10)
 
 
 def test_odds_general_first_step_matches_hazard():
     same = make_scenario([0.0], [0.0])
     prior = TabulatedPrior.truncated_geometric(0.01, 100)
-    state = update_odds_general(OddsState(-math.inf), prior, same, y=1.0)
+    state = update_odds(OddsState(-math.inf), prior, same, y=1.0)
     assert math.exp(state.log_r) == pytest.approx(0.01 / 0.99, rel=1e-12)
 
 
@@ -135,7 +133,7 @@ def test_odds_general_identical_densities_closed_form():
     prior = TabulatedPrior.truncated_geometric(rho, 64)
     state = OddsState(-math.inf)
     for n in range(1, 41):
-        state = update_odds_general(state, prior, same, y=0.0)
+        state = update_odds(state, prior, same, y=0.0)
         want = (1.0 - (1.0 - rho) ** n) / (1.0 - rho) ** n
         assert math.exp(state.log_r) == pytest.approx(want, rel=1e-11)
 
@@ -149,26 +147,26 @@ def test_odds_general_specializes_to_geometric():
     geometric = OddsState(-math.inf)
     for _ in range(400):
         y = rng.normal()
-        general = update_odds_general(general, prior, scen, y)
-        geometric = update_odds_geometric(geometric, rho, scen, y)
+        general = update_odds(general, prior, scen, y)
+        geometric = update_odds(geometric, GeometricPrior(rho), scen, y)
         assert general.log_r == pytest.approx(geometric.log_r, abs=1e-9)
 
 
 def test_odds_general_tail_exhausted():
     same = make_scenario([0.0], [0.0])
     prior = TabulatedPrior.from_masses([0.6, 0.4])  # Gamma_2 = 0
-    state = update_odds_general(OddsState(-math.inf), prior, same, y=0.0)
+    state = update_odds(OddsState(-math.inf), prior, same, y=0.0)
     with pytest.raises(ValueError, match="tail exhausted"):
-        update_odds_general(state, prior, same, y=0.0)
+        update_odds(state, prior, same, y=0.0)
 
 
 def test_odds_general_beyond_table():
     same = make_scenario([0.0], [0.0])
     prior = TabulatedPrior.from_masses([0.1, 0.1])
-    state = update_odds_general(OddsState(-math.inf), prior, same, y=0.0)
-    state = update_odds_general(state, prior, same, y=0.0)
+    state = update_odds(OddsState(-math.inf), prior, same, y=0.0)
+    state = update_odds(state, prior, same, y=0.0)
     with pytest.raises(ValueError, match="table exhausted"):
-        update_odds_general(state, prior, same, y=0.0)
+        update_odds(state, prior, same, y=0.0)
 
 
 # ── belief <-> odds transform ──────────────────────────────────────────
@@ -194,19 +192,21 @@ def test_roundtrip_inverse(p):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), rho=st.floats(0.001, 0.2))
 def test_belief_and_odds_paths_agree(seed, rho):
-    """Probability and odds recursions track each other to 1e-9 at every
-    step of randomized thousand-step sample paths."""
-    from periodet import sample_path
-
+    """The geometric step and the tabulated mass/tail step of the same
+    prior track each other to 1e-9 in p at every step of randomized
+    thousand-step sample paths."""
     scen = make_scenario([0.0, 0.0], [1.0, 0.25])
     prior = GeometricPrior(rho)
+    table = TabulatedPrior.truncated_geometric(rho, 1000)
     path = sample_path(scen, prior, horizon=1000, seed=seed)
-    belief = BeliefState(0.0)
-    odds = OddsState(-math.inf)
+    geometric = OddsState(-math.inf)
+    tabulated = OddsState(-math.inf)
     for y in path.observations:
-        belief = update_belief(belief, prior, scen, y)
-        odds = update_odds_geometric(odds, rho, scen, y)
-        assert log_odds_to_belief(odds.log_r) == pytest.approx(belief.p, abs=1e-9)
+        geometric = update_odds(geometric, prior, scen, y)
+        tabulated = update_odds(tabulated, table, scen, y)
+        assert log_odds_to_belief(tabulated.log_r) == pytest.approx(
+            log_odds_to_belief(geometric.log_r), abs=1e-9
+        )
 
 
 def test_log_odds_path_matches_plain_domain_path():
@@ -215,23 +215,23 @@ def test_log_odds_path_matches_plain_domain_path():
     scen = make_scenario([0.0, 0.0], [2.0, 1.0])
     rho = 0.01
     rng = np.random.default_rng(17)
-    belief = BeliefState(0.0)
+    state = OddsState(-math.inf)
     p_plain = 0.0
     for n in range(1, 301):
         y = rng.normal()
-        belief = update_belief(belief, GeometricPrior(rho), scen, y)
+        state = update_odds(state, GeometricPrior(rho), scen, y)
         p_plain = plain_domain_update(p_plain, rho, scen, n, y)
-        assert belief.p == pytest.approx(p_plain, abs=1e-9)
+        assert log_odds_to_belief(state.log_r) == pytest.approx(p_plain, abs=1e-9)
 
 
 def test_pure_prior_accumulation_closed_form():
     # g == f: p_n = 1 - (1-rho)^n exactly
     same = make_scenario([0.0, 0.0], [0.0, 0.0])
     rho = 0.03
-    state = BeliefState(0.0)
+    state = OddsState(-math.inf)
     for n in range(1, 201):
-        state = update_belief(state, GeometricPrior(rho), same, y=float(n % 5))
-        assert state.p == pytest.approx(1.0 - (1.0 - rho) ** n, abs=1e-12)
+        state = update_odds(state, GeometricPrior(rho), same, y=float(n % 5))
+        assert log_odds_to_belief(state.log_r) == pytest.approx(1.0 - (1.0 - rho) ** n, abs=1e-12)
 
 
 @given(
@@ -244,15 +244,13 @@ def test_monotone_response_to_likelihood_ratio(p, y_lo, bump):
     the updated belief (for a positive-shift stage, LLR grows with y)."""
     scen = make_scenario([0.0], [1.5])
     prior = GeometricPrior(0.02)
-    lo = update_belief(BeliefState(p), prior, scen, y_lo).p
-    hi = update_belief(BeliefState(p), prior, scen, y_lo + bump).p
+    lo = step_belief(p, prior, scen, y_lo)
+    hi = step_belief(p, prior, scen, y_lo + bump)
     assert hi >= lo - 1e-12
 
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        BeliefState(1.2)
-    with pytest.raises(ValueError):
-        BeliefState(0.5, -1)
-    with pytest.raises(ValueError):
         OddsState(math.nan)
+    with pytest.raises(ValueError):
+        OddsState(0.0, -1)

@@ -62,6 +62,20 @@ def test_parse_config_rejects(mutation, fragment):
         parse_config(MINIMAL.replace(old, new))
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["grid_points = 1", "tolerance = 0", "paths = 0", "horizon = 0", "pre_vars = 0, 1"],
+)
+def test_out_of_range_value_is_a_parse_error(tmp_path, capsys, line):
+    # appended as line 7; rejected at parse time, before anything runs
+    path = tmp_path / "range.cfg"
+    path.write_text(MINIMAL + line + "\n")
+    code = main(["simulate", "--config", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"{path}:7:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_bundled_configs_all_parse():
     for table in REPRODUCE_TABLES.values():
         for row in table:

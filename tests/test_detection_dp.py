@@ -8,18 +8,20 @@ from hypothesis import strategies as st
 
 from periodet import (
     BeliefGrid,
-    BeliefState,
     DetectionCostSpec,
     Gaussian,
     GeometricPrior,
     IpidScenario,
+    OddsState,
     StageValues,
     apply_stage_operator,
+    belief_to_log_odds,
     detection_mdp,
     finite_horizon_oracle,
     fixed_point_residual,
+    log_odds_to_belief,
     solve_detection,
-    update_belief,
+    update_odds,
 )
 from periodet.cli import REPRODUCE_FIGURES, REPRODUCE_TABLES, bundled_config
 from periodet.detection_dp import QuadratureRule, extract_thresholds
@@ -143,7 +145,8 @@ def test_transition_matches_scalar_recursion():
         for i, p in enumerate(grid):
             pt = p + (1 - p) * rho
             for x, w, fx, gx in zip(rule.nodes, rule.weights, f, g):
-                p_next = update_belief(BeliefState(p, n=nxt), prior, scen, x).p
+                state = update_odds(OddsState(belief_to_log_odds(p), n=nxt), prior, scen, x)
+                p_next = log_odds_to_belief(state.log_r)
                 hat = np.maximum(0.0, 1.0 - np.abs(p_next - grid) * (M - 1))
                 expected[i] += w * (pt * gx + (1 - pt) * fx) * hat
         np.testing.assert_allclose(continuation_kernel(scen, s, M), expected, rtol=0, atol=1e-12)

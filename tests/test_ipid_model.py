@@ -14,7 +14,6 @@ from periodet import (
     log_likelihood_ratio,
     prior_tail_exponent,
     sample_path,
-    stage_of,
 )
 from periodet.ipid_model import TruncatedTailWarning, _kl_quadrature
 
@@ -24,22 +23,28 @@ from conftest import make_scenario
 # ── stage arithmetic ───────────────────────────────────────────────────
 
 
+def period_scenario(period):
+    return make_scenario([0.0] * period, [1.0] * period)
+
+
+# expected: the 1-based stage ((n-1) mod T) + 1, as the paper numbers them
 @pytest.mark.parametrize("n,period,expected", [(1, 2, 1), (3, 2, 1), (8, 4, 4)])
 def test_stage_of_examples(n, period, expected):
-    assert stage_of(n, period) == expected
+    assert period_scenario(period).stage_index(n) == expected - 1
 
 
 @given(n=st.integers(1, 10**6), period=st.integers(1, 64))
 def test_stage_of_periodicity(n, period):
-    assert stage_of(n, period) == stage_of(n + period, period)
-    assert 1 <= stage_of(n, period) <= period
+    scenario = period_scenario(period)
+    assert scenario.stage_index(n) == scenario.stage_index(n + period)
+    assert 0 <= scenario.stage_index(n) < period
 
 
 def test_stage_of_rejects_bad_indices():
     with pytest.raises(ValueError):
-        stage_of(0, 2)
+        period_scenario(2).stage_index(0)
     with pytest.raises(ValueError):
-        stage_of(3, 0)
+        period_scenario(0)
 
 
 # ── densities and scenarios ────────────────────────────────────────────

@@ -14,11 +14,9 @@ from periodet import (
     kl_information,
     lower_bound_check,
     prior_tail_exponent,
-    run_policy,
-    sample_path,
     sweep_single_threshold,
 )
-from periodet.monte_carlo import default_horizon
+from periodet.monte_carlo import _simulate_stopping, default_horizon
 
 from conftest import make_scenario
 
@@ -55,35 +53,38 @@ def test_periodic_equal_entries_equivalent_to_single(t2):
     assert single == periodic  # bitwise identical reports
 
 
-# ── run_policy on explicit paths ───────────────────────────────────────
+# ── the simulation kernel on a few paths ───────────────────────────────
+
+
+def stopping_times(scenario, thresholds, horizon, seed, n_paths=8):
+    thresholds = PeriodicThresholds(thresholds).stage_thresholds(scenario.period)
+    return _simulate_stopping(scenario, 0.01, thresholds, n_paths, horizon, seed)[1]
 
 
 def test_run_policy_zero_threshold_stops_immediately(t2):
     scenario, _ = t2
-    path = sample_path(scenario, GeometricPrior(0.01), horizon=50, seed=1)
-    assert run_policy(path, PeriodicThresholds((0.0, 0.0)), 0.01, scenario) == 1
+    assert np.all(stopping_times(scenario, (0.0, 0.0), horizon=50, seed=1) == 1)
 
 
 def test_run_policy_threshold_one_never_stops(t2):
     scenario, _ = t2
-    path = sample_path(scenario, GeometricPrior(0.01), horizon=50, seed=2)
-    assert run_policy(path, PeriodicThresholds((1.0, 1.0)), 0.01, scenario) is None
+    assert np.all(stopping_times(scenario, (1.0, 1.0), horizon=50, seed=2) == 51)
 
 
 def test_run_policy_deterministic_replay(t2):
     scenario, _ = t2
-    policy = SingleThreshold(0.5)
-    a = run_policy(sample_path(scenario, GeometricPrior(0.01), 2000, seed=3), policy, 0.01, scenario)
-    b = run_policy(sample_path(scenario, GeometricPrior(0.01), 2000, seed=3), policy, 0.01, scenario)
-    assert a == b is not None
+    thresholds = SingleThreshold(0.5).stage_thresholds(scenario.period)
+    a = _simulate_stopping(scenario, 0.01, thresholds, 8, 2000, seed=3)
+    b = _simulate_stopping(scenario, 0.01, thresholds, 8, 2000, seed=3)
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(x, y)
+    assert np.all(a[1] <= 2000)  # every path alarmed
 
 
 def test_run_policy_uses_stage_of_current_observation(t2):
-    # stage-0 threshold 0 with stage-1 threshold 1: can only stop at odd n
+    # stage-0 threshold 1 with stage-1 threshold 0: can only stop at even n
     scenario, _ = t2
-    path = sample_path(scenario, GeometricPrior(0.01), horizon=100, seed=4)
-    tau = run_policy(path, PeriodicThresholds((1.0, 0.0)), 0.01, scenario)
-    assert tau == 2  # first stage-1 observation
+    assert np.all(stopping_times(scenario, (1.0, 0.0), horizon=100, seed=4) == 2)
 
 
 # ── Bayes cost ─────────────────────────────────────────────────────────
