@@ -27,6 +27,7 @@ from .ipid_model import (
     log_likelihood_ratio,
     prior_tail_exponent,
     sample_path,
+    simpson_window,
 )
 from .monte_carlo import (
     AddPfaResult,
@@ -36,7 +37,6 @@ from .monte_carlo import (
     analytic_delay,
     estimate_add_pfa,
     estimate_bayes_cost,
-    lower_bound_check,
     sweep_single_threshold,
 )
 from .periodic_mdp import (
@@ -44,7 +44,6 @@ from .periodic_mdp import (
     PeriodicPolicy,
     StageValues,
     apply_cycle_operator,
-    apply_policy_operator,
     apply_stage_operator,
     extract_periodic_policy,
     finite_horizon_oracle,

@@ -549,17 +549,29 @@ def cmd_mdp_solve(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# override flag -> the config field it replaces
+_OVERRIDES = {"seed": "seed", "paths": "paths", "grid": "grid_points", "tol": "tolerance"}
+
+
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    kw = {}
-    if getattr(args, "seed", None) is not None:
-        kw["seed"] = args.seed
-    if getattr(args, "paths", None) is not None:
-        kw["paths"] = args.paths
-    if getattr(args, "grid", None) is not None:
-        kw["grid_points"] = args.grid
-    if getattr(args, "tol", None) is not None:
-        kw["tolerance"] = args.tol
+    kw = {key: getattr(args, flag) for flag, key in _OVERRIDES.items()
+          if getattr(args, flag) is not None}
     return replace(cfg, **kw) if kw else cfg
+
+
+def _field_type(key: str):
+    """argparse ``type=`` for a flag that sets config field ``key``: the
+    field's parser and range test, so a bad value exits 2 naming the flag."""
+    parse, in_range, what = _SCALAR_FIELDS[key]
+
+    def convert(text: str):
+        value = parse(text)  # a ValueError reads "invalid <key> value"
+        if not in_range(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    convert.__name__ = key
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -573,10 +585,9 @@ def build_parser() -> argparse.ArgumentParser:
         if config_required:
             p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out-dir", default="periodet-results", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--paths", type=int, default=None, help="override path count")
-        p.add_argument("--grid", type=int, default=None, help="override belief grid points")
-        p.add_argument("--tol", type=float, default=None, help="override solver tolerance")
+        for flag, key in _OVERRIDES.items():
+            p.add_argument(f"--{flag}", type=_field_type(key), default=None,
+                           help=f"override config field {key!r}")
 
     p = sub.add_parser("solve", help="value-iterate a detection scenario")
     common(p)
@@ -606,8 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mdp-solve", help="solve a periodic MDP instance file")
     p.add_argument("instance", help="instance file (see periodic_mdp.load_instance)")
     p.add_argument("--out-dir", default="periodet-results")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-cycles", type=int, default=100_000)
+    p.add_argument("--tol", type=_field_type("tolerance"), default=None)
+    p.add_argument("--max-cycles", type=_field_type("max_cycles"), default=100_000)
     p.set_defaults(func=cmd_mdp_solve)
 
     return parser

@@ -11,13 +11,16 @@ belief p_i at stage s moves by the kernel
 
     K_s[i, j] = sum_k w_k mix_ik hat_j(p'_ik):
 
-Simpson weights w_k on a truncated window for the next observation, the
-predictive mixture density mix_ik at node k, the posterior p'_ik after
-it, and the linear-interpolation weight hat_j of grid point j.  The mass
-the window misses goes to the stopped state, so it adds nothing to the
-cost-to-go; a row summing above one (a window too coarse for the stage's
-densities) fails the row-sum check of ``PeriodicMdp``.
-``solve_detection`` solves it with ``periodic_mdp.value_iterate``.
+Simpson weights w_k (``ipid_model.simpson_window``, ``QUADRATURE_NODES``
+nodes on a window ``WINDOW_SCALES`` scales beyond both locations) for the
+next observation, the predictive mixture density mix_ik at node k, the
+posterior p'_ik after it, and the linear-interpolation weight hat_j of
+grid point j.  The mass the window misses goes to the stopped state, so
+it adds nothing to the cost-to-go; a row summing above one (a window too
+coarse for the stage's densities) fails the row-sum check of
+``PeriodicMdp``.  ``solve_detection`` solves it with
+``periodic_mdp.value_iterate`` and reads the stage, continue and stop
+curves off the Q-tables of one more ``apply_cycle_operator`` sweep.
 
 Timing convention (applied identically here and in the Monte-Carlo
 harness): observations are numbered n = 1, 2, ..., and observation n has
@@ -39,13 +42,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ipid_model import IpidScenario, _simpson_weights
-from .periodic_mdp import PeriodicMdp, _stage_q, value_iterate
+from .ipid_model import IpidScenario, simpson_window
+from .periodic_mdp import PeriodicMdp, apply_cycle_operator, value_iterate
 
 __all__ = [
     "DetectionCostSpec",
     "BeliefGrid",
-    "QuadratureRule",
     "DetectionSolution",
     "detection_mdp",
     "solve_detection",
@@ -53,8 +55,8 @@ __all__ = [
 ]
 
 DEFAULT_GRID_POINTS = 100
-DEFAULT_QUADRATURE_NODES = 1601
-DEFAULT_WINDOW_SCALES = 8.0
+QUADRATURE_NODES = 1601
+WINDOW_SCALES = 8.0
 # beliefs per block when building K_s; bounds the temporaries to a few (16, N)
 _KERNEL_BLOCK_ROWS = 16
 
@@ -108,43 +110,10 @@ class BeliefGrid:
         return 1.0 / (self.resolution - 1)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Composite Simpson nodes for one observation stage.
-
-    The window spans ``window_scales`` standard deviations beyond both
-    density locations; the mass outside it is reported by the solver.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def for_stage(
-        cls,
-        scenario: IpidScenario,
-        stage: int,
-        n_nodes: int = DEFAULT_QUADRATURE_NODES,
-        window_scales: float = DEFAULT_WINDOW_SCALES,
-    ) -> "QuadratureRule":
-        f = scenario.pre[stage % scenario.period]
-        g = scenario.post[stage % scenario.period]
-        width = window_scales * max(f.scale, g.scale)
-        lo = min(f.loc, g.loc) - width
-        hi = max(f.loc, g.loc) + width
-        if not (lo < f.loc < hi and lo < g.loc < hi):
-            raise ValueError("quadrature window does not cover both density locations")
-        x = np.linspace(lo, hi, n_nodes)
-        w = _simpson_weights(n_nodes) * (hi - lo) / (n_nodes - 1)
-        return cls(nodes=x, weights=w)
-
-
 def detection_mdp(
     scenario: IpidScenario,
     costs: DetectionCostSpec,
     grid_resolution: int = DEFAULT_GRID_POINTS,
-    quadrature_nodes: int = DEFAULT_QUADRATURE_NODES,
-    window_scales: float = DEFAULT_WINDOW_SCALES,
 ) -> PeriodicMdp:
     """The detection problem as a periodic MDP: states 0..M-1 are the grid
     beliefs and state M is the stopped state; action 0 continues (row K_s
@@ -159,13 +128,13 @@ def detection_mdp(
     P[:, M, 0, M] = 1.0
     for s in range(T):
         nxt = (s + 1) % T  # the continuation averages over the next observation
-        rule = QuadratureRule.for_stage(scenario, nxt, quadrature_nodes, window_scales)
-        f_vals = np.exp(scenario.pre[nxt].logpdf(rule.nodes))
-        g_vals = np.exp(scenario.post[nxt].logpdf(rule.nodes))
+        f, g = scenario.pre[nxt], scenario.post[nxt]
+        nodes, weights = simpson_window(f, g, WINDOW_SCALES, QUADRATURE_NODES)
+        f_vals, g_vals = np.exp(f.logpdf(nodes)), np.exp(g.logpdf(nodes))
         kernel = P[s, :M, 0, :M]
         for lo in range(0, M, _KERNEL_BLOCK_ROWS):
             rows = slice(lo, min(lo + _KERNEL_BLOCK_ROWS, M))
-            kernel[rows] = _kernel_rows(p[rows], costs.rho, f_vals, g_vals, rule.weights, M)
+            kernel[rows] = _kernel_rows(p[rows], costs.rho, f_vals, g_vals, weights, M)
         P[s, :M, 0, M] = np.maximum(1.0 - kernel.sum(axis=1), 0.0)
         c[s, :M, 0] = costs.delay[s] * p
         c[s, :M, 1] = costs.false_alarm[s] * (1.0 - p)
@@ -226,24 +195,17 @@ def solve_detection(
     grid_resolution: int = DEFAULT_GRID_POINTS,
     tol: float = 1e-6,
     max_cycles: int = 100_000,
-    quadrature_nodes: int = DEFAULT_QUADRATURE_NODES,
-    window_scales: float = DEFAULT_WINDOW_SCALES,
 ) -> DetectionSolution:
     """Value-iterate ``detection_mdp`` from the all-zero curve with
     ``periodic_mdp.value_iterate`` (same tol, stopping rule and histories);
-    the returned curves come from one more cycle applied to its last
-    stage-0 iterate."""
-    mdp = detection_mdp(scenario, costs, grid_resolution, quadrature_nodes, window_scales)
+    the returned curves are the Q-tables and entry values of one more
+    cycle applied to its last stage-0 iterate."""
+    mdp = detection_mdp(scenario, costs, grid_resolution)
     result = value_iterate(mdp, tol=tol, max_cycles=max_cycles)
     grid = BeliefGrid(grid_resolution)
-    T, M = mdp.period, grid.resolution
-    entry, cont, stop = (np.empty((T, M)) for _ in range(3))
-    tail = result.values[0]
-    for s in range(T - 1, -1, -1):
-        q = _stage_q(tail, mdp, s)
-        cont[s], stop[s] = q[:M, 0], q[:M, 1]
-        tail = q.min(axis=1)
-        entry[s] = tail[:M]
+    M = grid.resolution
+    q, entries = apply_cycle_operator(result.values[0], mdp)
+    cont, stop, entry = q[:, :M, 0], q[:, :M, 1], entries[:, :M]
     return DetectionSolution(
         grid=grid,
         costs=costs,

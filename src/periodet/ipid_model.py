@@ -4,8 +4,9 @@ An i.p.i.d. process emits independent observations whose marginal density
 repeats with period T.  A monitored stream follows the pre-change law
 (f_1, ..., f_T) up to some random change point nu and the post-change law
 (g_1, ..., g_T) from nu on.  This module holds the density and prior
-types, path sampling, and the two information quantities that control
-asymptotic detection delay: the period-averaged Kullback-Leibler
+types, path sampling, the Simpson window that both the divergence and the
+detection DP integrate over, and the two information quantities that
+control asymptotic detection delay: the period-averaged Kullback-Leibler
 divergence and the prior's tail exponent.
 
 Indexing: observation n >= 1 has 0-based stage (n - 1) % T, so the density
@@ -33,6 +34,7 @@ __all__ = [
     "TruncatedTailWarning",
     "log_likelihood_ratio",
     "sample_path",
+    "simpson_window",
     "kl_information",
     "prior_tail_exponent",
 ]
@@ -304,26 +306,32 @@ def _kl_divergence(g: Density, f: Density) -> float:
     return _kl_quadrature(g, f)
 
 
-def _kl_quadrature(g: Density, f: Density, n_nodes: int = 4001) -> float:
+def _kl_quadrature(g: Density, f: Density) -> float:
     """Composite Simpson for the integral of g * (log g - log f) over a
     window of +-10 scales around both locations."""
-    width = 10.0 * max(g.scale, f.scale)
-    lo = min(g.loc, f.loc) - width
-    hi = max(g.loc, f.loc) + width
-    x = np.linspace(lo, hi, n_nodes)
-    w = _simpson_weights(n_nodes) * (hi - lo) / (n_nodes - 1)
+    x, w = simpson_window(f, g, 10.0, 4001)
     log_g = g.logpdf(x)
     integrand = np.where(np.isfinite(log_g), np.exp(log_g) * (log_g - f.logpdf(x)), 0.0)
     return float(integrand @ w)
 
 
-def _simpson_weights(n: int) -> np.ndarray:
-    if n < 3 or n % 2 == 0:
+def simpson_window(
+    f: Density, g: Density, scales: float, n_nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Simpson nodes and weights on a window reaching ``scales``
+    times the larger scale beyond both density locations.  Raises if the
+    window does not cover both locations (a zero or NaN scale)."""
+    width = scales * max(f.scale, g.scale)
+    lo = min(f.loc, g.loc) - width
+    hi = max(f.loc, g.loc) + width
+    if not (lo < f.loc < hi and lo < g.loc < hi):
+        raise ValueError("quadrature window does not cover both density locations")
+    if n_nodes < 3 or n_nodes % 2 == 0:
         raise ValueError("composite Simpson needs an odd node count >= 3")
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / 3.0
+    simpson = np.ones(n_nodes)
+    simpson[1:-1:2] = 4.0
+    simpson[2:-1:2] = 2.0
+    return np.linspace(lo, hi, n_nodes), (simpson / 3.0) * (hi - lo) / (n_nodes - 1)
 
 
 def kl_information(scenario: IpidScenario) -> float:

@@ -29,13 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .belief import belief_to_log_odds, log_odds_step_geometric
-from .ipid_model import (
-    GeometricPrior,
-    IpidScenario,
-    kl_information,
-    log_likelihood_ratio,
-    prior_tail_exponent,
-)
+from .ipid_model import IpidScenario, log_likelihood_ratio
 from .detection_dp import DetectionCostSpec
 
 __all__ = [
@@ -46,12 +40,10 @@ __all__ = [
     "AddPfaResult",
     "SweepPoint",
     "SweepResult",
-    "LowerBoundRow",
     "estimate_bayes_cost",
     "sweep_single_threshold",
     "estimate_add_pfa",
     "analytic_delay",
-    "lower_bound_check",
     "default_horizon",
 ]
 
@@ -316,41 +308,3 @@ def analytic_delay(alpha: float, info: float, tail_exponent: float) -> float:
     if info <= 0.0 or tail_exponent < 0.0:
         raise ValueError("need info > 0 and tail_exponent >= 0")
     return -math.log(alpha) / (info + tail_exponent)
-
-
-@dataclass(frozen=True)
-class LowerBoundRow:
-    alpha: float
-    conditional_add: float
-    bound: float
-    ratio: float
-    below_slack: bool
-
-
-def lower_bound_check(
-    scenario: IpidScenario,
-    prior: GeometricPrior,
-    points: Iterable[tuple[float, float]],
-    slack: float = 0.85,
-) -> list[LowerBoundRow]:
-    """Tabulate simulated conditional delays against the universal bound.
-
-    The bound |log alpha| / (info + tail_exponent) holds asymptotically as
-    alpha -> 0, so finite-alpha points are only flagged (never an error)
-    when they drop below ``slack`` times the bound.
-    """
-    info = kl_information(scenario)
-    d = prior_tail_exponent(prior)
-    rows = []
-    for alpha, cond_add in points:
-        bound = analytic_delay(alpha, info, d)
-        rows.append(
-            LowerBoundRow(
-                alpha=alpha,
-                conditional_add=cond_add,
-                bound=bound,
-                ratio=cond_add / bound,
-                below_slack=cond_add < slack * bound,
-            )
-        )
-    return rows

@@ -9,9 +9,11 @@ Bellman operators innermost-last:
     Psi(V) = Psi_0(Psi_1(... Psi_{T-1}(V) ...)),
 
 so a fixed point of Psi is the optimal cost seen at entry to stage 0.
-Iterating Psi from the all-zero vector produces a pointwise nondecreasing
-sequence converging to that fixed point; the optimal policy is periodic
-and is read off greedily from the T intermediate stage compositions.
+``apply_cycle_operator`` returns the T stage Q-tables of one sweep and
+their minima, the T intermediate stage compositions.  Iterating Psi from
+the all-zero vector produces a pointwise nondecreasing sequence
+converging to that fixed point; the optimal policy is periodic and is
+read off greedily from the intermediate compositions.
 
 alpha = 1 is allowed for optimal-stopping style problems.  Nonnegative
 costs keep every iterate well defined, but at alpha = 1 convergence
@@ -31,7 +33,6 @@ __all__ = [
     "PeriodicPolicy",
     "InstanceFormatError",
     "apply_stage_operator",
-    "apply_policy_operator",
     "apply_cycle_operator",
     "value_iterate",
     "extract_periodic_policy",
@@ -116,23 +117,11 @@ class PeriodicPolicy:
 
     actions: np.ndarray  # (T, S) int
 
-    def stage_map(self, l: int) -> np.ndarray:
-        return self.actions[l % self.actions.shape[0]]
-
 
 def apply_stage_operator(values: np.ndarray, mdp: PeriodicMdp, stage: int) -> np.ndarray:
     """One Bellman minimization at the given stage:
     s -> min_a [ c_l(s,a) + alpha * sum_s' P_l(s'|s,a) V(s') ]."""
-    q = _stage_q(values, mdp, stage)
-    return q.min(axis=1)
-
-
-def apply_policy_operator(
-    values: np.ndarray, mdp: PeriodicMdp, stage: int, action_map: np.ndarray
-) -> np.ndarray:
-    """Stage operator with the action fixed by ``action_map`` per state."""
-    q = _stage_q(values, mdp, stage)
-    return q[np.arange(mdp.num_states), np.asarray(action_map, dtype=int)]
+    return _stage_q(values, mdp, stage).min(axis=1)
 
 
 def _stage_q(values: np.ndarray, mdp: PeriodicMdp, stage: int) -> np.ndarray:
@@ -147,19 +136,22 @@ def _stage_q(values: np.ndarray, mdp: PeriodicMdp, stage: int) -> np.ndarray:
 
 def apply_cycle_operator(
     values: np.ndarray, mdp: PeriodicMdp
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Apply the T stage operators innermost-last.
 
-    Returns the new stage-0 entry vector together with the T intermediate
-    stage compositions (entry values for stages 0..T-1), which policy
-    extraction needs.
+    Returns the stage Q-tables ``q`` (T, S, A), where ``q[l]`` scores each
+    action against the stage-(l+1) entry values (``values`` for the last
+    stage), and the entry values ``entries`` (T, S) with
+    ``entries[l] = q[l].min(axis=1)``; ``entries[0]`` is the new stage-0
+    iterate.
     """
-    entries: list[np.ndarray] = [None] * mdp.period  # type: ignore[list-item]
-    cur = np.asarray(values, dtype=float)
+    q = np.empty(mdp.costs.shape)
+    entries = np.empty((mdp.period, mdp.num_states))
+    cur = values
     for l in range(mdp.period - 1, -1, -1):
-        cur = apply_stage_operator(cur, mdp, l)
-        entries[l] = cur
-    return cur, entries
+        q[l] = _stage_q(cur, mdp, l)
+        cur = entries[l] = q[l].min(axis=1)
+    return q, entries
 
 
 def value_iterate(
@@ -184,9 +176,10 @@ def value_iterate(
     l2_hist: list[float] = []
     converged = False
     cycles = 0
-    entries = [np.zeros(mdp.num_states) for _ in range(mdp.period)]
+    entries = np.zeros((mdp.period, mdp.num_states))
     for cycles in range(1, max_cycles + 1):
-        new, entries = apply_cycle_operator(v, mdp)
+        _, entries = apply_cycle_operator(v, mdp)
+        new = entries[0]
         if np.any(new < v - 1e-9):
             raise AssertionError("cycle iterates must be pointwise nondecreasing")
         diff = new - v
@@ -197,7 +190,7 @@ def value_iterate(
             converged = True
             break
     return StageValues(
-        values=np.stack(entries),
+        values=entries,
         converged=converged,
         cycles=cycles,
         sup_history=np.asarray(sup_hist),
@@ -215,8 +208,7 @@ def extract_periodic_policy(stage_values: StageValues, mdp: PeriodicMdp) -> Peri
     T = mdp.period
     actions = np.empty((T, mdp.num_states), dtype=int)
     for l in range(T):
-        nxt = stage_values.values[(l + 1) % T]
-        q = _stage_q(nxt, mdp, l)
+        q = _stage_q(stage_values.values[(l + 1) % T], mdp, l)
         actions[l] = np.argmin(q, axis=1)
     return PeriodicPolicy(actions=actions)
 
@@ -224,8 +216,8 @@ def extract_periodic_policy(stage_values: StageValues, mdp: PeriodicMdp) -> Peri
 def fixed_point_residual(stage_values: StageValues, mdp: PeriodicMdp) -> float:
     """Sup-norm defect of the cycle fixed-point equation at stage 0."""
     v = stage_values.values[0]
-    new, _ = apply_cycle_operator(v, mdp)
-    return float(np.max(np.abs(new - v)))
+    _, entries = apply_cycle_operator(v, mdp)
+    return float(np.max(np.abs(entries[0] - v)))
 
 
 def finite_horizon_oracle(mdp: PeriodicMdp, horizon: int) -> np.ndarray:
@@ -253,9 +245,8 @@ def simulate_policy(
     n_paths: int,
     horizon: int,
     seed: int,
-    initial_state: int = 0,
 ) -> tuple[float, float]:
-    """Monte-Carlo estimate of a policy's discounted cost from one state.
+    """Monte-Carlo estimate of a policy's discounted cost from state 0.
 
     ``stage_maps`` has shape (T, S); a stationary policy is the same row
     repeated.  Returns (mean cost, standard error).  The truncation bias
@@ -266,7 +257,7 @@ def simulate_policy(
         raise ValueError(f"stage_maps must have shape ({mdp.period}, {mdp.num_states})")
     rng = np.random.default_rng(seed)
     cum = np.cumsum(mdp.transitions, axis=-1)
-    states = np.full(n_paths, initial_state, dtype=int)
+    states = np.zeros(n_paths, dtype=int)
     total = np.zeros(n_paths)
     disc = 1.0
     for k in range(horizon):

@@ -20,6 +20,12 @@ false_alarm_penalties = 20, 5
 delay_penalties = 10, 1
 """
 
+ZERO_COST_INSTANCE = (
+    "states 2\nactions 1\nperiod 1\ndiscount 0.9\n"
+    "kernel 0 0 0 0.5 0.5\nkernel 0 1 0 0.5 0.5\n"
+    "cost 0 0 0 0.0\ncost 0 1 0 0.0\n"
+)
+
 
 # ── config parsing ─────────────────────────────────────────────────────
 
@@ -73,6 +79,32 @@ def test_out_of_range_value_is_a_parse_error(tmp_path, capsys, line):
     code = main(["simulate", "--config", str(path), "--out-dir", str(tmp_path)])
     assert code == 2
     assert f"{path}:7:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "simulate --config {cfg} --policy single:0.5 --paths 0",
+        "solve --config {cfg} --grid 1",
+        "solve --config {cfg} --tol 0",
+        "sweep --config {cfg} --seed -1",
+        "reproduce fig1 --grid 1",
+        "mdp-solve {mdp} --tol 0",
+        "mdp-solve {mdp} --max-cycles 0",
+    ],
+)
+def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, command):
+    # override flags get the range test of the config field they replace
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(MINIMAL)
+    mdp = tmp_path / "zero.mdp"
+    mdp.write_text(ZERO_COST_INSTANCE)
+    flag = command.split()[-2]
+    with pytest.raises(SystemExit) as exit_info:
+        main(command.format(cfg=cfg, mdp=mdp).split() + ["--out-dir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -205,11 +237,7 @@ def test_cmd_reproduce_table_applies_grid_and_tol(tmp_path):
 
 def test_cmd_mdp_solve_zero_costs(tmp_path, capsys):
     instance = tmp_path / "zero.mdp"
-    instance.write_text(
-        "states 2\nactions 1\nperiod 1\ndiscount 0.9\n"
-        "kernel 0 0 0 0.5 0.5\nkernel 0 1 0 0.5 0.5\n"
-        "cost 0 0 0 0.0\ncost 0 1 0 0.0\n"
-    )
+    instance.write_text(ZERO_COST_INSTANCE)
     assert main(["mdp-solve", str(instance), "--out-dir", str(tmp_path)]) == 0
     values = (tmp_path / "zero_values.csv").read_text().splitlines()
     assert values[1] == "0,0,0.0"

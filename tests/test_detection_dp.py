@@ -20,11 +20,12 @@ from periodet import (
     finite_horizon_oracle,
     fixed_point_residual,
     log_odds_to_belief,
+    simpson_window,
     solve_detection,
     update_odds,
 )
 from periodet.cli import REPRODUCE_FIGURES, REPRODUCE_TABLES, bundled_config
-from periodet.detection_dp import QuadratureRule, extract_thresholds
+from periodet.detection_dp import QUADRATURE_NODES, WINDOW_SCALES, extract_thresholds
 
 from conftest import make_scenario
 
@@ -101,9 +102,11 @@ def test_grid_endpoints():
 
 
 def test_quadrature_window_must_cover_locations():
-    scen = make_scenario([0.0], [2.0])
+    # a custom density of zero scale gives a window that ends on a location
+    scen = IpidScenario(pre=(Cauchy(0.0, scale=0.0),), post=(Cauchy(2.0, scale=0.0),))
+    costs = DetectionCostSpec(false_alarm=(5.0,), delay=(1.0,), rho=0.01)
     with pytest.raises(ValueError, match="window"):
-        QuadratureRule.for_stage(scen, 0, window_scales=0.0)
+        detection_mdp(scen, costs, 10)
 
 
 # ── belief transition: where K_s sends each grid belief ────────────────
@@ -138,13 +141,13 @@ def test_transition_matches_scalar_recursion():
     prior = GeometricPrior(rho)
     for s in range(2):
         nxt = (s + 1) % 2  # decision after stage s averages the next observation
-        rule = QuadratureRule.for_stage(scen, nxt)
-        f = np.exp(scen.pre[nxt].logpdf(rule.nodes))
-        g = np.exp(scen.post[nxt].logpdf(rule.nodes))
+        nodes, weights = simpson_window(scen.pre[nxt], scen.post[nxt], WINDOW_SCALES, QUADRATURE_NODES)
+        f = np.exp(scen.pre[nxt].logpdf(nodes))
+        g = np.exp(scen.post[nxt].logpdf(nodes))
         expected = np.zeros((M, M))
         for i, p in enumerate(grid):
             pt = p + (1 - p) * rho
-            for x, w, fx, gx in zip(rule.nodes, rule.weights, f, g):
+            for x, w, fx, gx in zip(nodes, weights, f, g):
                 state = update_odds(OddsState(belief_to_log_odds(p), n=nxt), prior, scen, x)
                 p_next = log_odds_to_belief(state.log_r)
                 hat = np.maximum(0.0, 1.0 - np.abs(p_next - grid) * (M - 1))
@@ -191,12 +194,12 @@ def test_quadrature_mass_lost_heavy_tails():
     assert sol.quadrature_mass_lost == pytest.approx(outside, abs=1e-6)
     # the lost mass adds nothing: the continuation equals the interpolated
     # integral over the window alone
-    rule = QuadratureRule.for_stage(scen, 0)
-    f, g = (np.exp(d.logpdf(rule.nodes)) for d in (scen.pre[0], scen.post[0]))
+    nodes, weights = simpson_window(scen.pre[0], scen.post[0], WINDOW_SCALES, QUADRATURE_NODES)
+    f, g = (np.exp(d.logpdf(nodes)) for d in (scen.pre[0], scen.post[0]))
     p = sol.grid.points
     pt = (p + (1 - p) * 0.01)[:, None]
     mix = pt * g + (1 - pt) * f
-    cont = p + (np.interp(pt * g / mix, p, sol.stage_curves[0]) * mix) @ rule.weights
+    cont = p + (np.interp(pt * g / mix, p, sol.stage_curves[0]) * mix) @ weights
     np.testing.assert_allclose(sol.continue_curves[0], cont, rtol=0, atol=1e-10)
 
 

@@ -12,7 +12,6 @@ from periodet import (
     estimate_add_pfa,
     estimate_bayes_cost,
     kl_information,
-    lower_bound_check,
     prior_tail_exponent,
     sweep_single_threshold,
 )
@@ -211,23 +210,15 @@ def test_analytic_delay_validation():
 
 
 def test_lower_bound_check_flags_and_monotone(weak_t2):
-    prior = GeometricPrior(0.01)
+    # delays below 0.85 times the universal bound are the ones to flag
     info = kl_information(weak_t2)
-    tail = prior_tail_exponent(prior)
+    tail = prior_tail_exponent(GeometricPrior(0.01))
     pts = [(1e-2, 30.0), (1e-3, 45.0), (1e-4, 20.0)]
-    rows = lower_bound_check(weak_t2, prior, pts, slack=0.85)
-    bounds = [r.bound for r in rows]
+    bounds = [analytic_delay(alpha, info, tail) for alpha, _ in pts]
     assert bounds == sorted(bounds)  # bound grows with |log alpha|
-    assert not rows[0].below_slack  # 30 > 0.85 * 27.7
-    assert not rows[1].below_slack
-    assert rows[2].below_slack  # 20 << 55.4
-    assert rows[1].ratio == pytest.approx(45.0 / analytic_delay(1e-3, info, tail))
-
-
-def test_lower_bound_check_rejects_degenerate_scenario():
-    same = make_scenario([0.0], [0.0])
-    with pytest.raises(ValueError, match="zero divergence"):
-        lower_bound_check(same, GeometricPrior(0.01), [(1e-2, 10.0)])
+    below_slack = [delay < 0.85 * bound for (_, delay), bound in zip(pts, bounds)]
+    assert below_slack == [False, False, True]  # 30 > 0.85 * 27.7, 20 << 55.4
+    assert bounds[2] / bounds[0] == pytest.approx(2.0)  # linear in |log alpha|
 
 
 def test_lower_bound_holds_for_simulated_delays(weak_t2):
@@ -235,11 +226,9 @@ def test_lower_bound_holds_for_simulated_delays(weak_t2):
     # asymptotic bound with the finite-alpha slack factor
     alpha = 1e-4
     res = estimate_add_pfa(weak_t2, 0.01, 1.0 - alpha, 2000, seed=31)
-    rows = lower_bound_check(
-        weak_t2, GeometricPrior(0.01), [(alpha, res.conditional_add.estimate)], slack=0.85
-    )
-    assert not rows[0].below_slack
-    assert rows[0].ratio > 1.0
+    bound = analytic_delay(alpha, kl_information(weak_t2), prior_tail_exponent(GeometricPrior(0.01)))
+    assert not res.conditional_add.estimate < 0.85 * bound
+    assert res.conditional_add.estimate / bound > 1.0
 
 
 def test_classical_single_stage_costs_match_solver():

@@ -7,7 +7,6 @@ from periodet import (
     PeriodicMdp,
     StageValues,
     apply_cycle_operator,
-    apply_policy_operator,
     apply_stage_operator,
     extract_periodic_policy,
     finite_horizon_oracle,
@@ -62,6 +61,14 @@ def hand_mdp(discount=0.5):
     return PeriodicMdp(transitions=HAND_P, costs=HAND_C, discount=discount)
 
 
+def hand_stage0_q(values):
+    """Stage-0 Q-table of the hand instance against ``values``: the cycle
+    of its one-stage slice, whose only stage reads ``values``."""
+    stage0 = PeriodicMdp(transitions=HAND_P[:1], costs=HAND_C[:1], discount=0.5)
+    q, _ = apply_cycle_operator(values, stage0)
+    return q[0]
+
+
 def test_mdp_validation():
     with pytest.raises(ValueError, match="row"):
         PeriodicMdp(transitions=HAND_P * 0.9, costs=HAND_C, discount=0.5)
@@ -100,7 +107,7 @@ def test_policy_operator_greedy_matches_stage_operator():
     v = np.array([1.0, 2.0])
     greedy = np.array([0, 0])
     np.testing.assert_allclose(
-        apply_policy_operator(v, mdp, 0, greedy), apply_stage_operator(v, mdp, 0)
+        hand_stage0_q(v)[np.arange(2), greedy], apply_stage_operator(v, mdp, 0)
     )
 
 
@@ -110,13 +117,14 @@ def test_policy_operator_dominates_stage_operator():
         mdp = random_mdp(rng, 4, 3, 2, 0.9)
         v = rng.random(4) * 5
         base = apply_stage_operator(v, mdp, 1)
+        q, _ = apply_cycle_operator(v, mdp)  # the last stage, 1, reads v
         for _ in range(4):
             mu = rng.integers(0, 3, size=4)
-            assert np.all(apply_policy_operator(v, mdp, 1, mu) >= base - 1e-12)
+            assert np.all(q[1][np.arange(4), mu] >= base - 1e-12)
 
 
 def test_policy_operator_hand_value():
-    out = apply_policy_operator(np.array([1.0, 2.0]), hand_mdp(), 0, np.array([1, 1]))
+    out = hand_stage0_q(np.array([1.0, 2.0]))[np.arange(2), np.array([1, 1])]
     np.testing.assert_allclose(out, [2.75, 3.875], atol=1e-15)
 
 
@@ -124,15 +132,16 @@ def test_cycle_operator_degenerate_period():
     rng = np.random.default_rng(1)
     mdp = random_mdp(rng, 3, 2, 1, 0.8)
     v = rng.random(3)
-    new, entries = apply_cycle_operator(v, mdp)
-    np.testing.assert_allclose(new, apply_stage_operator(v, mdp, 0))
-    assert len(entries) == 1
+    q, entries = apply_cycle_operator(v, mdp)
+    np.testing.assert_allclose(entries[0], apply_stage_operator(v, mdp, 0))
+    assert q.shape == (1, 3, 2) and entries.shape == (1, 3)
 
 
 def test_cycle_operator_zero_costs():
     mdp = PeriodicMdp(transitions=HAND_P, costs=np.zeros_like(HAND_C), discount=1.0)
-    new, _ = apply_cycle_operator(np.zeros(2), mdp)
-    np.testing.assert_array_equal(new, 0.0)
+    q, entries = apply_cycle_operator(np.zeros(2), mdp)
+    np.testing.assert_array_equal(q, 0.0)
+    np.testing.assert_array_equal(entries, 0.0)
 
 
 def test_cycle_operator_is_composition_of_hand_sweeps():
@@ -140,10 +149,10 @@ def test_cycle_operator_is_composition_of_hand_sweeps():
     v = np.array([1.0, 2.0])
     inner = apply_stage_operator(v, mdp, 1)
     outer = apply_stage_operator(inner, mdp, 0)
-    new, entries = apply_cycle_operator(v, mdp)
-    np.testing.assert_allclose(new, outer, atol=1e-15)
+    q, entries = apply_cycle_operator(v, mdp)
     np.testing.assert_allclose(entries[1], inner, atol=1e-15)
     np.testing.assert_allclose(entries[0], outer, atol=1e-15)
+    np.testing.assert_array_equal(entries, q.min(axis=2))
 
 
 @settings(max_examples=30, deadline=None)
@@ -153,8 +162,8 @@ def test_cycle_operator_monotone(seed):
     mdp = random_mdp(rng, 4, 2, 3, 0.9)
     v1 = rng.random(4)
     v2 = v1 + rng.random(4)
-    out1, _ = apply_cycle_operator(v1, mdp)
-    out2, _ = apply_cycle_operator(v2, mdp)
+    _, out1 = apply_cycle_operator(v1, mdp)
+    _, out2 = apply_cycle_operator(v2, mdp)
     assert np.all(out1 <= out2 + 1e-12)
 
 
