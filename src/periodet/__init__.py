@@ -31,6 +31,7 @@ from .ipid_model import (
 )
 from .monte_carlo import (
     AddPfaResult,
+    AddPfaSweep,
     PeriodicThresholds,
     SimulationReport,
     SingleThreshold,

@@ -427,11 +427,12 @@ def _tradeoff(cfg: ExperimentConfig, alphas, out_dir: Path, stem: str) -> int:
     scenario = cfg.scenario()
     info = kl_information(scenario)
     tail = prior_tail_exponent(GeometricPrior(cfg.rho))
+    sweep = estimate_add_pfa(
+        scenario, cfg.rho, [1.0 - alpha for alpha in alphas], cfg.paths,
+        horizon=cfg.horizon, seed=cfg.seed,
+    )
     rows = []
-    for alpha in alphas:
-        res = estimate_add_pfa(
-            scenario, cfg.rho, 1.0 - alpha, cfg.paths, horizon=cfg.horizon, seed=cfg.seed
-        )
+    for alpha, res in zip(alphas, sweep.points):
         rows.append([
             alpha,
             abs(math.log(alpha)),

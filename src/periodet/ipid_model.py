@@ -320,10 +320,13 @@ def simpson_window(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Composite Simpson nodes and weights on a window reaching ``scales``
     times the larger scale beyond both density locations.  Raises if the
-    window does not cover both locations (a zero or NaN scale)."""
+    window is not finite (an infinite scale or location) or does not cover
+    both locations (a zero or NaN scale)."""
     width = scales * max(f.scale, g.scale)
     lo = min(f.loc, g.loc) - width
     hi = max(f.loc, g.loc) + width
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"quadrature window [{lo}, {hi}] is not finite")
     if not (lo < f.loc < hi and lo < g.loc < hi):
         raise ValueError("quadrature window does not cover both density locations")
     if n_nodes < 3 or n_nodes % 2 == 0:

@@ -18,6 +18,17 @@ after it (pessimistic for delay metrics, no false-alarm term) and the
 censored fraction is reported.  All estimators are bit-reproducible
 given (seed, n_paths, horizon): observations are drawn from one
 generator in a fixed order, vectorized over the still-running paths.
+
+One simulation kernel serves one rule or many.  A threshold rule does
+not change the observations, only when it stops reading them, so a sweep
+over single thresholds (``sweep_single_threshold``, and
+``estimate_add_pfa`` given several thresholds) draws each path once, until
+it has passed the largest threshold, and reads every threshold's stopping
+time off it.  The grid points are then common-random-number estimates,
+each path's stopping time is nondecreasing in the threshold, and the
+largest threshold's estimate equals its one-rule run at the same seed.
+Separate calls (``estimate_bayes_cost`` for two policies, say) share only
+the change points.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ __all__ = [
     "StoppingPolicy",
     "SimulationReport",
     "AddPfaResult",
+    "AddPfaSweep",
     "SweepPoint",
     "SweepResult",
     "estimate_bayes_cost",
@@ -131,23 +143,46 @@ def _simulate_stopping(
     n_paths: int,
     horizon: int,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized runs of a threshold rule over fresh sample paths; the
-    odds of the still-running paths advance by ``log_odds_step_geometric``.
+    with_log_r: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Vectorized runs of K threshold rules over one set of sample paths.
 
-    Returns (nu, tau, log_r_at_tau); both times use horizon + 1 as the
-    beyond-horizon sentinel (change never arrived / policy never alarmed).
+    ``thresholds`` is (T,) for one rule or (K, T) for K rules whose levels
+    are nondecreasing in k at every stage.  A path's observations do not
+    depend on when a rule stops, so each path is drawn until it has
+    crossed all K levels (or the horizon ends), and tau[:, k] is the first
+    time its log-odds exceeds level k.  A running path compares its
+    log-odds with its first level not yet crossed only; on a crossing a
+    ``searchsorted`` over the stage's levels finds every level passed at
+    once.  Draws go post-change before pre-change over the running paths,
+    so one rule sees the same draws at every K.
+
+    Returns (nu, tau, log_r_at_tau).  tau is int32 of shape (n_paths, K),
+    or (n_paths,) for a (T,) input; both times use horizon + 1 as the
+    beyond-horizon sentinel (change never arrived / rule never alarmed).
+    log_r_at_tau has tau's shape (+inf where no alarm) when ``with_log_r``
+    is set and is None otherwise.
     """
     if n_paths < 1 or horizon < 1:
         raise ValueError("need n_paths >= 1 and horizon >= 1")
+    if horizon + 1 > np.iinfo(np.int32).max:
+        raise ValueError(f"horizon {horizon} does not fit int32 stopping times")
+    levels = np.asarray(thresholds, dtype=float)
+    single = levels.ndim == 1
+    levels = np.atleast_2d(levels)
+    if np.any(np.diff(levels, axis=0) < 0.0):
+        raise ValueError("threshold rows must be nondecreasing at every stage")
+    n_levels = levels.shape[0]
+    # stage_levels[s] holds the K log-odds levels of stage s, sorted
+    stage_levels = np.array([[belief_to_log_odds(a) for a in stage] for stage in levels.T])
+
     rng = np.random.default_rng(seed)
     nu = rng.geometric(rho, n_paths).astype(np.int64)
     nu = np.minimum(nu, horizon + 1)
-    log_thr = np.array([belief_to_log_odds(a) for a in thresholds])
-
-    tau = np.full(n_paths, horizon + 1, dtype=np.int64)
-    log_r_at_tau = np.full(n_paths, math.inf)
+    tau = np.full((n_paths, n_levels), horizon + 1, dtype=np.int32)
+    log_r_at_tau = np.full((n_paths, n_levels), math.inf) if with_log_r else None
     alive = np.arange(n_paths)
+    next_level = np.zeros(n_paths, dtype=np.intp)
     log_r = np.full(n_paths, -math.inf)
     for n in range(1, horizon + 1):
         s = scenario.stage_index(n)
@@ -156,16 +191,46 @@ def _simulate_stopping(
         y[post] = scenario.post[s].sample(rng, int(post.sum()))
         y[~post] = scenario.pre[s].sample(rng, int(alive.size - post.sum()))
         log_r = log_odds_step_geometric(log_r, rho, log_likelihood_ratio(scenario, n, y))
-        crossed = log_r > log_thr[s]
+        col = stage_levels[s]
+        crossed = log_r > col[next_level]
         if crossed.any():
-            hit = alive[crossed]
-            tau[hit] = n
-            log_r_at_tau[hit] = log_r[crossed]
-            alive = alive[~crossed]
-            log_r = log_r[~crossed]
+            hit_log_r = log_r[crossed]
+            first = next_level[crossed]
+            passed = np.searchsorted(col, hit_log_r)  # levels strictly below log_r
+            counts = passed - first
+            # (row, level) for every level passed now, path by path
+            starts = np.cumsum(counts) - counts
+            rows = np.repeat(alive[crossed], counts)
+            cols = np.arange(counts.sum()) + np.repeat(first - starts, counts)
+            tau[rows, cols] = n
+            if log_r_at_tau is not None:
+                log_r_at_tau[rows, cols] = np.repeat(hit_log_r, counts)
+            next_level[crossed] = passed
+            running = next_level < n_levels
+            alive, log_r, next_level = alive[running], log_r[running], next_level[running]
             if alive.size == 0:
                 break
+    if single:
+        return nu, tau[:, 0], None if log_r_at_tau is None else log_r_at_tau[:, 0]
     return nu, tau, log_r_at_tau
+
+
+def _sorted_levels(
+    thresholds: Iterable[float], period: int
+) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """Validate single thresholds and stack them in ascending order.
+
+    Returns (grid, rank, levels): the thresholds as floats in the caller's
+    order, the row of ``levels`` that holds each of them, and the (K, T)
+    stage levels of the sorted rules.
+    """
+    rules = [SingleThreshold(float(a)) for a in thresholds]
+    if not rules:
+        raise ValueError("threshold grid is empty")
+    grid = [rule.threshold for rule in rules]
+    order = np.argsort(grid, kind="stable")
+    levels = np.array([rules[i].stage_thresholds(period) for i in order])
+    return grid, np.argsort(order), levels
 
 
 def _delay_cost_table(delay: Sequence[float], horizon: int) -> np.ndarray:
@@ -191,6 +256,23 @@ def _report(kind, values, n_paths, seed, horizon, censored) -> SimulationReport:
     )
 
 
+def _bayes_cost_reports(
+    costs: DetectionCostSpec, nu: np.ndarray, tau: np.ndarray, seed: int, horizon: int
+) -> list[SimulationReport]:
+    """Realized Bayes cost of each rule, one report per column of tau."""
+    T = costs.period
+    dcum = _delay_cost_table(costs.delay, horizon)
+    lam = np.asarray([costs.false_alarm[(t - 1) % T] for t in range(1, horizon + 2)])
+    reports = []
+    for tau_k in tau.T:
+        false_alarm = tau_k < nu
+        delay_cost = dcum[np.maximum(tau_k - 1, 0)] - dcum[np.minimum(nu, tau_k) - 1]
+        cost = np.where(false_alarm, lam[tau_k - 1], delay_cost)
+        censored = float((tau_k > horizon).mean())
+        reports.append(_report("bayes_cost", cost, nu.size, seed, horizon, censored))
+    return reports
+
+
 def estimate_bayes_cost(
     scenario: IpidScenario,
     costs: DetectionCostSpec,
@@ -210,14 +292,7 @@ def estimate_bayes_cost(
     horizon = default_horizon(costs.rho) if horizon is None else horizon
     thresholds = policy.stage_thresholds(scenario.period)
     nu, tau, _ = _simulate_stopping(scenario, costs.rho, thresholds, n_paths, horizon, seed)
-    T = costs.period
-    dcum = _delay_cost_table(costs.delay, horizon)
-    lam = np.asarray([costs.false_alarm[(t - 1) % T] for t in range(1, horizon + 2)])
-    false_alarm = tau < nu
-    delay_cost = dcum[np.maximum(tau - 1, 0)] - dcum[np.minimum(nu, tau) - 1]
-    cost = np.where(false_alarm, lam[tau - 1], delay_cost)
-    censored = float((tau > horizon).mean())
-    return _report("bayes_cost", cost, n_paths, seed, horizon, censored)
+    return _bayes_cost_reports(costs, nu, tau[:, None], seed, horizon)[0]
 
 
 @dataclass(frozen=True)
@@ -247,43 +322,31 @@ def sweep_single_threshold(
 ) -> SweepResult:
     """Bayes cost of the single-threshold rule over a grid of thresholds.
 
-    Every grid point reuses the same seed, so all points share the change
-    points nu and nothing else: observations are drawn only for the paths
-    still running, so after the first alarm that differs between two
-    thresholds their paths see different draws.  The points are not
-    common-random-number estimates of one another.
+    One simulation serves the whole grid: every threshold is read off the
+    same paths, so the points are common-random-number estimates of one
+    another and each path's stopping time is nondecreasing in the
+    threshold.  The largest threshold's point equals
+    ``estimate_bayes_cost`` at that threshold and seed; the others differ
+    from a one-threshold run, which stops drawing a path at its own alarm.
+    Points come back in the grid's order, duplicates included.
     """
-    points = []
-    for a in threshold_grid:
-        report = estimate_bayes_cost(
-            scenario, costs, SingleThreshold(float(a)), n_paths, horizon=horizon, seed=seed
-        )
-        points.append(
-            SweepPoint(float(a), report.estimate, report.std_error, report.censored_fraction)
-        )
-    if not points:
-        raise ValueError("threshold grid is empty")
-    return SweepResult(points=tuple(points))
+    if scenario.period != costs.period:
+        raise ValueError("scenario and cost spec periods differ")
+    grid, rank, levels = _sorted_levels(threshold_grid, scenario.period)
+    horizon = default_horizon(costs.rho) if horizon is None else horizon
+    nu, tau, _ = _simulate_stopping(scenario, costs.rho, levels, n_paths, horizon, seed)
+    reports = _bayes_cost_reports(costs, nu, tau, seed, horizon)
+    return SweepResult(points=tuple(
+        SweepPoint(a, reports[k].estimate, reports[k].std_error, reports[k].censored_fraction)
+        for a, k in zip(grid, rank)
+    ))
 
 
-def estimate_add_pfa(
-    scenario: IpidScenario,
-    rho: float,
-    threshold: float,
-    n_paths: int,
-    horizon: int | None = None,
-    seed: int = 0,
+def _add_pfa_result(
+    nu: np.ndarray, tau: np.ndarray, log_r_at_tau: np.ndarray, seed: int, horizon: int
 ) -> AddPfaResult:
-    """Delay and false-alarm performance of one single-threshold rule.
-
-    ADD averages (tau - nu)^+ over all paths; the conditional version
-    averages tau - nu over paths that alarmed at or after a change that
-    arrived within the horizon; PFA is the fraction of paths with
-    tau < nu.
-    """
-    horizon = default_horizon(rho) if horizon is None else horizon
-    thresholds = SingleThreshold(threshold).stage_thresholds(scenario.period)
-    nu, tau, log_r_at_tau = _simulate_stopping(scenario, rho, thresholds, n_paths, horizon, seed)
+    """ADD/PFA estimates of one rule from its stopping times."""
+    n_paths = nu.size
     censored = float((tau > horizon).mean())
     add = np.maximum(tau - nu, 0)
     detected = (tau >= nu) & (nu <= horizon)
@@ -299,6 +362,51 @@ def estimate_add_pfa(
         pfa_posterior=pfa_posterior,
         censored_fraction=censored,
     )
+
+
+@dataclass(frozen=True)
+class AddPfaSweep:
+    """``AddPfaResult`` per threshold, in the caller's order, all read off
+    one set of paths."""
+
+    points: tuple[AddPfaResult, ...]
+
+    @property
+    def censored_fraction(self) -> float:
+        """The largest censored fraction over the thresholds."""
+        return max(p.censored_fraction for p in self.points)
+
+
+def estimate_add_pfa(
+    scenario: IpidScenario,
+    rho: float,
+    threshold: float | Sequence[float],
+    n_paths: int,
+    horizon: int | None = None,
+    seed: int = 0,
+) -> AddPfaResult | AddPfaSweep:
+    """Delay and false-alarm performance of single-threshold rules.
+
+    ADD averages (tau - nu)^+ over all paths; the conditional version
+    averages tau - nu over paths that alarmed at or after a change that
+    arrived within the horizon; PFA is the fraction of paths with
+    tau < nu.
+
+    One threshold gives one ``AddPfaResult``.  A sequence of thresholds
+    gives an ``AddPfaSweep`` whose points follow the sequence's order, all
+    read off one set of paths as in ``sweep_single_threshold``: ADD is
+    then pathwise nondecreasing and PFA pathwise nonincreasing in the
+    threshold, and the largest threshold's point equals a one-threshold
+    call at that seed.
+    """
+    horizon = default_horizon(rho) if horizon is None else horizon
+    _, rank, levels = _sorted_levels(np.atleast_1d(threshold), scenario.period)
+    nu, tau, log_r_at_tau = _simulate_stopping(
+        scenario, rho, levels, n_paths, horizon, seed, with_log_r=True
+    )
+    points = tuple(_add_pfa_result(nu, tau[:, k], log_r_at_tau[:, k], seed, horizon)
+                   for k in rank)
+    return points[0] if np.ndim(threshold) == 0 else AddPfaSweep(points=points)
 
 
 def analytic_delay(alpha: float, info: float, tail_exponent: float) -> float:

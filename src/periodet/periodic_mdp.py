@@ -69,7 +69,8 @@ class PeriodicMdp:
         if np.any(P < 0.0):
             raise ValueError("transition probabilities must be nonnegative")
         row_sums = P.sum(axis=-1)
-        if np.max(np.abs(row_sums - 1.0)) > _ROW_SUM_TOL:
+        # written so that a NaN row sum fails too
+        if not np.all(np.abs(row_sums - 1.0) <= _ROW_SUM_TOL):
             bad = np.unravel_index(np.argmax(np.abs(row_sums - 1.0)), row_sums.shape)
             raise ValueError(f"transition row {bad} sums to {row_sums[bad]!r}")
         if np.any(c < 0.0) or not np.all(np.isfinite(c)):

@@ -109,6 +109,17 @@ def test_quadrature_window_must_cover_locations():
         detection_mdp(scen, costs, 10)
 
 
+def test_quadrature_window_must_be_finite():
+    # an infinite scale gives a window that covers both locations but
+    # would build a NaN kernel
+    scen = IpidScenario(pre=(Cauchy(0.0),), post=(Cauchy(2.0, scale=math.inf),))
+    costs = DetectionCostSpec(false_alarm=(5.0,), delay=(1.0,), rho=0.01)
+    with pytest.raises(ValueError, match="not finite"):
+        detection_mdp(scen, costs, 10)
+    with pytest.raises(ValueError, match="not finite"):
+        simpson_window(Cauchy(0.0), Cauchy(2.0, scale=math.inf), 8.0, 11)
+
+
 # ── belief transition: where K_s sends each grid belief ────────────────
 
 

@@ -9,13 +9,14 @@ from periodet import (
     PeriodicThresholds,
     SingleThreshold,
     analytic_delay,
+    belief_to_log_odds,
     estimate_add_pfa,
     estimate_bayes_cost,
     kl_information,
     prior_tail_exponent,
     sweep_single_threshold,
 )
-from periodet.monte_carlo import _simulate_stopping, default_horizon
+from periodet.monte_carlo import SweepPoint, _simulate_stopping, default_horizon
 
 from conftest import make_scenario
 
@@ -86,6 +87,45 @@ def test_run_policy_uses_stage_of_current_observation(t2):
     assert np.all(stopping_times(scenario, (1.0, 0.0), horizon=100, seed=4) == 2)
 
 
+def test_kernel_tau_monotone_in_level(t2):
+    scenario, _ = t2
+    grid = np.array([0.0, 0.05, 0.3, 0.3, 0.7, 0.95])
+    single = np.repeat(grid[:, None], 2, axis=1)
+    periodic = np.array([[0.1, 0.0], [0.2, 0.4], [0.6, 0.4], [0.9, 1.0]])
+    for levels in (single, periodic):
+        _, tau, _ = _simulate_stopping(scenario, 0.01, levels, 500, 300, seed=6)
+        assert tau.shape == (500, len(levels)) and tau.dtype == np.int32
+        assert np.all(np.diff(tau, axis=1) >= 0)
+    # stage-1 level 1.0 never stops, so the last rule alarms at odd n only
+    assert np.all((tau[:, -1] % 2 == 1) | (tau[:, -1] == 301))
+
+
+def test_kernel_levels_match_one_rule_runs(t2):
+    # each level of one (K, T) run is the first crossing of that level on
+    # the shared paths; the top level sees the same draws as a run alone
+    scenario, _ = t2
+    levels = np.array([[0.2, 0.1], [0.5, 0.5], [0.9, 0.8]])
+    nu, tau, log_r = _simulate_stopping(scenario, 0.01, levels, 300, 400, 8, with_log_r=True)
+    top = _simulate_stopping(scenario, 0.01, levels[-1], 300, 400, 8, with_log_r=True)
+    np.testing.assert_array_equal(nu, top[0])
+    np.testing.assert_array_equal(tau[:, -1], top[1])
+    np.testing.assert_array_equal(log_r[:, -1], top[2])
+    for k in range(len(levels)):
+        alarmed = tau[:, k] <= 400
+        stage = (tau[alarmed, k] - 1) % 2
+        level = np.array([belief_to_log_odds(a) for a in levels[k]])[stage]
+        assert np.all(log_r[alarmed, k] > level)
+        assert np.all(log_r[~alarmed, k] == math.inf)
+
+
+def test_kernel_validation(t2):
+    scenario, _ = t2
+    with pytest.raises(ValueError, match="nondecreasing"):
+        _simulate_stopping(scenario, 0.01, np.array([[0.5, 0.5], [0.4, 0.6]]), 8, 50, 1)
+    with pytest.raises(ValueError, match="int32"):
+        _simulate_stopping(scenario, 0.01, np.array([0.5, 0.5]), 8, np.iinfo(np.int32).max, 1)
+
+
 # ── Bayes cost ─────────────────────────────────────────────────────────
 
 
@@ -146,6 +186,36 @@ def test_sweep_rejects_empty_grid(t2):
         sweep_single_threshold(scenario, costs, (), 100)
 
 
+@pytest.mark.parametrize("grid", [(0.3, 1.0), (-0.1, 0.5), (0.5, math.nan)])
+def test_sweep_rejects_out_of_range_threshold(t2, grid):
+    scenario, costs = t2
+    with pytest.raises(ValueError, match="threshold"):
+        sweep_single_threshold(scenario, costs, grid, 100)
+
+
+def test_sweep_end_points_match_bayes_cost(t2):
+    # a one-point sweep, and the largest point of any sweep, draw exactly
+    # the paths a one-threshold run draws
+    scenario, costs = t2
+    for grid in ((0.4,), (0.05, 0.4), (0.4, 0.0, 0.2, 0.1)):
+        point = max(sweep_single_threshold(scenario, costs, grid, 1500, seed=12).points,
+                    key=lambda p: p.threshold)
+        report = estimate_bayes_cost(scenario, costs, SingleThreshold(0.4), 1500, seed=12)
+        assert point == SweepPoint(0.4, report.estimate, report.std_error,
+                                   report.censored_fraction)
+
+
+def test_sweep_keeps_caller_order(t2):
+    scenario, costs = t2
+    ordered = sweep_single_threshold(scenario, costs, (0.0, 0.1, 0.3, 0.6), 1500, seed=14)
+    by_threshold = {p.threshold: p for p in ordered.points}
+    shuffled = (0.3, 0.6, 0.0, 0.3, 0.1, 0.6)
+    result = sweep_single_threshold(scenario, costs, shuffled, 1500, seed=14)
+    assert result.points == tuple(by_threshold[a] for a in shuffled)
+    again = sweep_single_threshold(scenario, costs, shuffled, 1500, seed=14)
+    assert again == result  # bit-identical at the same seed
+
+
 # ── delay / false-alarm estimation ─────────────────────────────────────
 
 def test_add_pfa_calibrated_threshold_order(weak_t2):
@@ -185,6 +255,24 @@ def test_add_pfa_deterministic(weak_t2):
     a = estimate_add_pfa(weak_t2, 0.01, 0.99, 1000, seed=29)
     b = estimate_add_pfa(weak_t2, 0.01, 0.99, 1000, seed=29)
     assert a == b
+
+
+def test_add_pfa_levels_share_paths(weak_t2):
+    # a sequence of thresholds comes back in its order, read off one set of
+    # paths: ADD and PFA are then exactly monotone in the threshold, and
+    # the largest threshold matches its one-threshold run bit for bit
+    levels = (0.999, 0.9, 0.99, 0.9)
+    sweep = estimate_add_pfa(weak_t2, 0.01, levels, 2000, seed=41)
+    results = sweep.points
+    assert len(results) == 4
+    assert sweep.censored_fraction == max(r.censored_fraction for r in results)
+    assert results[1] == results[3]
+    assert results[0] == estimate_add_pfa(weak_t2, 0.01, 0.999, 2000, seed=41)
+    low, mid, high = results[1], results[2], results[0]
+    assert low.add.estimate <= mid.add.estimate <= high.add.estimate
+    assert low.pfa.estimate >= mid.pfa.estimate >= high.pfa.estimate
+    with pytest.raises(ValueError):
+        estimate_add_pfa(weak_t2, 0.01, (0.9, 1.0), 100)
 
 
 # ── analytic delay and the universal bound ─────────────────────────────

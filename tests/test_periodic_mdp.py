@@ -74,8 +74,17 @@ def test_mdp_validation():
         PeriodicMdp(transitions=HAND_P * 0.9, costs=HAND_C, discount=0.5)
     with pytest.raises(ValueError, match="nonnegative"):
         PeriodicMdp(transitions=HAND_P, costs=-HAND_C, discount=0.5)
+    with pytest.raises(ValueError, match="finite"):
+        PeriodicMdp(transitions=HAND_P, costs=np.where(HAND_C > 0, np.nan, HAND_C), discount=0.5)
     with pytest.raises(ValueError, match="discount"):
         PeriodicMdp(transitions=HAND_P, costs=HAND_C, discount=1.5)
+
+
+def test_mdp_rejects_nan_transition():
+    P = np.array(HAND_P, dtype=float)
+    P[0, 0, 0, 1] = np.nan  # the row sum is NaN, which no "> tol" test catches
+    with pytest.raises(ValueError, match="row"):
+        PeriodicMdp(transitions=P, costs=HAND_C, discount=0.5)
 
 
 # ── stage and cycle operators ──────────────────────────────────────────
