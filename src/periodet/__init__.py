@@ -46,10 +46,12 @@ from .periodic_mdp import (
     StageValues,
     apply_cycle_operator,
     apply_stage_operator,
+    evaluate_policy,
     extract_periodic_policy,
     finite_horizon_oracle,
     fixed_point_residual,
     load_instance,
+    policy_iterate,
     simulate_policy,
     value_iterate,
 )

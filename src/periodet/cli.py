@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-solve      value-iterate one detection scenario; write curve/threshold CSVs
+solve      solve one detection scenario; write curve/threshold CSVs
 simulate   Monte-Carlo Bayes cost of a policy on one scenario
 sweep      Bayes cost of the single-threshold rule over a threshold grid
 tradeoff   delay vs false-alarm curve with the matching analytic column
@@ -12,8 +12,11 @@ mdp-solve  solve a generic periodic MDP instance file
 Scenario configs are flat ``key = value`` text files (see ``parse_config``)
 and every bundled experiment ships as one.  All outputs are CSV files with
 header rows plus a human-readable summary on stdout.  Exit codes: 0 on
-success, 2 on config/instance parse errors, 3 when an iteration failed to
-converge, 1 on any other runtime failure.
+success, 2 on config/instance parse errors, 3 when a solver did not
+converge (``solve``: policy iteration did not repeat its policy within
+``max_cycles`` improvement steps, or left a fixed-point residual above
+the tolerance; ``mdp-solve``: value iteration did not meet its stopping
+rule within ``max_cycles`` cycles), 1 on any other runtime failure.
 """
 
 from __future__ import annotations
@@ -415,11 +418,7 @@ def _trace_rows(cfg: ExperimentConfig, horizon: int) -> list[list]:
 
 def cmd_tradeoff(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    alphas = (
-        tuple(float(v) for v in args.alpha.split(","))
-        if args.alpha
-        else DEFAULT_TRADEOFF_ALPHAS
-    )
+    alphas = args.alpha or DEFAULT_TRADEOFF_ALPHAS
     return _tradeoff(cfg, alphas, Path(args.out_dir), Path(args.config).stem)
 
 
@@ -575,6 +574,18 @@ def _field_type(key: str):
     return convert
 
 
+def _alpha_levels(text: str) -> tuple[float, ...]:
+    """argparse ``type=`` for ``--alpha``: comma-separated false-alarm
+    levels, each in (0, 1), so a bad level exits 2 naming the flag."""
+    try:
+        levels = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad level list {text!r}") from None
+    if not all(0.0 < v < 1.0 for v in levels):
+        raise argparse.ArgumentTypeError(f"each level must be in (0, 1), got {text!r}")
+    return levels
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="periodet",
@@ -590,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{flag}", type=_field_type(key), default=None,
                            help=f"override config field {key!r}")
 
-    p = sub.add_parser("solve", help="value-iterate a detection scenario")
+    p = sub.add_parser("solve", help="solve a detection scenario by policy iteration")
     common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -607,7 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tradeoff", help="delay vs false-alarm tradeoff curve")
     common(p)
-    p.add_argument("--alpha", default=None, help="comma-separated false-alarm levels")
+    p.add_argument("--alpha", type=_alpha_levels, default=None,
+                   help="comma-separated false-alarm levels, each in (0, 1)")
     p.set_defaults(func=cmd_tradeoff)
 
     p = sub.add_parser("reproduce", help="run a bundled experiment batch")

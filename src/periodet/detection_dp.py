@@ -18,9 +18,10 @@ posterior p'_ik after it, and the linear-interpolation weight hat_j of
 grid point j.  The mass the window misses goes to the stopped state, so
 it adds nothing to the cost-to-go; a row summing above one (a window too
 coarse for the stage's densities) fails the row-sum check of
-``PeriodicMdp``.  ``solve_detection`` solves it with
-``periodic_mdp.value_iterate`` and reads the stage, continue and stop
-curves off the Q-tables of one more ``apply_cycle_operator`` sweep.
+``PeriodicMdp``.  ``solve_detection`` solves it exactly with
+``periodic_mdp.policy_iterate`` from the proper policy "stop everywhere"
+and reads the stage, continue and stop curves off the Q-tables of one more
+``apply_cycle_operator`` sweep.
 
 Timing convention (applied identically here and in the Monte-Carlo
 harness): observations are numbered n = 1, 2, ..., and observation n has
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ipid_model import IpidScenario, simpson_window
-from .periodic_mdp import PeriodicMdp, apply_cycle_operator, value_iterate
+from .periodic_mdp import PeriodicMdp, apply_cycle_operator, policy_iterate
 
 __all__ = [
     "DetectionCostSpec",
@@ -166,7 +167,9 @@ class DetectionSolution:
     stage-s observation; ``continue_curves`` / ``stop_curves`` are its two
     branches.  ``thresholds[s]`` is the smallest grid belief at which
     stopping is weakly preferred, reported at grid precision.
-    ``value_at_zero`` is the stage-0 entry curve at p = 0.
+    ``value_at_zero`` is the stage-0 entry curve at p = 0.  ``cycles``
+    counts policy-improvement steps and the histories hold one row per
+    step (see ``periodic_mdp.policy_iterate``).
     ``quadrature_mass_lost`` is the largest share of one continuation
     row's mass that falls outside the truncated quadrature window.
     """
@@ -196,12 +199,16 @@ def solve_detection(
     tol: float = 1e-6,
     max_cycles: int = 100_000,
 ) -> DetectionSolution:
-    """Value-iterate ``detection_mdp`` from the all-zero curve with
-    ``periodic_mdp.value_iterate`` (same tol, stopping rule and histories);
-    the returned curves are the Q-tables and entry values of one more
-    cycle applied to its last stage-0 iterate."""
+    """Solve ``detection_mdp`` by ``periodic_mdp.policy_iterate`` from the
+    policy that stops everywhere, which is proper at discount 1.
+    ``max_cycles`` caps the improvement steps, and ``converged`` means the
+    policy repeated with a fixed-point residual within ``tol``; ``cycles``
+    and the histories count improvement steps.  The returned curves are
+    the Q-tables and entry values of one more cycle applied to the final
+    policy's stage-0 values."""
     mdp = detection_mdp(scenario, costs, grid_resolution)
-    result = value_iterate(mdp, tol=tol, max_cycles=max_cycles)
+    stop_everywhere = np.ones((mdp.period, mdp.num_states), dtype=int)
+    result = policy_iterate(mdp, stop_everywhere, tol=tol, max_cycles=max_cycles)
     grid = BeliefGrid(grid_resolution)
     M = grid.resolution
     q, entries = apply_cycle_operator(result.values[0], mdp)

@@ -1,4 +1,5 @@
-"""Value iteration for finite MDPs with period-T transition and cost structure.
+"""Value and policy iteration for finite MDPs with period-T transition and
+cost structure.
 
 The engine minimizes expected total discounted cost
 E[sum_k alpha^k c_{k mod T}(X_k, U_k)] over finitely many states and
@@ -10,18 +11,31 @@ Bellman operators innermost-last:
 
 so a fixed point of Psi is the optimal cost seen at entry to stage 0.
 ``apply_cycle_operator`` returns the T stage Q-tables of one sweep and
-their minima, the T intermediate stage compositions.  Iterating Psi from
-the all-zero vector produces a pointwise nondecreasing sequence
-converging to that fixed point; the optimal policy is periodic and is
-read off greedily from the intermediate compositions.
+their minima, the T intermediate stage compositions.  The optimal policy
+is periodic and is read off greedily from the intermediate compositions.
+
+Two solvers share that sweep:
+
+* ``value_iterate`` iterates Psi from the all-zero vector, a pointwise
+  nondecreasing sequence.  Psi shifts constants by beta = alpha^T, so for
+  alpha < 1 the last step bounds the error (MacQueen, 1966; Porteus,
+  1971) and the stop is certified.  At alpha = 1 it stops on a small step,
+  which certifies nothing.
+* ``policy_iterate`` alternates ``evaluate_policy`` (one dense linear
+  solve of the cycle system) with greedy improvement on the sweep's
+  Q-tables, and stops when the policy repeats (Howard, 1960; Puterman,
+  *Markov Decision Processes*, 1994, ch. 6-7).  At alpha = 1 every
+  evaluated policy must be proper: from every state it reaches the
+  zero-cost absorbing states (Bertsekas & Tsitsiklis, 1991).
 
 alpha = 1 is allowed for optimal-stopping style problems.  Nonnegative
-costs keep every iterate well defined, but at alpha = 1 convergence
-within ``max_cycles`` is reported, not guaranteed.
+costs keep every value-iteration iterate well defined, but at alpha = 1
+its convergence within ``max_cycles`` is reported, not guaranteed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,6 +49,8 @@ __all__ = [
     "apply_stage_operator",
     "apply_cycle_operator",
     "value_iterate",
+    "evaluate_policy",
+    "policy_iterate",
     "extract_periodic_policy",
     "fixed_point_residual",
     "finite_horizon_oracle",
@@ -44,6 +60,9 @@ __all__ = [
 ]
 
 _ROW_SUM_TOL = 1e-12
+# policy improvement keeps the current action unless another is better by
+# this relative margin, so rounding cannot make the policy cycle
+_IMPROVE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -101,8 +120,12 @@ class StageValues:
 
     ``values[l]`` is the expected cost-to-go entering stage l, i.e. the
     l-th intermediate composition of the stage operators applied to the
-    cycle fixed point.  ``sup_history``/``l2_history`` record the distance
-    between successive cycle iterates of the stage-0 entry vector.
+    cycle fixed point.  ``cycles`` counts value-iteration cycles or
+    policy-improvement steps.  ``sup_history``/``l2_history`` record, per
+    cycle or step, the distance between a stage-0 vector and its image
+    under the cycle operator.  ``error_bound`` is a certified bound on the
+    sup-norm error of ``values[0]``; ``inf`` when the solver has none
+    (discount 1).
     """
 
     values: np.ndarray  # (T, S)
@@ -110,6 +133,7 @@ class StageValues:
     cycles: int
     sup_history: np.ndarray = field(repr=False)
     l2_history: np.ndarray = field(repr=False)
+    error_bound: float = math.inf
 
 
 @dataclass(frozen=True)
@@ -155,6 +179,18 @@ def apply_cycle_operator(
     return q, entries
 
 
+def _checked_tol(mdp: PeriodicMdp, tol: float | None, max_cycles: int) -> float:
+    """The solvers' tolerance, 1e-8 for alpha < 1 and 1e-6 at alpha = 1 by
+    default, after checking it and ``max_cycles``."""
+    if tol is None:
+        tol = 1e-8 if mdp.discount < 1.0 else 1e-6
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    if max_cycles < 1:
+        raise ValueError("max_cycles must be >= 1")
+    return tol
+
+
 def value_iterate(
     mdp: PeriodicMdp,
     tol: float | None = None,
@@ -162,22 +198,32 @@ def value_iterate(
 ) -> StageValues:
     """Iterate the cycle operator from the all-zero vector.
 
-    Stops when the sup-norm distance between successive stage-0 iterates
-    drops to ``tol`` (default 1e-8 for alpha < 1, 1e-6 at alpha = 1) or
-    after ``max_cycles`` cycles, whichever comes first.  Non-convergence
-    is reported through the ``converged`` flag, never raised: at
-    alpha = 1 monotone convergence can be arbitrarily slow.
+    With beta = alpha^T < 1, a step D = v_n - v_{n-1} brackets the fixed
+    point: v_n + beta/(1-beta) min D <= V* <= v_n + beta/(1-beta) max D
+    (MacQueen-Porteus bounds).  The midpoint of that bracket is therefore
+    within ``error_bound`` = beta/(1-beta) * span(D)/2 of V*, and the
+    iteration stops once that bound drops to ``tol`` (default 1e-8).  The
+    returned ``values[0]`` is that midpoint and ``values[l]``, l >= 1, the
+    stage compositions applied to it.
+
+    At alpha = 1 (beta = 1) there is no such bound: the iteration stops
+    when the sup-norm step drops to ``tol`` (default 1e-6), which
+    certifies nothing about the error, ``values`` are the last cycle's
+    entry values and ``error_bound`` is ``inf``.
+
+    Either way the iteration ends after ``max_cycles`` cycles at the
+    latest.  Non-convergence is reported through the ``converged`` flag,
+    never raised: at alpha = 1 monotone convergence can be arbitrarily
+    slow.
     """
-    if tol is None:
-        tol = 1e-8 if mdp.discount < 1.0 else 1e-6
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    tol = _checked_tol(mdp, tol, max_cycles)
+    beta = mdp.discount**mdp.period
+    certified = beta < 1.0
     v = np.zeros(mdp.num_states)
     sup_hist: list[float] = []
     l2_hist: list[float] = []
     converged = False
-    cycles = 0
-    entries = np.zeros((mdp.period, mdp.num_states))
+    error_bound = math.inf
     for cycles in range(1, max_cycles + 1):
         _, entries = apply_cycle_operator(v, mdp)
         new = entries[0]
@@ -187,15 +233,140 @@ def value_iterate(
         sup_hist.append(float(np.max(np.abs(diff))))
         l2_hist.append(float(np.linalg.norm(diff)))
         v = new
-        if sup_hist[-1] <= tol:
+        if certified:
+            lo, hi = float(diff.min()), float(diff.max())
+            error_bound = beta / (1.0 - beta) * (hi - lo) / 2.0
+            if error_bound <= tol:
+                converged = True
+                break
+        elif sup_hist[-1] <= tol:
             converged = True
             break
+    if certified:
+        mid = v + beta / (1.0 - beta) * (lo + hi) / 2.0
+        _, entries = apply_cycle_operator(mid, mdp)
+        entries[0] = mid
     return StageValues(
         values=entries,
         converged=converged,
         cycles=cycles,
         sup_history=np.asarray(sup_hist),
         l2_history=np.asarray(l2_hist),
+        error_bound=error_bound,
+    )
+
+
+def evaluate_policy(mdp: PeriodicMdp, actions: np.ndarray) -> np.ndarray:
+    """Exact stage-entry values (T, S) of the periodic policy ``actions``.
+
+    ``actions[l, s]`` is the stage-l action in state s.  Stage 0 comes from
+    one dense solve of the cycle system (I - M) V_0 = b, where
+    M = alpha^T P_0 ... P_{T-1} is the discounted one-cycle kernel under
+    the policy and b the expected discounted cost of one cycle; stages
+    T-1, ..., 1 follow by one backward sweep from V_0.
+
+    At alpha = 1, states that every stage holds absorbing at zero cost are
+    pinned to 0 and dropped from the system.  The rest is nonsingular
+    exactly when every state reaches such a state (the policy is proper);
+    otherwise ``ValueError`` is raised.
+    """
+    actions = np.asarray(actions)
+    T, S = mdp.period, mdp.num_states
+    if actions.shape != (T, S):
+        raise ValueError(f"actions must have shape ({T}, {S}), got {actions.shape}")
+    if np.any((actions < 0) | (actions >= mdp.num_actions)):
+        raise ValueError(f"actions must lie in [0, {mdp.num_actions})")
+    idx = np.arange(S)
+    kernels = [mdp.transitions[l][idx, actions[l]] for l in range(T)]  # (S, S) each
+    costs = [mdp.costs[l][idx, actions[l]] for l in range(T)]
+    alpha = mdp.discount
+    cycle, b = alpha * kernels[T - 1], costs[T - 1]
+    for l in range(T - 2, -1, -1):
+        b = costs[l] + alpha * (kernels[l] @ b)
+        cycle = alpha * (kernels[l] @ cycle)
+    live = np.ones(S, dtype=bool)
+    if alpha == 1.0:
+        for K, c in zip(kernels, costs):
+            live &= (K[idx, idx] != 1.0) | (c != 0.0)
+        _check_proper(cycle, live)
+    v0 = np.zeros(S)
+    system = np.eye(int(live.sum())) - cycle[np.ix_(live, live)]
+    try:
+        v0[live] = np.linalg.solve(system, b[live])
+    except np.linalg.LinAlgError:
+        raise ValueError("policy is improper: its cycle system is singular") from None
+    values = np.empty((T, S))
+    values[0] = v0
+    nxt = v0
+    for l in range(T - 1, 0, -1):
+        nxt = values[l] = costs[l] + alpha * (kernels[l] @ nxt)
+    return values
+
+
+def _check_proper(cycle: np.ndarray, live: np.ndarray) -> None:
+    """Raise unless every live state reaches a dead (absorbing, zero-cost)
+    state along the positive entries of the one-cycle kernel."""
+    support = cycle > 0.0
+    reach = ~live | support[:, ~live].any(axis=1)
+    while not reach.all():
+        grown = reach | support[:, reach].any(axis=1)
+        if np.array_equal(grown, reach):
+            stuck = np.flatnonzero(~reach)
+            raise ValueError(
+                f"policy is improper: {stuck.size} state(s), first {stuck[0]}, never reach "
+                "a zero-cost absorbing state"
+            )
+        reach = grown
+
+
+def policy_iterate(
+    mdp: PeriodicMdp,
+    actions: np.ndarray,
+    tol: float | None = None,
+    max_cycles: int = 100_000,
+) -> StageValues:
+    """Policy iteration from the periodic policy ``actions`` (T, S).
+
+    Each step evaluates the policy exactly (``evaluate_policy``) and
+    applies one ``apply_cycle_operator`` sweep to its stage-0 values; the
+    next policy is greedy on the sweep's Q-tables, keeping the current
+    action unless another is better by a relative 1e-12.  The iteration
+    stops when the policy repeats, or after ``max_cycles`` steps.
+    ``converged`` means the policy repeated and the fixed-point residual,
+    the last ``sup_history`` entry, is within ``tol`` (default 1e-8 for
+    alpha < 1, 1e-6 at alpha = 1).  ``values`` are the exact values of the
+    last evaluated policy.  At alpha < 1, ``error_bound`` is the residual
+    divided by 1 - alpha^T.
+
+    At alpha = 1 the starting policy must be proper (see
+    ``evaluate_policy``); greedy steps from a proper policy stay proper.
+    """
+    tol = _checked_tol(mdp, tol, max_cycles)
+    actions = np.array(actions, dtype=int)
+    sup_hist: list[float] = []
+    l2_hist: list[float] = []
+    converged = False
+    for cycles in range(1, max_cycles + 1):
+        values = evaluate_policy(mdp, actions)
+        q, entries = apply_cycle_operator(values[0], mdp)
+        diff = entries[0] - values[0]
+        sup_hist.append(float(np.max(np.abs(diff))))
+        l2_hist.append(float(np.linalg.norm(diff)))
+        current = np.take_along_axis(q, actions[..., None], axis=2)[..., 0]
+        keep = current - entries <= _IMPROVE_RTOL * np.abs(entries)
+        improved = np.where(keep, actions, q.argmin(axis=2))
+        if np.array_equal(improved, actions):
+            converged = sup_hist[-1] <= tol
+            break
+        actions = improved
+    beta = mdp.discount**mdp.period
+    return StageValues(
+        values=values,
+        converged=converged,
+        cycles=cycles,
+        sup_history=np.asarray(sup_hist),
+        l2_history=np.asarray(l2_hist),
+        error_bound=sup_hist[-1] / (1.0 - beta) if beta < 1.0 else math.inf,
     )
 
 

@@ -108,6 +108,17 @@ def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, command):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("alpha", ["1.5", "1.0", "0", "x", "0.01,1.5", "nan"])
+def test_out_of_range_alpha_is_a_usage_error(tmp_path, capsys, alpha):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(MINIMAL)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["tradeoff", "--config", str(cfg), "--alpha", alpha, "--out-dir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "argument --alpha:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_bundled_configs_all_parse():
     for table in REPRODUCE_TABLES.values():
         for row in table:

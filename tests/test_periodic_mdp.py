@@ -8,10 +8,12 @@ from periodet import (
     StageValues,
     apply_cycle_operator,
     apply_stage_operator,
+    evaluate_policy,
     extract_periodic_policy,
     finite_horizon_oracle,
     fixed_point_residual,
     load_instance,
+    policy_iterate,
     simulate_policy,
     value_iterate,
 )
@@ -195,7 +197,7 @@ def test_value_iterate_residual_and_oracle_bound():
     horizon = 400
     lower = finite_horizon_oracle(mdp, horizon)
     tail = 0.9**horizon * mdp.costs.max() / (1 - 0.9)
-    # the engine stops within tol/(1-alpha) below the true fixed point
+    # the engine stops within tol of the true fixed point
     slack = 1e-10 / (1 - 0.9)
     assert np.all(values.values[0] >= lower - slack)
     assert np.all(values.values[0] <= lower + tail + slack)
@@ -206,8 +208,27 @@ def test_value_iterate_histories_track_iterates():
     mdp = random_mdp(rng, 3, 2, 2, 0.85)
     values = value_iterate(mdp, tol=1e-9)
     assert values.sup_history.size == values.cycles
-    assert values.sup_history[-1] <= 1e-9
+    assert values.error_bound <= 1e-9
     assert np.all(values.l2_history >= values.sup_history - 1e-15)
+
+
+@pytest.mark.parametrize("discount", [0.9, 0.99])
+def test_value_iterate_error_within_tol(discount):
+    # the stop is certified: the error against the exact value of the
+    # optimal policy is within tol, not only the last step
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        mdp = random_mdp(rng, 6, 3, 3, discount)
+        values = value_iterate(mdp, tol=1e-8)
+        assert values.converged and values.error_bound <= 1e-8
+        optimal = policy_iterate(mdp, np.zeros((3, 6), dtype=int), tol=1e-12)
+        exact = evaluate_policy(mdp, extract_periodic_policy(optimal, mdp).actions)
+        assert np.max(np.abs(values.values[0] - exact[0])) <= 1e-8
+
+
+def test_value_iterate_undiscounted_bound_is_not_certified():
+    mdp = PeriodicMdp(transitions=HAND_P, costs=np.zeros_like(HAND_C), discount=1.0)
+    assert value_iterate(mdp).error_bound == np.inf
 
 
 def test_stage_entry_values_are_intermediate_compositions():
@@ -246,6 +267,118 @@ def test_fixed_point_residual_closed_form_one_state():
         l2_history=np.array([]),
     )
     assert fixed_point_residual(exact, mdp) <= 1e-12
+
+
+# ── policy evaluation and policy iteration ────────────────────────────
+
+
+def test_evaluate_policy_matches_brute_force_system():
+    rng = np.random.default_rng(41)
+    for period in (1, 2, 3):
+        for _ in range(5):
+            mdp = random_mdp(rng, 5, 3, period, 0.9)
+            actions = rng.integers(0, 3, size=(period, 5))
+            np.testing.assert_allclose(
+                evaluate_policy(mdp, actions), exact_periodic_policy_value(mdp, actions),
+                rtol=0, atol=1e-12,
+            )
+
+
+def absorbing_mdp(rng, n_states=5, period=2):
+    """Random discount-1 MDP whose last state is absorbing at zero cost;
+    action 1 jumps there, action 0 moves at random among the others."""
+    base = random_mdp(rng, n_states, 2, period, 1.0)
+    P, c = np.array(base.transitions), np.array(base.costs)
+    P[:, :, 0, -1] = 0.0
+    P[:, :, 0] /= P[:, :, 0].sum(axis=-1, keepdims=True)
+    P[:, :, 1] = 0.0
+    P[:, :, 1, -1] = 1.0
+    P[:, -1] = 0.0
+    P[:, -1, :, -1] = 1.0
+    c[:, -1] = 0.0
+    return PeriodicMdp(transitions=P, costs=c, discount=1.0)
+
+
+def test_evaluate_policy_undiscounted_pins_absorbing_states():
+    # each stage of a proper policy, against its truncated rollout
+    rng = np.random.default_rng(43)
+    mdp = absorbing_mdp(rng)
+    actions = rng.integers(0, 2, size=(2, 5))
+    actions[:, 0] = 1  # at least one way out of the random part
+    values = evaluate_policy(mdp, actions)
+    idx = np.arange(5)
+    rollout = np.zeros(5)
+    for k in range(2 * 20_000 - 1, -1, -1):
+        l = k % 2
+        rollout = mdp.costs[l][idx, actions[l]] + mdp.transitions[l][idx, actions[l]] @ rollout
+        if l == 1:
+            stage1 = rollout
+    np.testing.assert_allclose(values[0], rollout, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(values[1], stage1, rtol=0, atol=1e-9)
+    assert np.all(values[:, -1] == 0.0)
+
+
+def test_improper_policy_raises():
+    # no state is absorbing at zero cost, so every policy is improper
+    with pytest.raises(ValueError, match="improper"):
+        evaluate_policy(hand_mdp(discount=1.0), np.zeros((2, 2), dtype=int))
+    with pytest.raises(ValueError, match="improper"):
+        policy_iterate(hand_mdp(discount=1.0), np.zeros((2, 2), dtype=int))
+    # "never stop" in the random part never reaches the absorbing state
+    mdp = absorbing_mdp(np.random.default_rng(45))
+    with pytest.raises(ValueError, match="improper"):
+        evaluate_policy(mdp, np.zeros((2, 5), dtype=int))
+
+
+def test_evaluate_policy_rejects_bad_actions():
+    with pytest.raises(ValueError, match="shape"):
+        evaluate_policy(hand_mdp(), np.zeros((1, 2), dtype=int))
+    with pytest.raises(ValueError, match="lie in"):
+        evaluate_policy(hand_mdp(), np.full((2, 2), 2))
+
+
+def test_policy_iterate_matches_value_iteration_and_oracle():
+    rng = np.random.default_rng(47)
+    for _ in range(50):
+        mdp = random_mdp(
+            rng,
+            n_states=int(rng.integers(2, 6)),
+            n_actions=int(rng.integers(2, 4)),
+            period=int(rng.integers(1, 4)),
+            discount=0.9,
+        )
+        start = rng.integers(0, mdp.num_actions, size=(mdp.period, mdp.num_states))
+        values = policy_iterate(mdp, start, tol=1e-12)
+        assert values.converged and values.error_bound <= 1e-11
+        assert values.sup_history.size == values.cycles
+        assert fixed_point_residual(values, mdp) <= 1e-12
+        tight = value_iterate(mdp, tol=1e-12)
+        np.testing.assert_allclose(values.values, tight.values, rtol=0, atol=1e-11)
+        horizon = 300 * mdp.period
+        lower = finite_horizon_oracle(mdp, horizon)
+        tail = 0.9**horizon * mdp.costs.max() / 0.1
+        assert np.all(values.values[0] >= lower - 1e-12)
+        assert np.all(values.values[0] <= lower + tail + 1e-12)
+
+
+def test_policy_iterate_undiscounted_from_proper_start():
+    rng = np.random.default_rng(49)
+    for _ in range(10):
+        mdp = absorbing_mdp(rng)
+        values = policy_iterate(mdp, np.ones((2, 5), dtype=int))
+        assert values.converged and values.error_bound == np.inf
+        oracle = finite_horizon_oracle(mdp, 2 * 5_000)
+        np.testing.assert_allclose(values.values[0], oracle, rtol=0, atol=1e-9)
+
+
+def test_policy_iterate_step_cap_is_reported():
+    rng = np.random.default_rng(51)
+    mdp = random_mdp(rng, 6, 3, 2, 0.9)
+    start = np.zeros((2, 6), dtype=int)
+    full = policy_iterate(mdp, start, tol=1e-12)
+    assert full.cycles >= 2
+    capped = policy_iterate(mdp, start, tol=1e-12, max_cycles=1)
+    assert not capped.converged and capped.cycles == 1
 
 
 # ── finite-horizon oracle ──────────────────────────────────────────────
