@@ -35,6 +35,7 @@ its convergence within ``max_cycles`` is reported, not guaranteed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -270,12 +271,8 @@ def evaluate_policy(mdp: PeriodicMdp, actions: np.ndarray) -> np.ndarray:
     exactly when every state reaches such a state (the policy is proper);
     otherwise ``ValueError`` is raised.
     """
-    actions = np.asarray(actions)
+    actions = _checked_actions(mdp, actions, "actions")
     T, S = mdp.period, mdp.num_states
-    if actions.shape != (T, S):
-        raise ValueError(f"actions must have shape ({T}, {S}), got {actions.shape}")
-    if np.any((actions < 0) | (actions >= mdp.num_actions)):
-        raise ValueError(f"actions must lie in [0, {mdp.num_actions})")
     idx = np.arange(S)
     kernels = [mdp.transitions[l][idx, actions[l]] for l in range(T)]  # (S, S) each
     costs = [mdp.costs[l][idx, actions[l]] for l in range(T)]
@@ -301,6 +298,18 @@ def evaluate_policy(mdp: PeriodicMdp, actions: np.ndarray) -> np.ndarray:
     for l in range(T - 1, 0, -1):
         nxt = values[l] = costs[l] + alpha * (kernels[l] @ nxt)
     return values
+
+
+def _checked_actions(mdp: PeriodicMdp, actions, name: str) -> np.ndarray:
+    """``actions`` as an array, after checking that it is a (T, S) map into
+    the action range; ``name`` is the argument named in the error."""
+    actions = np.asarray(actions)
+    T, S = mdp.period, mdp.num_states
+    if actions.shape != (T, S):
+        raise ValueError(f"{name} must have shape ({T}, {S}), got {actions.shape}")
+    if np.any((actions < 0) | (actions >= mdp.num_actions)):
+        raise ValueError(f"{name} must lie in [0, {mdp.num_actions})")
+    return actions
 
 
 def _check_proper(cycle: np.ndarray, live: np.ndarray) -> None:
@@ -397,16 +406,19 @@ def finite_horizon_oracle(mdp: PeriodicMdp, horizon: int) -> np.ndarray:
     starting at stage 0.
 
     Deliberately a standalone backward induction (no reuse of the cycle
-    machinery) so it can serve as an independent oracle in tests.
+    machinery) so it can serve as an independent oracle in tests.  Each
+    step is one matrix-vector product with the stage kernel viewed as an
+    (S*A, S) matrix.
     """
     if horizon < 0 or horizon % mdp.period != 0:
         raise ValueError("horizon must be a nonnegative multiple of the period")
-    P = mdp.transitions
+    T, S, A = mdp.period, mdp.num_states, mdp.num_actions
+    kernels = mdp.transitions.reshape(T, S * A, S)
     c = mdp.costs
-    v = np.zeros(mdp.num_states)
+    v = np.zeros(S)
     for k in range(horizon - 1, -1, -1):
-        l = k % mdp.period
-        q = c[l] + mdp.discount * (P[l] @ v)
+        l = k % T
+        q = c[l] + mdp.discount * (kernels[l] @ v).reshape(S, A)
         v = q.min(axis=1)
     return v
 
@@ -421,24 +433,61 @@ def simulate_policy(
     """Monte-Carlo estimate of a policy's discounted cost from state 0.
 
     ``stage_maps`` has shape (T, S); a stationary policy is the same row
-    repeated.  Returns (mean cost, standard error).  The truncation bias
-    is at most alpha^horizon * max_cost / (1 - alpha) for alpha < 1.
+    repeated.  Returns (mean cost, standard error) over ``n_paths`` >= 1
+    paths of ``horizon`` >= 0 steps.  The truncation bias is at most
+    alpha^horizon * max_cost / (1 - alpha) for alpha < 1.
+
+    Each step draws one uniform u per path and moves the path to the state
+    #{j : cum[j] < u}, where cum is the cumulative sum of its kernel row
+    under the policy (inverse-CDF sampling).  The search starts from a
+    guide table (Chen & Asau, 1974; Devroye, *Non-Uniform Random Variate
+    Generation*, 1986, sec. III.2): for each row and each of the S buckets
+    [k/S, (k+1)/S), the number of cum entries below k/S.  From there it
+    steps back while cum[j-1] >= u and forward while cum[j] < u, so the
+    state is exactly that count whatever the rounding of u*S, and a step
+    costs about one comparison per kernel entry in the path's bucket.
     """
-    stage_maps = np.asarray(stage_maps, dtype=int)
-    if stage_maps.shape != (mdp.period, mdp.num_states):
-        raise ValueError(f"stage_maps must have shape ({mdp.period}, {mdp.num_states})")
+    stage_maps = _checked_actions(mdp, np.asarray(stage_maps, dtype=int), "stage_maps")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    T, S = mdp.period, mdp.num_states
+    stage, state = np.ogrid[:T, :S]
+    costs = mdp.costs[stage, state, stage_maps]  # (T, S)
+    rows = mdp.transitions[stage, state, stage_maps]  # (T, S, S)
+    # row r = l*S + s of the table is -inf, cum[0], ..., cum[S-1], +inf:
+    # entry j is cum[j-1], and both searches stop at the padding
+    width = S + 2
+    table = np.empty((T * S, width))
+    table[:, 0] = -np.inf
+    table[:, -1] = np.inf
+    np.cumsum(rows.reshape(T * S, S), axis=-1, out=table[:, 1:-1])
+    bounds = np.arange(S) / S
+    guide = np.stack([np.searchsorted(cum, bounds) for cum in table[:, 1:-1]])
+    # flat table position of each (row, bucket) start
+    start = (guide + width * np.arange(T * S)[:, None]).ravel()
+    flat = table.ravel()
+
     rng = np.random.default_rng(seed)
-    cum = np.cumsum(mdp.transitions, axis=-1)
-    states = np.zeros(n_paths, dtype=int)
+    states = np.zeros(n_paths, dtype=np.intp)
     total = np.zeros(n_paths)
     disc = 1.0
     for k in range(horizon):
-        l = k % mdp.period
-        acts = stage_maps[l][states]
-        total += disc * mdp.costs[l][states, acts]
+        l = k % T
+        total += disc * costs[l][states]
         u = rng.random(n_paths)
-        rows = cum[l][states, acts]  # (n_paths, S)
-        states = (u[:, None] > rows).sum(axis=1)
+        rows_at = l * S + states
+        pos = start[rows_at * S + np.minimum((u * S).astype(np.intp), S - 1)]
+        back = np.flatnonzero(flat[pos] >= u)
+        while back.size:
+            pos[back] -= 1
+            back = back[flat[pos[back]] >= u[back]]
+        fwd = np.flatnonzero(flat[pos + 1] < u)
+        while fwd.size:
+            pos[fwd] += 1
+            fwd = fwd[flat[pos[fwd] + 1] < u[fwd]]
+        states = pos - width * rows_at
         disc *= mdp.discount
     return float(total.mean()), float(total.std(ddof=1) / np.sqrt(n_paths))
 
@@ -449,6 +498,9 @@ class InstanceFormatError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+_DIMENSIONS = ("states", "actions", "period", "discount")
 
 
 def load_instance(path: str | Path) -> PeriodicMdp:
@@ -463,70 +515,95 @@ def load_instance(path: str | Path) -> PeriodicMdp:
         kernel <stage> <state> <action> <p_0> ... <p_{S-1}>
         cost <stage> <state> <action> <value>
 
-    The four dimension directives must precede any kernel/cost line; every
-    (stage, state, action) triple needs exactly one kernel row and one
-    cost line.
+    S, A and T are integers >= 1.  The four dimension directives must
+    precede any kernel/cost line, and S, A and T may not change after it;
+    every (stage, state, action) triple needs exactly one kernel row and
+    one cost line.
+
+    The file is read in one streaming pass.  The first kernel/cost line
+    allocates the (T, S, A, S) kernel, and each kernel row is parsed by
+    ``float`` straight into it; (T, S, A) arrays of first line numbers
+    find duplicate and missing rows.
     """
     dims: dict[str, float] = {}
-    kernel_rows: dict[tuple[int, int, int], tuple[int, list[float]]] = {}
-    cost_rows: dict[tuple[int, int, int], tuple[int, float]] = {}
-    text = Path(path).read_text()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        key = parts[0]
-        if key in ("states", "actions", "period", "discount"):
-            if len(parts) != 2:
-                raise InstanceFormatError(line_no, f"'{key}' takes exactly one value")
-            try:
-                dims[key] = float(parts[1])
-            except ValueError:
-                raise InstanceFormatError(line_no, f"bad number {parts[1]!r}") from None
-        elif key in ("kernel", "cost"):
-            missing = [d for d in ("states", "actions", "period", "discount") if d not in dims]
-            if missing:
-                raise InstanceFormatError(
-                    line_no, f"'{key}' before dimension directive(s) {', '.join(missing)}"
-                )
-            S, A, T = int(dims["states"]), int(dims["actions"]), int(dims["period"])
-            want = 3 + (S if key == "kernel" else 1)
-            if len(parts) - 1 != want:
-                raise InstanceFormatError(
-                    line_no, f"'{key}' needs {want} values, got {len(parts) - 1}"
-                )
-            try:
-                idx = tuple(int(p) for p in parts[1:4])
-                vals = [float(p) for p in parts[4:]]
-            except ValueError:
-                raise InstanceFormatError(line_no, "bad number in row") from None
-            l, s, a = idx
-            if not (0 <= l < T and 0 <= s < S and 0 <= a < A):
-                raise InstanceFormatError(line_no, f"index {idx} out of range")
-            table = kernel_rows if key == "kernel" else cost_rows
-            if idx in table:
-                raise InstanceFormatError(
-                    line_no, f"duplicate {key} row for {idx} (first at line {table[idx][0]})"
-                )
-            table[idx] = (line_no, vals if key == "kernel" else vals[0])
-        else:
-            raise InstanceFormatError(line_no, f"unknown directive {key!r}")
-    missing = [d for d in ("states", "actions", "period", "discount") if d not in dims]
+    P = None
+    with Path(path).open() as fh:
+        # splitting each read line again keeps the line breaks, and so the
+        # line numbers, of str.splitlines
+        lines = itertools.chain.from_iterable(map(str.splitlines, fh))
+        for line_no, raw in enumerate(lines, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            key = parts[0]
+            if key in _DIMENSIONS:
+                if len(parts) != 2:
+                    raise InstanceFormatError(line_no, f"'{key}' takes exactly one value")
+                try:
+                    value = float(parts[1])
+                except ValueError:
+                    raise InstanceFormatError(line_no, f"bad number {parts[1]!r}") from None
+                if key != "discount":
+                    if not (value.is_integer() and value >= 1.0):
+                        raise InstanceFormatError(
+                            line_no, f"'{key}' must be an integer >= 1, got {parts[1]!r}"
+                        )
+                    if P is not None and value != dims[key]:
+                        raise InstanceFormatError(
+                            line_no, f"'{key}' changes after the first kernel or cost line"
+                        )
+                dims[key] = value
+            elif key in ("kernel", "cost"):
+                if P is None:
+                    missing = [d for d in _DIMENSIONS if d not in dims]
+                    if missing:
+                        raise InstanceFormatError(
+                            line_no, f"'{key}' before dimension directive(s) {', '.join(missing)}"
+                        )
+                    S, A, T = int(dims["states"]), int(dims["actions"]), int(dims["period"])
+                is_kernel = key == "kernel"
+                want = 3 + (S if is_kernel else 1)
+                if len(parts) - 1 != want:
+                    raise InstanceFormatError(
+                        line_no, f"'{key}' needs {want} values, got {len(parts) - 1}"
+                    )
+                if P is None:  # allocated only once a row fits the dimensions
+                    P = np.zeros((T, S, A, S))
+                    c = np.zeros((T, S, A))
+                    # line number of each row, 0 while it is missing
+                    kernel_line = np.zeros((T, S, A), dtype=int)
+                    cost_line = np.zeros((T, S, A), dtype=int)
+                try:
+                    idx = (int(parts[1]), int(parts[2]), int(parts[3]))
+                    if is_kernel:
+                        row = np.fromiter(map(float, parts[4:]), float, count=S)
+                    else:
+                        row = float(parts[4])
+                except ValueError:
+                    raise InstanceFormatError(line_no, "bad number in row") from None
+                l, s, a = idx
+                if not (0 <= l < T and 0 <= s < S and 0 <= a < A):
+                    raise InstanceFormatError(line_no, f"index {idx} out of range")
+                first = kernel_line if is_kernel else cost_line
+                if first[idx]:
+                    raise InstanceFormatError(
+                        line_no, f"duplicate {key} row for {idx} (first at line {first[idx]})"
+                    )
+                first[idx] = line_no
+                (P if is_kernel else c)[idx] = row
+            else:
+                raise InstanceFormatError(line_no, f"unknown directive {key!r}")
+    missing = [d for d in _DIMENSIONS if d not in dims]
     if missing:
         raise InstanceFormatError(0, f"missing dimension directive(s): {', '.join(missing)}")
-    S, A, T = int(dims["states"]), int(dims["actions"]), int(dims["period"])
-    P = np.zeros((T, S, A, S))
-    c = np.zeros((T, S, A))
-    for l in range(T):
-        for s in range(S):
-            for a in range(A):
-                if (l, s, a) not in kernel_rows:
-                    raise InstanceFormatError(0, f"missing kernel row for {(l, s, a)}")
-                if (l, s, a) not in cost_rows:
-                    raise InstanceFormatError(0, f"missing cost line for {(l, s, a)}")
-                P[l, s, a] = kernel_rows[(l, s, a)][1]
-                c[l, s, a] = cost_rows[(l, s, a)][1]
+    if P is None:  # no kernel or cost line at all
+        raise InstanceFormatError(0, "missing kernel row for (0, 0, 0)")
+    absent = (kernel_line == 0) | (cost_line == 0)
+    if absent.any():
+        idx = tuple(int(i) for i in np.unravel_index(np.argmax(absent), absent.shape))
+        what = "kernel row" if kernel_line[idx] == 0 else "cost line"
+        raise InstanceFormatError(0, f"missing {what} for {idx}")
     try:
         return PeriodicMdp(transitions=P, costs=c, discount=dims["discount"])
     except ValueError as exc:
@@ -534,17 +611,19 @@ def load_instance(path: str | Path) -> PeriodicMdp:
 
 
 def dump_instance(mdp: PeriodicMdp, path: str | Path) -> None:
-    """Write an instance in the format accepted by ``load_instance``."""
-    lines = [
-        f"states {mdp.num_states}",
-        f"actions {mdp.num_actions}",
-        f"period {mdp.period}",
-        f"discount {mdp.discount!r}",
-    ]
-    for l in range(mdp.period):
-        for s in range(mdp.num_states):
-            for a in range(mdp.num_actions):
-                probs = " ".join(repr(float(p)) for p in mdp.transitions[l, s, a])
-                lines.append(f"kernel {l} {s} {a} {probs}")
-                lines.append(f"cost {l} {s} {a} {float(mdp.costs[l, s, a])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write an instance in the format accepted by ``load_instance``, line
+    by line; floats are written as their ``repr``, which reads back
+    exactly."""
+    with Path(path).open("w") as fh:
+        fh.write(
+            f"states {mdp.num_states}\nactions {mdp.num_actions}\n"
+            f"period {mdp.period}\ndiscount {mdp.discount!r}\n"
+        )
+        for l in range(mdp.period):
+            for s in range(mdp.num_states):
+                costs = mdp.costs[l, s].tolist()
+                for a, row in enumerate(mdp.transitions[l, s].tolist()):
+                    fh.write(
+                        f"kernel {l} {s} {a} {' '.join(map(repr, row))}\n"
+                        f"cost {l} {s} {a} {costs[a]!r}\n"
+                    )

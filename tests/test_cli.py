@@ -291,6 +291,22 @@ def test_exit_code_instance_parse_failure(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "dims,line",
+    [("states 2.7\nactions 1\nperiod 1\n", "line 1"),
+     ("states -1\nactions 1\nperiod 1\n", "line 1"),
+     ("states 2\nactions 1\nperiod 0\n", "line 3")],
+    ids=["states 2.7", "states -1", "period 0"],
+)
+def test_exit_code_bad_instance_dimension(tmp_path, capsys, dims, line):
+    bad = tmp_path / "bad.mdp"
+    bad.write_text(dims + "discount 0.9\n" + "".join(
+        f"kernel 0 {s} 0 0.5 0.5\ncost 0 {s} 0 1\n" for s in range(2)))
+    assert main(["mdp-solve", str(bad), "--out-dir", str(tmp_path)]) == 2
+    assert f"{line}: " in capsys.readouterr().err
+    assert not (tmp_path / "bad_values.csv").exists()
+
+
 def test_exit_code_runtime_failure(tmp_path, capsys):
     degenerate = tmp_path / "degenerate.cfg"
     degenerate.write_text(

@@ -410,6 +410,26 @@ def test_oracle_requires_multiple_of_period():
         finite_horizon_oracle(hand_mdp(), 3)
 
 
+def einsum_oracle(mdp, horizon):
+    """Per-step einsum backward induction, the reference for the oracle's
+    single matrix-vector product per step."""
+    v = np.zeros(mdp.num_states)
+    for k in range(horizon - 1, -1, -1):
+        l = k % mdp.period
+        v = (mdp.costs[l] + mdp.discount * np.einsum("sat,t->sa", mdp.transitions[l], v)).min(axis=1)
+    return v
+
+
+@pytest.mark.parametrize("period", [1, 3])
+def test_oracle_matches_einsum_backward_induction(period):
+    rng = np.random.default_rng(17 + period)
+    mdp = random_mdp(rng, 30, 4, period, 0.95)
+    for horizon in (0, period, 60 * period):
+        np.testing.assert_allclose(
+            finite_horizon_oracle(mdp, horizon), einsum_oracle(mdp, horizon), rtol=0, atol=1e-12
+        )
+
+
 # ── policy extraction ──────────────────────────────────────────────────
 
 
@@ -467,6 +487,77 @@ def test_simulate_policy_deterministic_and_unbiased():
     assert abs(mean1 - exact) < 3 * se1 + 1e-3
 
 
+def reference_simulate_policy(mdp, stage_maps, n_paths, horizon, seed):
+    """The rollout estimator with the plain inverse-CDF sampler: the next
+    state is the number of cumulative kernel entries below u, counted over
+    a copied row per path."""
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(mdp.transitions, axis=-1)
+    states = np.zeros(n_paths, dtype=int)
+    total = np.zeros(n_paths)
+    disc = 1.0
+    for k in range(horizon):
+        l = k % mdp.period
+        acts = stage_maps[l][states]
+        total += disc * mdp.costs[l][states, acts]
+        u = rng.random(n_paths)
+        rows = cum[l][states, acts]  # (n_paths, S)
+        states = (u[:, None] > rows).sum(axis=1)
+        disc *= mdp.discount
+    return float(total.mean()), float(total.std(ddof=1) / np.sqrt(n_paths))
+
+
+def sparse_mdp(rng, n_states, n_actions, period, discount):
+    """Random MDP whose kernel rows hold runs of zero probabilities: a
+    random block of each row is zeroed, then about half of the rest, and
+    some rows are deterministic."""
+    shape = (period, n_states, n_actions, n_states)
+    P = rng.random(shape) * (rng.random(shape) < 0.5)
+    for row in P.reshape(-1, n_states):
+        lo = rng.integers(n_states)
+        row[lo : lo + rng.integers(1, n_states + 1)] = 0.0
+        if rng.random() < 0.1:
+            row[:] = 0.0
+        if not row.any():
+            row[rng.integers(n_states)] = 1.0
+    P /= P.sum(axis=-1, keepdims=True)
+    c = rng.random(shape[:3])
+    return PeriodicMdp(transitions=P, costs=c, discount=discount)
+
+
+@pytest.mark.parametrize("period", [1, 3])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_simulate_policy_matches_reference_sampler(period, sparse):
+    rng = np.random.default_rng(61 + period + 10 * sparse)
+    for n_states in (1, 2, 7, 40):
+        make = sparse_mdp if sparse else random_mdp
+        mdp = make(rng, n_states, 3, period, 0.97)
+        actions = rng.integers(3, size=(period, n_states))
+        for seed in (1, 2):
+            got = simulate_policy(mdp, actions, 300, 90, seed=seed)
+            assert got == reference_simulate_policy(mdp, actions, 300, 90, seed)
+
+
+@pytest.mark.parametrize(
+    "stage_maps,n_paths,horizon,fragment",
+    [
+        ([[0, -1], [0, 0]], 10, 5, "lie in"),  # was simulated as action 1
+        ([[0, 2], [0, 0]], 10, 5, "lie in"),
+        ([[0, 0]], 10, 5, "shape"),
+        ([[0, 0], [0, 0]], 0, 5, "n_paths must be >= 1"),
+        ([[0, 0], [0, 0]], 10, -3, "horizon must be >= 0"),
+    ],
+    ids=["action -1", "action A", "shape", "no paths", "negative horizon"],
+)
+def test_simulate_policy_rejects_bad_inputs(stage_maps, n_paths, horizon, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        simulate_policy(hand_mdp(), np.array(stage_maps), n_paths, horizon, seed=0)
+
+
+def test_simulate_policy_zero_horizon_costs_nothing():
+    assert simulate_policy(hand_mdp(), np.zeros((2, 2), dtype=int), 10, 0, seed=0) == (0.0, 0.0)
+
+
 # ── instance files ─────────────────────────────────────────────────────
 
 
@@ -478,6 +569,45 @@ def test_instance_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.transitions, mdp.transitions)
     np.testing.assert_array_equal(loaded.costs, mdp.costs)
     assert loaded.discount == mdp.discount
+
+
+HAND_INSTANCE_TEXT = """\
+states 2
+actions 2
+period 2
+discount 0.5
+kernel 0 0 0 0.75 0.25
+cost 0 0 0 1.0
+kernel 0 0 1 0.5 0.5
+cost 0 0 1 2.0
+kernel 0 1 0 1.0 0.0
+cost 0 1 0 0.0
+kernel 0 1 1 0.25 0.75
+cost 0 1 1 3.0
+kernel 1 0 0 0.5 0.5
+cost 1 0 0 2.0
+kernel 1 0 1 0.0 1.0
+cost 1 0 1 0.5
+kernel 1 1 0 0.25 0.75
+cost 1 1 0 1.0
+kernel 1 1 1 1.0 0.0
+cost 1 1 1 4.0
+"""
+
+
+def test_dump_instance_pinned_text(tmp_path):
+    path = tmp_path / "hand.mdp"
+    dump_instance(hand_mdp(), path)
+    assert path.read_bytes() == HAND_INSTANCE_TEXT.encode()
+
+
+def test_instance_roundtrip_is_exact_on_random_floats(tmp_path):
+    mdp = random_mdp(np.random.default_rng(71), 6, 3, 2, 0.99)
+    path = tmp_path / "random.mdp"
+    dump_instance(mdp, path)
+    loaded = load_instance(path)
+    np.testing.assert_array_equal(loaded.transitions, mdp.transitions)
+    np.testing.assert_array_equal(loaded.costs, mdp.costs)
 
 
 @pytest.mark.parametrize(
@@ -498,6 +628,11 @@ def test_instance_roundtrip(tmp_path):
             "states 1\nactions 1\nperiod 1\ndiscount 0.9\nkernel 0 0 1 1.0\n",
             "out of range",
         ),
+        ("states 1\nactions 1\nperiod 1\ndiscount 0.9\nkernel 0 0 0 x\n", "bad number in row"),
+        ("states 1\nactions 1\nperiod 1\ndiscount 0.9\ncost 0 0 0.5 1\n", "bad number in row"),
+        ("states 1 2\n", "takes exactly one value"),
+        ("states 1\ndiscount\n", "takes exactly one value"),
+        ("states 1\ndiscount 0.x\n", "bad number '0.x'"),
     ],
 )
 def test_instance_format_errors_carry_line_numbers(tmp_path, text, fragment):
@@ -513,3 +648,87 @@ def test_instance_missing_rows(tmp_path):
     path.write_text("states 1\nactions 1\nperiod 1\ndiscount 0.9\nkernel 0 0 0 1.0\n")
     with pytest.raises(InstanceFormatError, match="missing cost"):
         load_instance(path)
+
+
+H1 = "states 2\nactions 1\nperiod 1\ndiscount 0.9\n"
+ROWS1 = "kernel 0 0 0 0.5 0.5\ncost 0 0 0 1\nkernel 0 1 0 0.5 0.5\ncost 0 1 0 1\n"
+
+
+@pytest.mark.parametrize(
+    "text,line_no,fragment",
+    [
+        # a value count error comes before a bad number, which comes
+        # before a range error, which comes before a duplicate
+        (H1 + "kernel 0 9 0 x\n", 5, "needs 5 values"),
+        (H1 + "kernel 0 9 0 x 0.5\n", 5, "bad number in row"),
+        (H1 + "kernel 0 0 0 0.5 0.5\nkernel 0 9 0 0.5 0.5\n", 6, "out of range"),
+        (H1 + "cost 0 0 0 1\ncost 0 0 0 2\n", 6, r"duplicate cost row for \(0, 0, 0\) \(first at line 5\)"),
+        # the count is checked before the kernel is allocated
+        ("states 1e9\nactions 1\nperiod 1\ndiscount 0.9\nkernel 0 0 0 1\n", 5, "needs 1000000003 values"),
+        # CRLF line ends count one line each
+        (H1.replace("\n", "\r\n") + "\r\nkernel 0 0 0 0.5\r\n", 6, "needs 5 values"),
+    ],
+)
+def test_instance_error_order_and_line_numbers(tmp_path, text, line_no, fragment):
+    path = tmp_path / "bad.mdp"
+    path.write_bytes(text.encode())
+    with pytest.raises(InstanceFormatError, match=fragment) as exc_info:
+        load_instance(path)
+    assert exc_info.value.line_no == line_no
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("states 2\nactions 1\n", "missing dimension directive\\(s\\): period, discount"),
+        (H1, r"missing kernel row for \(0, 0, 0\)"),
+        (H1 + "cost 0 0 0 1\n", r"missing kernel row for \(0, 0, 0\)"),
+        # (l, s, a) order: the first incomplete triple is reported, its
+        # kernel row before its cost line
+        (H1 + "kernel 0 0 0 0.5 0.5\nkernel 0 1 0 0.5 0.5\ncost 0 1 0 1\n",
+         r"missing cost line for \(0, 0, 0\)"),
+        (H1 + "kernel 0 0 0 0.5 0.5\ncost 0 0 0 1\ncost 0 1 0 1\n",
+         r"missing kernel row for \(0, 1, 0\)"),
+    ],
+)
+def test_instance_missing_directives_and_rows(tmp_path, text, fragment):
+    path = tmp_path / "partial.mdp"
+    path.write_text(text)
+    with pytest.raises(InstanceFormatError, match=fragment) as exc_info:
+        load_instance(path)
+    assert exc_info.value.line_no == 0
+
+
+@pytest.mark.parametrize(
+    "dims,line_no,value",
+    [
+        ("states 2.7\nactions 1\nperiod 1\n", 1, "2.7"),
+        ("states -1\nactions 1\nperiod 1\n", 1, "-1"),
+        ("states 2\nactions 1\nperiod 0\n", 3, "0"),
+        ("states 2\nactions 0\nperiod 1\n", 2, "0"),
+        ("states 2\nactions nan\nperiod 1\n", 2, "nan"),
+    ],
+    ids=["states 2.7", "states -1", "period 0", "actions 0", "actions nan"],
+)
+def test_instance_dimensions_are_positive_integers(tmp_path, dims, line_no, value):
+    path = tmp_path / "dims.mdp"
+    path.write_text(dims + "discount 0.9\n" + ROWS1)
+    with pytest.raises(InstanceFormatError, match=f"must be an integer >= 1, got '{value}'") as exc_info:
+        load_instance(path)
+    assert exc_info.value.line_no == line_no
+
+
+def test_instance_integral_float_dimension_is_accepted(tmp_path):
+    path = tmp_path / "dims.mdp"
+    path.write_text("states 2.0\nactions 1\nperiod 1\ndiscount 0.9\n" + ROWS1)
+    assert load_instance(path).num_states == 2
+
+
+def test_instance_dimensions_are_fixed_by_the_first_row(tmp_path):
+    path = tmp_path / "dims.mdp"
+    path.write_text(H1 + ROWS1 + "states 2\ndiscount 0.5\n")
+    assert load_instance(path).discount == 0.5  # same value, or the discount: allowed
+    path.write_text(H1 + "kernel 0 0 0 0.5 0.5\nactions 2\n")
+    with pytest.raises(InstanceFormatError, match="'actions' changes") as exc_info:
+        load_instance(path)
+    assert exc_info.value.line_no == 6
