@@ -22,7 +22,6 @@ from .ipid_model import (
     GeometricPrior,
     IpidScenario,
     SamplePath,
-    TabulatedPrior,
     kl_information,
     log_likelihood_ratio,
     prior_tail_exponent,

@@ -8,15 +8,14 @@ while log odds stay finite and exact far beyond that; callers that need
 p read it back with ``log_odds_to_belief``.
 
 ``update_odds`` is the one recursion.  Each step pumps the odds by the
-prior hazard, then scales them by the stage-matched likelihood ratio
-exp(Z_n) of observation n.  For a geometric prior the step is
+geometric prior's hazard rho, then scales them by the stage-matched
+likelihood ratio exp(Z_n) of observation n:
 
     log R_n = log(R_{n-1} + rho) - log(1 - rho) + Z_n,
 
 the arithmetic of ``log_odds_step_geometric``, which the Monte-Carlo
-engine runs vectorized over paths.  For a tabulated prior the hazard
-comes from the mass/tail ratios of the table.  A state pinned at p = 1
-(log odds +inf) stays pinned: the change is absorbing.
+engine runs vectorized over paths.  A state pinned at p = 1 (log odds
++inf) stays pinned: the change is absorbing.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ipid_model import ChangePrior, GeometricPrior, IpidScenario, log_likelihood_ratio
+from .ipid_model import GeometricPrior, IpidScenario, log_likelihood_ratio
 
 __all__ = [
     "OddsState",
@@ -86,44 +85,18 @@ def log_odds_step_geometric(log_r, rho: float, llr):
     return pumped + llr
 
 
-def _checked_llr(scenario: IpidScenario, n: int, y: float) -> float:
+def update_odds(
+    state: OddsState, prior: GeometricPrior, scenario: IpidScenario, y: float
+) -> OddsState:
+    """Advance log R by one observation y: R' = ((R + rho) / (1 - rho))
+    g(y) / f(y).  Raises ``BeliefUpdateError`` when y lies outside both
+    stage supports (a NaN log likelihood ratio)."""
+    n = state.n + 1
+    if state.log_r == math.inf:
+        return OddsState(math.inf, n)
     llr = log_likelihood_ratio(scenario, n, y)
     if math.isnan(llr):
         raise BeliefUpdateError(
             f"observation {y!r} at time {n} is outside both stage supports"
         )
-    return llr
-
-
-def update_odds(
-    state: OddsState, prior: ChangePrior, scenario: IpidScenario, y: float
-) -> OddsState:
-    """Advance log R by one observation y.
-
-    A geometric prior takes R' = ((R + rho) / (1 - rho)) g(y) / f(y).  A
-    tabulated prior takes
-
-        R_n = (R_{n-1} Gamma_{n-1} / Gamma_n + pi_n / Gamma_n) g(y) / f(y)
-
-    with Gamma_n = P(nu > n), which needs n within the table and
-    Gamma_n > 0; past either the recursion is undefined and an error is
-    raised.
-    """
-    n = state.n + 1
-    if isinstance(prior, GeometricPrior):
-        if state.log_r == math.inf:
-            return OddsState(math.inf, n)
-        llr = _checked_llr(scenario, n, y)
-        return OddsState(float(log_odds_step_geometric(state.log_r, prior.rho, llr)), n)
-    if n > prior.table_length:
-        raise ValueError(f"prior table exhausted at time {n}")
-    log_tail_prev = prior.log_tail(n - 1)
-    log_tail = prior.log_tail(n)
-    if log_tail == -math.inf:
-        raise ValueError(f"prior tail exhausted at time {n}: P(nu > {n}) = 0")
-    if state.log_r == math.inf:
-        return OddsState(math.inf, n)
-    llr = _checked_llr(scenario, n, y)
-    carried = state.log_r + log_tail_prev - log_tail
-    injected = prior.log_mass(n) - log_tail
-    return OddsState(float(np.logaddexp(carried, injected) + llr), n)
+    return OddsState(float(log_odds_step_geometric(state.log_r, prior.rho, llr)), n)

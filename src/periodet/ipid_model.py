@@ -3,11 +3,15 @@
 An i.p.i.d. process emits independent observations whose marginal density
 repeats with period T.  A monitored stream follows the pre-change law
 (f_1, ..., f_T) up to some random change point nu and the post-change law
-(g_1, ..., g_T) from nu on.  This module holds the density and prior
-types, path sampling, the Simpson window that both the divergence and the
-detection DP integrate over, and the two information quantities that
-control asymptotic detection delay: the period-averaged Kullback-Leibler
-divergence and the prior's tail exponent.
+(g_1, ..., g_T) from nu on.  This module holds the density types, the
+geometric change-point prior, path sampling, the Simpson window that both
+the divergence and the detection DP integrate over, and the two
+information quantities that control asymptotic detection delay: the
+period-averaged Kullback-Leibler divergence and the prior's tail exponent.
+
+The prior is geometric and is the only one: its constant hazard rho makes
+the posterior change probability a Markov state, which the detection DP
+and the Monte-Carlo engine both rely on.
 
 Indexing: observation n >= 1 has 0-based stage (n - 1) % T, so the density
 lists are addressed as pre[stage], post[stage].  ``IpidScenario.stage_index``
@@ -17,9 +21,8 @@ is the only place the off-by-one lives.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from dataclasses import dataclass
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -28,10 +31,7 @@ __all__ = [
     "Gaussian",
     "IpidScenario",
     "GeometricPrior",
-    "TabulatedPrior",
-    "ChangePrior",
     "SamplePath",
-    "TruncatedTailWarning",
     "log_likelihood_ratio",
     "sample_path",
     "simpson_window",
@@ -133,10 +133,6 @@ def log_likelihood_ratio(scenario: IpidScenario, n: int, y) -> float:
     return scenario.post[s].logpdf(y) - scenario.pre[s].logpdf(y)
 
 
-class TruncatedTailWarning(UserWarning):
-    """Tail exponent was estimated from a finite mass table."""
-
-
 @dataclass(frozen=True)
 class GeometricPrior:
     """Change point with P(nu = n) = (1-rho)^(n-1) rho for n >= 1."""
@@ -147,103 +143,8 @@ class GeometricPrior:
         if not (0.0 < self.rho < 1.0):
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
 
-    def log_mass(self, n: int) -> float:
-        if n < 1:
-            return -math.inf
-        return (n - 1) * math.log1p(-self.rho) + math.log(self.rho)
-
-    def log_tail(self, n: int) -> float:
-        """log P(nu > n)."""
-        if n < 0:
-            raise ValueError("tail index must be >= 0")
-        return n * math.log1p(-self.rho)
-
     def sample(self, rng: np.random.Generator, size=None):
         return rng.geometric(self.rho, size=size)
-
-
-@dataclass(frozen=True)
-class TabulatedPrior:
-    """Change-point prior given by explicit masses pi_1..pi_N in log form.
-
-    Mass not covered by the table is carried as an explicit log remainder
-    P(nu > N), so tails stay computable far below float underflow of the
-    linear masses.  ``from_masses`` builds the table from linear masses;
-    ``truncated_geometric`` tabulates a geometric prior with its exact
-    remainder.
-    """
-
-    log_masses: np.ndarray
-    log_remainder: float
-
-    # log P(nu > n) for n = 0..N, built once in __post_init__
-    _log_tails: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        lm = np.asarray(self.log_masses, dtype=float)
-        if lm.ndim != 1 or lm.size < 1:
-            raise ValueError("log_masses must be a non-empty 1-d array")
-        if np.any(np.isnan(lm)) or np.any(lm > 0.0):
-            raise ValueError("log masses must be <= 0 and not NaN")
-        object.__setattr__(self, "log_masses", lm)
-        # reverse accumulation: Gamma_n = sum_{k>n} pi_k + remainder
-        tails = np.empty(lm.size + 1)
-        acc = self.log_remainder
-        tails[-1] = acc
-        for i in range(lm.size - 1, -1, -1):
-            acc = np.logaddexp(acc, lm[i])
-            tails[i] = acc
-        if tails[0] > 1e-9:
-            raise ValueError("masses plus remainder exceed 1")
-        object.__setattr__(self, "_log_tails", tails)
-
-    @classmethod
-    def from_masses(cls, masses: Sequence[float]) -> "TabulatedPrior":
-        m = np.asarray(masses, dtype=float)
-        if np.any(m < 0.0):
-            raise ValueError("masses must be nonnegative")
-        total = m.sum()
-        if total > 1.0 + 1e-12:
-            raise ValueError(f"masses sum to {total} > 1")
-        rem = max(1.0 - total, 0.0)
-        with np.errstate(divide="ignore"):
-            return cls(np.log(m), math.log(rem) if rem > 0.0 else -math.inf)
-
-    @classmethod
-    def truncated_geometric(cls, rho: float, n: int) -> "TabulatedPrior":
-        if not (0.0 < rho < 1.0) or n < 1:
-            raise ValueError("need rho in (0,1) and n >= 1")
-        k = np.arange(1, n + 1)
-        log_masses = (k - 1) * math.log1p(-rho) + math.log(rho)
-        return cls(log_masses, n * math.log1p(-rho))
-
-    @property
-    def table_length(self) -> int:
-        return int(self.log_masses.size)
-
-    def log_mass(self, n: int) -> float:
-        if n < 1:
-            return -math.inf
-        if n > self.table_length:
-            raise ValueError(f"mass pi_{n} is beyond the table (N={self.table_length})")
-        return float(self.log_masses[n - 1])
-
-    def log_tail(self, n: int) -> float:
-        if n < 0:
-            raise ValueError("tail index must be >= 0")
-        if n > self.table_length:
-            raise ValueError(f"tail Gamma_{n} is beyond the table (N={self.table_length})")
-        return float(self._log_tails[n])
-
-    def sample(self, rng: np.random.Generator, size=None):
-        # inverse CDF over the tabulated masses; remainder lands beyond N
-        cum = np.cumsum(np.exp(self.log_masses))
-        u = rng.random(size=size)
-        idx = np.searchsorted(cum, u, side="right") + 1  # beyond-table -> N + 1
-        return idx if size is not None else int(idx)
-
-
-ChangePrior = GeometricPrior | TabulatedPrior
 
 
 @dataclass(frozen=True)
@@ -266,19 +167,11 @@ class SamplePath:
 
 
 def sample_path(
-    scenario: IpidScenario, prior: ChangePrior, horizon: int, seed: int
+    scenario: IpidScenario, prior: GeometricPrior, horizon: int, seed: int
 ) -> SamplePath:
     """Draw a change point from the prior and a length-``horizon`` stream."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if (
-        isinstance(prior, TabulatedPrior)
-        and prior.table_length < horizon
-        and prior.log_remainder > -math.inf
-    ):
-        # remainder mass would land somewhere inside (N, horizon] with an
-        # unspecified distribution
-        raise ValueError("tabulated prior is shorter than the horizon")
     rng = np.random.default_rng(seed)
     nu = int(prior.sample(rng))
     obs = np.empty(horizon)
@@ -352,22 +245,7 @@ def kl_information(scenario: IpidScenario) -> float:
     return info
 
 
-def prior_tail_exponent(prior: ChangePrior) -> float:
-    """Exponential decay rate of the prior tail, -log P(nu > n) / n.
-
-    Exact for geometric priors.  For tabulated priors the rate is read off
-    at the last table entry and a ``TruncatedTailWarning`` is issued, since
-    a finite table cannot pin the true limit.
-    """
-    if isinstance(prior, GeometricPrior):
-        return -math.log1p(-prior.rho)
-    n = prior.table_length
-    log_tail = prior.log_tail(n)
-    if log_tail == -math.inf:
-        raise ValueError("prior tail vanishes at the end of the table")
-    warnings.warn(
-        "tail exponent estimated from a finite mass table",
-        TruncatedTailWarning,
-        stacklevel=2,
-    )
-    return -log_tail / n
+def prior_tail_exponent(prior: GeometricPrior) -> float:
+    """Exponential decay rate of the prior tail, -log P(nu > n) / n, which
+    for the geometric prior is -log(1 - rho) at every n."""
+    return -math.log1p(-prior.rho)

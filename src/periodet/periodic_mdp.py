@@ -91,12 +91,17 @@ class PeriodicMdp:
         row_sums = P.sum(axis=-1)
         # written so that a NaN row sum fails too
         if not np.all(np.abs(row_sums - 1.0) <= _ROW_SUM_TOL):
-            bad = np.unravel_index(np.argmax(np.abs(row_sums - 1.0)), row_sums.shape)
-            raise ValueError(f"transition row {bad} sums to {row_sums[bad]!r}")
+            worst = np.argmax(np.abs(row_sums - 1.0))
+            bad = tuple(int(i) for i in np.unravel_index(worst, row_sums.shape))
+            raise ValueError(f"transition row {bad} sums to {float(row_sums[bad])!r}")
         if np.any(c < 0.0) or not np.all(np.isfinite(c)):
             raise ValueError("stage costs must be finite and nonnegative")
         if not 0.0 <= self.discount <= 1.0:
             raise ValueError(f"discount must lie in [0, 1], got {self.discount}")
+        if isinstance(self.discount, np.generic):
+            # kept as the Python number, so that ``dump_instance`` writes a
+            # repr that ``load_instance`` reads back
+            object.__setattr__(self, "discount", self.discount.item())
         P.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "transitions", P)
@@ -434,8 +439,9 @@ def simulate_policy(
 
     ``stage_maps`` has shape (T, S); a stationary policy is the same row
     repeated.  Returns (mean cost, standard error) over ``n_paths`` >= 1
-    paths of ``horizon`` >= 0 steps.  The truncation bias is at most
-    alpha^horizon * max_cost / (1 - alpha) for alpha < 1.
+    paths of ``horizon`` >= 0 steps; the standard error of a single path
+    is NaN.  The truncation bias is at most alpha^horizon * max_cost /
+    (1 - alpha) for alpha < 1.
 
     Each step draws one uniform u per path and moves the path to the state
     #{j : cum[j] < u}, where cum is the cumulative sum of its kernel row
@@ -489,7 +495,8 @@ def simulate_policy(
             fwd = fwd[flat[pos[fwd] + 1] < u[fwd]]
         states = pos - width * rows_at
         disc *= mdp.discount
-    return float(total.mean()), float(total.std(ddof=1) / np.sqrt(n_paths))
+    se = float(total.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else math.nan
+    return float(total.mean()), se
 
 
 class InstanceFormatError(ValueError):

@@ -21,7 +21,6 @@ from periodet import (
     GeometricPrior,
     OddsState,
     PeriodicThresholds,
-    TabulatedPrior,
     analytic_delay,
     estimate_add_pfa,
     estimate_bayes_cost,
@@ -42,7 +41,7 @@ from periodet import (
 from periodet.cli import DEFAULT_THRESHOLD_GRID, REPRODUCE_TABLES, bundled_config
 from periodet.detection_dp import DetectionCostSpec
 
-from conftest import make_scenario, random_mdp
+from conftest import brute_force_posterior, make_scenario, random_mdp
 from test_detection_dp import classical_shiryaev_solver
 
 SEED = 20240801
@@ -245,19 +244,17 @@ def test_criterion_8_property_suites(solved_t2, solved_t4, alternating_t2):
     guarantees against an independent oracle, the classical reduction, the
     structural invariants of solved stopping problems, and solver-vs-
     simulation consistency on every bundled scenario."""
-    # geometric vs tabulated-prior recursion to 1e-9 in p on randomized
-    # sample paths
+    # log-odds recursion vs the brute-force Bayes posterior to 1e-9 in p on
+    # randomized sample paths
     scen = make_scenario([0.0, 0.0], [1.0, 0.25])
     prior = GeometricPrior(0.02)
-    table = TabulatedPrior.truncated_geometric(prior.rho, 200)
     for seed in range(10):
         path = sample_path(scen, prior, horizon=200, seed=seed)
-        geometric, tabulated = OddsState(-math.inf), OddsState(-math.inf)
-        for y in path.observations:
-            geometric = update_odds(geometric, prior, scen, y)
-            tabulated = update_odds(tabulated, table, scen, y)
-            gap = log_odds_to_belief(tabulated.log_r) - log_odds_to_belief(geometric.log_r)
-            assert abs(gap) <= 1e-9
+        want = brute_force_posterior(scen, prior.rho, path.observations)
+        state = OddsState(-math.inf)
+        for y, p in zip(path.observations, want):
+            state = update_odds(state, prior, scen, y)
+            assert abs(log_odds_to_belief(state.log_r) - p) <= 1e-9
 
     # value iteration: monotone iterates, residual at tol, oracle sandwich
     # on 50 random small instances at discount 0.9

@@ -11,14 +11,13 @@ from periodet import (
     GeometricPrior,
     IpidScenario,
     OddsState,
-    TabulatedPrior,
     belief_to_log_odds,
     log_odds_to_belief,
     sample_path,
     update_odds,
 )
 
-from conftest import make_scenario
+from conftest import brute_force_posterior, make_scenario
 
 
 def plain_domain_update(p, rho, scenario, n, y):
@@ -102,7 +101,7 @@ def test_update_belief_bounded_supports_error():
         update_odds(OddsState(belief_to_log_odds(0.1)), GeometricPrior(0.01), scen, y=2.5)
 
 
-# ── geometric and tabulated priors ─────────────────────────────────────
+# ── geometric prior ────────────────────────────────────────────────────
 
 
 def test_odds_geometric_first_step():
@@ -117,56 +116,6 @@ def test_odds_geometric_arithmetic_example():
     y = (math.log(2.0) + 2.0) / 2.0  # solves theta*y - theta^2/2 = log 2
     state = update_odds(OddsState(0.0), GeometricPrior(0.01), scen, y=y)
     assert math.exp(state.log_r) == pytest.approx((1.01 / 0.99) * 2.0, rel=1e-10)
-
-
-def test_odds_general_first_step_matches_hazard():
-    same = make_scenario([0.0], [0.0])
-    prior = TabulatedPrior.truncated_geometric(0.01, 100)
-    state = update_odds(OddsState(-math.inf), prior, same, y=1.0)
-    assert math.exp(state.log_r) == pytest.approx(0.01 / 0.99, rel=1e-12)
-
-
-def test_odds_general_identical_densities_closed_form():
-    # with unit likelihood ratios the odds are the prior odds
-    same = make_scenario([0.0, 0.0], [0.0, 0.0])
-    rho = 0.05
-    prior = TabulatedPrior.truncated_geometric(rho, 64)
-    state = OddsState(-math.inf)
-    for n in range(1, 41):
-        state = update_odds(state, prior, same, y=0.0)
-        want = (1.0 - (1.0 - rho) ** n) / (1.0 - rho) ** n
-        assert math.exp(state.log_r) == pytest.approx(want, rel=1e-11)
-
-
-def test_odds_general_specializes_to_geometric():
-    scen = make_scenario([0.0, 0.0], [2.0, 1.0])
-    rho = 0.02
-    prior = TabulatedPrior.truncated_geometric(rho, 512)
-    rng = np.random.default_rng(42)
-    general = OddsState(-math.inf)
-    geometric = OddsState(-math.inf)
-    for _ in range(400):
-        y = rng.normal()
-        general = update_odds(general, prior, scen, y)
-        geometric = update_odds(geometric, GeometricPrior(rho), scen, y)
-        assert general.log_r == pytest.approx(geometric.log_r, abs=1e-9)
-
-
-def test_odds_general_tail_exhausted():
-    same = make_scenario([0.0], [0.0])
-    prior = TabulatedPrior.from_masses([0.6, 0.4])  # Gamma_2 = 0
-    state = update_odds(OddsState(-math.inf), prior, same, y=0.0)
-    with pytest.raises(ValueError, match="tail exhausted"):
-        update_odds(state, prior, same, y=0.0)
-
-
-def test_odds_general_beyond_table():
-    same = make_scenario([0.0], [0.0])
-    prior = TabulatedPrior.from_masses([0.1, 0.1])
-    state = update_odds(OddsState(-math.inf), prior, same, y=0.0)
-    state = update_odds(state, prior, same, y=0.0)
-    with pytest.raises(ValueError, match="table exhausted"):
-        update_odds(state, prior, same, y=0.0)
 
 
 # ── belief <-> odds transform ──────────────────────────────────────────
@@ -192,21 +141,17 @@ def test_roundtrip_inverse(p):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), rho=st.floats(0.001, 0.2))
 def test_belief_and_odds_paths_agree(seed, rho):
-    """The geometric step and the tabulated mass/tail step of the same
-    prior track each other to 1e-9 in p at every step of randomized
+    """The log-odds recursion tracks the brute-force Bayes posterior
+    P(nu <= n | y_1..y_n) to 1e-9 in p at every step of randomized
     thousand-step sample paths."""
     scen = make_scenario([0.0, 0.0], [1.0, 0.25])
     prior = GeometricPrior(rho)
-    table = TabulatedPrior.truncated_geometric(rho, 1000)
     path = sample_path(scen, prior, horizon=1000, seed=seed)
-    geometric = OddsState(-math.inf)
-    tabulated = OddsState(-math.inf)
-    for y in path.observations:
-        geometric = update_odds(geometric, prior, scen, y)
-        tabulated = update_odds(tabulated, table, scen, y)
-        assert log_odds_to_belief(tabulated.log_r) == pytest.approx(
-            log_odds_to_belief(geometric.log_r), abs=1e-9
-        )
+    want = brute_force_posterior(scen, rho, path.observations)
+    state = OddsState(-math.inf)
+    for y, p in zip(path.observations, want):
+        state = update_odds(state, prior, scen, y)
+        assert log_odds_to_belief(state.log_r) == pytest.approx(p, abs=1e-9)
 
 
 def test_log_odds_path_matches_plain_domain_path():

@@ -9,13 +9,12 @@ from periodet import (
     Gaussian,
     GeometricPrior,
     IpidScenario,
-    TabulatedPrior,
     kl_information,
     log_likelihood_ratio,
     prior_tail_exponent,
     sample_path,
 )
-from periodet.ipid_model import TruncatedTailWarning, _kl_quadrature
+from periodet.ipid_model import _kl_quadrature
 
 from conftest import make_scenario
 
@@ -154,11 +153,10 @@ def test_post_change_llr_average_converges_to_information():
     # strong-law check: (1/n) sum Z_i over post-change samples near I
     scen = make_scenario([0.0, 0.0], [0.75, 0.25])
     info = kl_information(scen)
-    prior = TabulatedPrior.from_masses([1.0])  # change at the first sample
-    path = sample_path(scen, prior, horizon=10_000, seed=5)
+    rng = np.random.default_rng(5)
     z = np.array([
-        log_likelihood_ratio(scen, n, path.observations[n - 1])
-        for n in range(1, path.horizon + 1)
+        log_likelihood_ratio(scen, n, scen.post[scen.stage_index(n)].sample(rng))
+        for n in range(1, 10_001)
     ])
     se = z.std(ddof=1) / math.sqrt(z.size)
     assert abs(z.mean() - info) < 3.0 * se
@@ -206,35 +204,3 @@ def test_tail_exponent_geometric():
 
 def test_tail_exponent_vanishes_as_rho_vanishes():
     assert prior_tail_exponent(GeometricPrior(1e-9)) == pytest.approx(0.0, abs=1e-8)
-
-
-def test_tail_exponent_from_tabulated_geometric():
-    prior = TabulatedPrior.truncated_geometric(0.1, 10_000)
-    with pytest.warns(TruncatedTailWarning):
-        est = prior_tail_exponent(prior)
-    assert est == pytest.approx(abs(math.log(0.9)), abs=1e-6)
-
-
-# ── tabulated priors ───────────────────────────────────────────────────
-
-
-def test_tabulated_prior_validation():
-    with pytest.raises(ValueError):
-        TabulatedPrior.from_masses([0.7, 0.7])
-    with pytest.raises(ValueError):
-        TabulatedPrior.from_masses([-0.1, 0.5])
-
-
-def test_tabulated_tails_match_geometric():
-    rho = 0.2
-    prior = TabulatedPrior.truncated_geometric(rho, 50)
-    for n in (0, 1, 7, 50):
-        assert prior.log_tail(n) == pytest.approx(n * math.log1p(-rho), abs=1e-12)
-    assert prior.log_mass(3) == pytest.approx(GeometricPrior(rho).log_mass(3), abs=1e-12)
-
-
-def test_tabulated_tails_nonincreasing():
-    prior = TabulatedPrior.from_masses([0.5, 0.2, 0.1])
-    tails = [prior.log_tail(n) for n in range(4)]
-    assert all(a >= b for a, b in zip(tails, tails[1:]))
-    assert tails[0] == pytest.approx(0.0, abs=1e-12)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,13 @@ def test_mdp_rejects_nan_transition():
     P[0, 0, 0, 1] = np.nan  # the row sum is NaN, which no "> tol" test catches
     with pytest.raises(ValueError, match="row"):
         PeriodicMdp(transitions=P, costs=HAND_C, discount=0.5)
+
+
+def test_row_sum_error_names_plain_numbers():
+    P = np.array([[[[0.5, 0.6]], [[0.0, 1.0]]]])
+    with pytest.raises(ValueError) as exc:
+        PeriodicMdp(transitions=P, costs=np.zeros((1, 2, 1)), discount=0.5)
+    assert str(exc.value) == "transition row (0, 0, 0) sums to 1.1"
 
 
 # ── stage and cycle operators ──────────────────────────────────────────
@@ -554,6 +563,14 @@ def test_simulate_policy_rejects_bad_inputs(stage_maps, n_paths, horizon, fragme
         simulate_policy(hand_mdp(), np.array(stage_maps), n_paths, horizon, seed=0)
 
 
+def test_simulate_policy_single_path_has_nan_error_and_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, se = simulate_policy(hand_mdp(), np.zeros((2, 2), dtype=int), 1, 5, seed=0)
+    assert np.isfinite(mean)
+    assert np.isnan(se)
+
+
 def test_simulate_policy_zero_horizon_costs_nothing():
     assert simulate_policy(hand_mdp(), np.zeros((2, 2), dtype=int), 10, 0, seed=0) == (0.0, 0.0)
 
@@ -599,6 +616,17 @@ def test_dump_instance_pinned_text(tmp_path):
     path = tmp_path / "hand.mdp"
     dump_instance(hand_mdp(), path)
     assert path.read_bytes() == HAND_INSTANCE_TEXT.encode()
+
+
+@pytest.mark.parametrize(
+    "discount,text", [(np.float64(0.9), "discount 0.9\n"), (np.int64(1), "discount 1\n")]
+)
+def test_instance_roundtrip_numpy_scalar_discount(tmp_path, discount, text):
+    mdp = PeriodicMdp(np.ones((1, 1, 1, 1)), np.ones((1, 1, 1)), discount)
+    path = tmp_path / "scalar.mdp"
+    dump_instance(mdp, path)
+    assert text in path.read_text()
+    assert load_instance(path).discount == discount
 
 
 def test_instance_roundtrip_is_exact_on_random_floats(tmp_path):
