@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from periodet import (
     BeliefUpdateError,
+    Gaussian,
     GeometricPrior,
     IpidScenario,
     OddsState,
@@ -135,6 +136,41 @@ def test_roundtrip_inverse(p):
     assert log_odds_to_belief(belief_to_log_odds(p)) == pytest.approx(p, abs=1e-12)
 
 
+# ── the brute-force oracle itself ──────────────────────────────────────
+
+
+def test_brute_force_posterior_first_step():
+    # p_1 = rho g(y) / (rho g(y) + (1 - rho) f(y))
+    scen = make_scenario([0.0], [2.0])
+    rho, y = 0.1, 0.7
+    f = math.exp(scen.pre[0].logpdf(y))
+    g = math.exp(scen.post[0].logpdf(y))
+    want = rho * g / (rho * g + (1.0 - rho) * f)
+    assert brute_force_posterior(scen, rho, [y])[0] == pytest.approx(want, rel=1e-12)
+
+
+def test_brute_force_posterior_pure_prior_closed_form():
+    # g == f: the posterior is the prior mass P(nu <= n) = 1 - (1-rho)^n
+    same = make_scenario([0.0, 0.0], [0.0, 0.0])
+    rho = 0.03
+    got = brute_force_posterior(same, rho, np.arange(200.0) % 5)
+    want = 1.0 - (1.0 - rho) ** np.arange(1, 201)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_brute_force_posterior_matches_plain_domain_path():
+    """The two references share no code: the sum over change points and the
+    probability-domain step agree while the latter stays representable."""
+    scen = make_scenario([0.0, 0.0], [2.0, 1.0])
+    rho = 0.01
+    ys = np.random.default_rng(17).normal(size=300)
+    got = brute_force_posterior(scen, rho, ys)
+    p_plain = 0.0
+    for n, (y, p) in enumerate(zip(ys, got), start=1):
+        p_plain = plain_domain_update(p_plain, rho, scen, n, y)
+        assert p == pytest.approx(p_plain, abs=1e-9)
+
+
 # ── path-level properties ──────────────────────────────────────────────
 
 
@@ -167,6 +203,23 @@ def test_log_odds_path_matches_plain_domain_path():
         state = update_odds(state, GeometricPrior(rho), scen, y)
         p_plain = plain_domain_update(p_plain, rho, scen, n, y)
         assert log_odds_to_belief(state.log_r) == pytest.approx(p_plain, abs=1e-9)
+
+
+def test_recursion_matches_brute_force_on_unequal_variances():
+    """Period-3 stages whose pre- and post-change variances differ, so the
+    stage index and the quadratic LLR terms both enter the comparison."""
+    scen = IpidScenario(
+        pre=(Gaussian(0.0, 1.0), Gaussian(0.5, 2.0), Gaussian(-1.0, 0.5)),
+        post=(Gaussian(1.0, 0.5), Gaussian(0.5, 1.0), Gaussian(0.0, 2.0)),
+    )
+    prior = GeometricPrior(0.05)
+    for seed in range(3):
+        path = sample_path(scen, prior, horizon=300, seed=seed)
+        want = brute_force_posterior(scen, prior.rho, path.observations)
+        state = OddsState(-math.inf)
+        for y, p in zip(path.observations, want):
+            state = update_odds(state, prior, scen, y)
+            assert log_odds_to_belief(state.log_r) == pytest.approx(p, abs=1e-9)
 
 
 def test_pure_prior_accumulation_closed_form():

@@ -127,6 +127,23 @@ def test_geometric_change_point_mean():
     assert abs(draws.mean() - 100.0) / 100.0 < 0.02
 
 
+@pytest.mark.parametrize("rho", [0.0, 1.0, -0.1, 1.5, math.nan])
+def test_geometric_prior_rejects_rho_outside_unit_interval(rho):
+    with pytest.raises(ValueError, match="rho must lie in"):
+        GeometricPrior(rho)
+
+
+def test_geometric_change_point_tails():
+    # nu >= 1, and P(nu > n) = (1 - rho)^n within 4 binomial SE at 1e5 draws
+    rho = 0.2
+    draws = GeometricPrior(rho).sample(np.random.default_rng(321), size=100_000)
+    assert draws.min() == 1
+    for n in (1, 3, 7, 15):
+        want = (1.0 - rho) ** n
+        se = math.sqrt(want * (1.0 - want) / draws.size)
+        assert abs(np.mean(draws > n) - want) < 4.0 * se
+
+
 def test_sample_path_records_beyond_horizon_change():
     scen = make_scenario([0.0], [2.0])
     prior = GeometricPrior(1e-6)
@@ -204,3 +221,11 @@ def test_tail_exponent_geometric():
 
 def test_tail_exponent_vanishes_as_rho_vanishes():
     assert prior_tail_exponent(GeometricPrior(1e-9)) == pytest.approx(0.0, abs=1e-8)
+
+
+def test_tail_exponent_matches_sampled_change_points():
+    # -log P(nu > n) / n read off 1e5 sampled change points at n = 20
+    prior = GeometricPrior(0.1)
+    draws = prior.sample(np.random.default_rng(99), size=100_000)
+    empirical = -math.log(np.mean(draws > 20)) / 20
+    assert empirical == pytest.approx(prior_tail_exponent(prior), rel=0.02)
