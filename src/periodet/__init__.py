@@ -41,12 +41,9 @@ from .monte_carlo import (
 )
 from .periodic_mdp import (
     PeriodicMdp,
-    PeriodicPolicy,
     StageValues,
     apply_cycle_operator,
-    apply_stage_operator,
     evaluate_policy,
-    extract_periodic_policy,
     finite_horizon_oracle,
     fixed_point_residual,
     load_instance,

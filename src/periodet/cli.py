@@ -46,7 +46,6 @@ from .monte_carlo import (
 )
 from .periodic_mdp import (
     InstanceFormatError,
-    extract_periodic_policy,
     fixed_point_residual,
     load_instance,
     value_iterate,
@@ -70,10 +69,12 @@ DEFAULT_TRADEOFF_ALPHAS = (1e-2, 1e-3, 1e-4)
 
 
 class ConfigError(ValueError):
-    """Bad experiment config; carries the offending line number."""
+    """Bad experiment config; carries the offending line number, or None
+    when the fault concerns the whole file."""
 
-    def __init__(self, source: str, line_no: int, message: str):
-        super().__init__(f"{source}:{line_no}: {message}")
+    def __init__(self, source: str, line_no: int | None, message: str):
+        where = source if line_no is None else f"{source}:{line_no}"
+        super().__init__(f"{where}: {message}")
         self.line_no = line_no
 
 
@@ -142,7 +143,8 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
 
     Lists are comma separated; '#' starts a comment.  Every violation,
     an out-of-range value included, is reported with the source name and
-    line number of the offending field.
+    line number of the offending field; a fault of the whole file (a
+    missing field, a check of the model types) with the source name only.
     """
     values: dict[str, object] = {}
     lines_of: dict[str, int] = {}
@@ -178,7 +180,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
 
     for key in _REQUIRED:
         if key not in values:
-            raise ConfigError(source, 0, f"missing required field {key!r}")
+            raise ConfigError(source, None, f"missing required field {key!r}")
     period = int(values["period"])  # type: ignore[arg-type]
     values.setdefault("pre_vars", (1.0,) * period)
     values.setdefault("post_vars", (1.0,) * period)
@@ -202,7 +204,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         cfg.scenario()
         cfg.cost_spec()
     except (TypeError, ValueError) as exc:
-        raise ConfigError(source, 0, str(exc)) from exc
+        raise ConfigError(source, None, str(exc)) from exc
     return cfg
 
 
@@ -347,27 +349,20 @@ def cmd_solve(args) -> int:
     return EXIT_OK if solution.converged else EXIT_NO_CONVERGENCE
 
 
-def _parse_policy(spec: str) -> SingleThreshold | PeriodicThresholds:
-    kind, _, rest = spec.partition(":")
-    if kind == "single":
-        return SingleThreshold(float(rest))
-    if kind == "periodic":
-        return PeriodicThresholds(tuple(float(v) for v in rest.split(",")))
-    raise ValueError(
-        f"bad policy spec {spec!r}; expected 'optimal', 'single:A', or 'periodic:a0,a1,...'"
-    )
-
-
 def cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     exit_code = EXIT_OK
-    if args.policy == "optimal":
+    policy = args.policy
+    if policy == "optimal":
         solution = _solve_from_config(cfg)
         policy = PeriodicThresholds(tuple(solution.thresholds))
         if not solution.converged:
             exit_code = EXIT_NO_CONVERGENCE
     else:
-        policy = _parse_policy(args.policy)
+        try:
+            policy.stage_thresholds(cfg.period)
+        except ValueError as exc:  # a periodic rule of the wrong length
+            raise argparse.ArgumentError(None, f"argument --policy: {exc}") from None
     report = estimate_bayes_cost(
         cfg.scenario(), cfg.cost_spec(), policy, cfg.paths, horizon=cfg.horizon, seed=cfg.seed
     )
@@ -387,11 +382,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    grid = (
-        tuple(float(v) for v in args.thresholds.split(","))
-        if args.thresholds
-        else DEFAULT_THRESHOLD_GRID
-    )
+    grid = args.thresholds or DEFAULT_THRESHOLD_GRID
     result = sweep_single_threshold(
         cfg.scenario(), cfg.cost_spec(), grid, cfg.paths, seed=cfg.seed, horizon=cfg.horizon
     )
@@ -523,8 +514,8 @@ def cmd_reproduce(args) -> int:
 def cmd_mdp_solve(args) -> int:
     mdp = load_instance(args.instance)
     values = value_iterate(mdp, tol=args.tol, max_cycles=args.max_cycles)
-    policy = extract_periodic_policy(values, mdp)
-    residual = fixed_point_residual(values, mdp)
+    actions = values.actions
+    residual = fixed_point_residual(values.values[0], mdp)
     out_dir = Path(args.out_dir)
     stem = Path(args.instance).stem
     _write_csv(
@@ -535,13 +526,13 @@ def cmd_mdp_solve(args) -> int:
     _write_csv(
         out_dir / f"{stem}_policy.csv",
         ["stage", "state", "action"],
-        [[l, s, int(policy.actions[l, s])] for l in range(mdp.period) for s in range(mdp.num_states)],
+        [[l, s, int(actions[l, s])] for l in range(mdp.period) for s in range(mdp.num_states)],
     )
     print(f"cycles: {values.cycles} (converged: {values.converged})")
     print(f"fixed-point residual: {residual:.3e}")
     for l in range(mdp.period):
         print(f"stage {l}: values {np.round(values.values[l], 6).tolist()} "
-              f"actions {policy.actions[l].tolist()}")
+              f"actions {actions[l].tolist()}")
     print(f"wrote {out_dir / (stem + '_values.csv')}")
     print(f"wrote {out_dir / (stem + '_policy.csv')}")
     return EXIT_OK if values.converged else EXIT_NO_CONVERGENCE
@@ -574,16 +565,40 @@ def _field_type(key: str):
     return convert
 
 
-def _alpha_levels(text: str) -> tuple[float, ...]:
-    """argparse ``type=`` for ``--alpha``: comma-separated false-alarm
-    levels, each in (0, 1), so a bad level exits 2 naming the flag."""
+def _float_list(in_range, what: str):
+    """argparse ``type=`` for a comma-separated list of numbers, each
+    passing ``in_range`` (the range ``what``), so a bad entry exits 2
+    naming the flag."""
+
+    def convert(text: str) -> tuple[float, ...]:
+        try:
+            values = tuple(float(v) for v in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad list {text!r}") from None
+        if not all(in_range(v) for v in values):
+            raise argparse.ArgumentTypeError(f"each entry must be {what}, got {text!r}")
+        return values
+
+    return convert
+
+
+def _policy_spec(text: str) -> str | SingleThreshold | PeriodicThresholds:
+    """argparse ``type=`` for ``--policy``: 'optimal' as is, or the rule of
+    'single:A' or 'periodic:a0,a1,...', so a bad spec exits 2 naming the
+    flag."""
+    if text == "optimal":
+        return text
+    kind, _, rest = text.partition(":")
     try:
-        levels = tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad level list {text!r}") from None
-    if not all(0.0 < v < 1.0 for v in levels):
-        raise argparse.ArgumentTypeError(f"each level must be in (0, 1), got {text!r}")
-    return levels
+        if kind == "single":
+            return SingleThreshold(float(rest))
+        if kind == "periodic":
+            return PeriodicThresholds(tuple(float(v) for v in rest.split(",")))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad policy spec {text!r}: {exc}") from None
+    raise argparse.ArgumentTypeError(
+        f"bad policy spec {text!r}; expected 'optimal', 'single:A', or 'periodic:a0,a1,...'"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -607,19 +622,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte-Carlo Bayes cost of a policy")
     common(p)
-    p.add_argument("--policy", default="optimal",
+    p.add_argument("--policy", type=_policy_spec, default="optimal",
                    help="'optimal', 'single:A', or 'periodic:a0,a1,...'")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="single-threshold cost over a threshold grid")
     common(p)
-    p.add_argument("--thresholds", default=None, help="comma-separated thresholds")
+    p.add_argument("--thresholds", type=_float_list(lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+                   default=None, help="comma-separated thresholds, each in [0, 1)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("tradeoff", help="delay vs false-alarm tradeoff curve")
     common(p)
-    p.add_argument("--alpha", type=_alpha_levels, default=None,
-                   help="comma-separated false-alarm levels, each in (0, 1)")
+    p.add_argument("--alpha", type=_float_list(lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+                   default=None, help="comma-separated false-alarm levels, each in (0, 1)")
     p.set_defaults(func=cmd_tradeoff)
 
     p = sub.add_parser("reproduce", help="run a bundled experiment batch")
@@ -642,6 +658,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except argparse.ArgumentError as exc:  # a flag value that only the config can refute
+        parser.error(str(exc))
     except (ConfigError, InstanceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -20,8 +20,8 @@ it adds nothing to the cost-to-go; a row summing above one (a window too
 coarse for the stage's densities) fails the row-sum check of
 ``PeriodicMdp``.  ``solve_detection`` solves it exactly with
 ``periodic_mdp.policy_iterate`` from the proper policy "stop everywhere"
-and reads the stage, continue and stop curves off the Q-tables of one more
-``apply_cycle_operator`` sweep.
+and reads the stage, continue and stop curves off the Q-tables it returns,
+those of its last ``apply_cycle_operator`` sweep.
 
 Timing convention (applied identically here and in the Monte-Carlo
 harness): observations are numbered n = 1, 2, ..., and observation n has
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ipid_model import IpidScenario, simpson_window
-from .periodic_mdp import PeriodicMdp, apply_cycle_operator, policy_iterate
+from .periodic_mdp import PeriodicMdp, policy_iterate
 
 __all__ = [
     "DetectionCostSpec",
@@ -204,15 +204,14 @@ def solve_detection(
     ``max_cycles`` caps the improvement steps, and ``converged`` means the
     policy repeated with a fixed-point residual within ``tol``; ``cycles``
     and the histories count improvement steps.  The returned curves are
-    the Q-tables and entry values of one more cycle applied to the final
-    policy's stage-0 values."""
+    read off the Q-tables that ``policy_iterate`` returns, those of one
+    cycle applied to the final policy's stage-0 values."""
     mdp = detection_mdp(scenario, costs, grid_resolution)
     stop_everywhere = np.ones((mdp.period, mdp.num_states), dtype=int)
     result = policy_iterate(mdp, stop_everywhere, tol=tol, max_cycles=max_cycles)
     grid = BeliefGrid(grid_resolution)
     M = grid.resolution
-    q, entries = apply_cycle_operator(result.values[0], mdp)
-    cont, stop, entry = q[:, :M, 0], q[:, :M, 1], entries[:, :M]
+    cont, stop, entry = result.q[:, :M, 0], result.q[:, :M, 1], result.q[:, :M].min(axis=2)
     return DetectionSolution(
         grid=grid,
         costs=costs,

@@ -147,8 +147,8 @@ def _simulate_stopping(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Vectorized runs of K threshold rules over one set of sample paths.
 
-    ``thresholds`` is (T,) for one rule or (K, T) for K rules whose levels
-    are nondecreasing in k at every stage.  A path's observations do not
+    ``thresholds`` is (K, T): K rules (K = 1 for one) whose levels are
+    nondecreasing in k at every stage.  A path's observations do not
     depend on when a rule stops, so each path is drawn until it has
     crossed all K levels (or the horizon ends), and tau[:, k] is the first
     time its log-odds exceeds level k.  A running path compares its
@@ -157,9 +157,9 @@ def _simulate_stopping(
     once.  Draws go post-change before pre-change over the running paths,
     so one rule sees the same draws at every K.
 
-    Returns (nu, tau, log_r_at_tau).  tau is int32 of shape (n_paths, K),
-    or (n_paths,) for a (T,) input; both times use horizon + 1 as the
-    beyond-horizon sentinel (change never arrived / rule never alarmed).
+    Returns (nu, tau, log_r_at_tau).  tau is int32 of shape (n_paths, K);
+    both times use horizon + 1 as the beyond-horizon sentinel (change
+    never arrived / rule never alarmed).
     log_r_at_tau has tau's shape (+inf where no alarm) when ``with_log_r``
     is set and is None otherwise.
     """
@@ -168,8 +168,8 @@ def _simulate_stopping(
     if horizon + 1 > np.iinfo(np.int32).max:
         raise ValueError(f"horizon {horizon} does not fit int32 stopping times")
     levels = np.asarray(thresholds, dtype=float)
-    single = levels.ndim == 1
-    levels = np.atleast_2d(levels)
+    if levels.shape[1:] != (scenario.period,):
+        raise ValueError(f"thresholds must have shape (K, {scenario.period}), got {levels.shape}")
     if np.any(np.diff(levels, axis=0) < 0.0):
         raise ValueError("threshold rows must be nondecreasing at every stage")
     n_levels = levels.shape[0]
@@ -210,8 +210,6 @@ def _simulate_stopping(
             alive, log_r, next_level = alive[running], log_r[running], next_level[running]
             if alive.size == 0:
                 break
-    if single:
-        return nu, tau[:, 0], None if log_r_at_tau is None else log_r_at_tau[:, 0]
     return nu, tau, log_r_at_tau
 
 
@@ -290,9 +288,9 @@ def estimate_bayes_cost(
     if scenario.period != costs.period:
         raise ValueError("scenario and cost spec periods differ")
     horizon = default_horizon(costs.rho) if horizon is None else horizon
-    thresholds = policy.stage_thresholds(scenario.period)
-    nu, tau, _ = _simulate_stopping(scenario, costs.rho, thresholds, n_paths, horizon, seed)
-    return _bayes_cost_reports(costs, nu, tau[:, None], seed, horizon)[0]
+    levels = policy.stage_thresholds(scenario.period)[None]
+    nu, tau, _ = _simulate_stopping(scenario, costs.rho, levels, n_paths, horizon, seed)
+    return _bayes_cost_reports(costs, nu, tau, seed, horizon)[0]
 
 
 @dataclass(frozen=True)

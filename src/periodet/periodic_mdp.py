@@ -11,10 +11,11 @@ Bellman operators innermost-last:
 
 so a fixed point of Psi is the optimal cost seen at entry to stage 0.
 ``apply_cycle_operator`` returns the T stage Q-tables of one sweep and
-their minima, the T intermediate stage compositions.  The optimal policy
-is periodic and is read off greedily from the intermediate compositions.
+their minima, the T intermediate stage compositions.
 
-Two solvers share that sweep:
+Two solvers share that sweep, and both return the Q-tables of their last
+one with the stage values.  The optimal policy is periodic:
+``StageValues.actions`` reads it off those Q-tables greedily.
 
 * ``value_iterate`` iterates Psi from the all-zero vector, a pointwise
   nondecreasing sequence.  Psi shifts constants by beta = alpha^T, so for
@@ -45,14 +46,11 @@ import numpy as np
 __all__ = [
     "PeriodicMdp",
     "StageValues",
-    "PeriodicPolicy",
     "InstanceFormatError",
-    "apply_stage_operator",
     "apply_cycle_operator",
     "value_iterate",
     "evaluate_policy",
     "policy_iterate",
-    "extract_periodic_policy",
     "fixed_point_residual",
     "finite_horizon_oracle",
     "simulate_policy",
@@ -126,7 +124,9 @@ class StageValues:
 
     ``values[l]`` is the expected cost-to-go entering stage l, i.e. the
     l-th intermediate composition of the stage operators applied to the
-    cycle fixed point.  ``cycles`` counts value-iteration cycles or
+    cycle fixed point.  ``q`` (T, S, A) holds the stage Q-tables of one
+    ``apply_cycle_operator`` sweep applied to ``values[0]``, the solver's
+    last.  ``cycles`` counts value-iteration cycles or
     policy-improvement steps.  ``sup_history``/``l2_history`` record, per
     cycle or step, the distance between a stage-0 vector and its image
     under the cycle operator.  ``error_bound`` is a certified bound on the
@@ -135,34 +135,18 @@ class StageValues:
     """
 
     values: np.ndarray  # (T, S)
+    q: np.ndarray = field(repr=False)  # (T, S, A)
     converged: bool
     cycles: int
     sup_history: np.ndarray = field(repr=False)
     l2_history: np.ndarray = field(repr=False)
     error_bound: float = math.inf
 
-
-@dataclass(frozen=True)
-class PeriodicPolicy:
-    """T action maps, one per stage; ``actions[l, s]`` is the stage-l action."""
-
-    actions: np.ndarray  # (T, S) int
-
-
-def apply_stage_operator(values: np.ndarray, mdp: PeriodicMdp, stage: int) -> np.ndarray:
-    """One Bellman minimization at the given stage:
-    s -> min_a [ c_l(s,a) + alpha * sum_s' P_l(s'|s,a) V(s') ]."""
-    return _stage_q(values, mdp, stage).min(axis=1)
-
-
-def _stage_q(values: np.ndarray, mdp: PeriodicMdp, stage: int) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.shape != (mdp.num_states,):
-        raise ValueError(f"value vector must have shape ({mdp.num_states},)")
-    l = stage % mdp.period
-    # (S, A, S) @ (S,) -> (S, A)
-    cont = mdp.transitions[l] @ values
-    return mdp.costs[l] + mdp.discount * cont
+    @property
+    def actions(self) -> np.ndarray:
+        """The greedy periodic policy (T, S): ``actions[l, s]`` minimizes
+        ``q[l, s]``, ties going to the lowest action index."""
+        return self.q.argmin(axis=2)
 
 
 def apply_cycle_operator(
@@ -170,17 +154,22 @@ def apply_cycle_operator(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply the T stage operators innermost-last.
 
-    Returns the stage Q-tables ``q`` (T, S, A), where ``q[l]`` scores each
-    action against the stage-(l+1) entry values (``values`` for the last
-    stage), and the entry values ``entries`` (T, S) with
+    Returns the stage Q-tables ``q`` (T, S, A), where
+    q[l](s, a) = c_l(s, a) + alpha * sum_s' P_l(s'|s, a) V_{l+1}(s') scores
+    each action against the stage-(l+1) entry values V_{l+1} (``values``
+    for the last stage), and the entry values ``entries`` (T, S) with
     ``entries[l] = q[l].min(axis=1)``; ``entries[0]`` is the new stage-0
     iterate.
     """
+    values = np.asarray(values, dtype=float)
+    if values.shape != (mdp.num_states,):
+        raise ValueError(f"value vector must have shape ({mdp.num_states},)")
     q = np.empty(mdp.costs.shape)
     entries = np.empty((mdp.period, mdp.num_states))
     cur = values
     for l in range(mdp.period - 1, -1, -1):
-        q[l] = _stage_q(cur, mdp, l)
+        # (S, A, S) @ (S,) -> (S, A)
+        q[l] = mdp.costs[l] + mdp.discount * (mdp.transitions[l] @ cur)
         cur = entries[l] = q[l].min(axis=1)
     return q, entries
 
@@ -209,18 +198,18 @@ def value_iterate(
     (MacQueen-Porteus bounds).  The midpoint of that bracket is therefore
     within ``error_bound`` = beta/(1-beta) * span(D)/2 of V*, and the
     iteration stops once that bound drops to ``tol`` (default 1e-8).  The
-    returned ``values[0]`` is that midpoint and ``values[l]``, l >= 1, the
-    stage compositions applied to it.
+    returned ``values[0]`` is that midpoint.
 
     At alpha = 1 (beta = 1) there is no such bound: the iteration stops
     when the sup-norm step drops to ``tol`` (default 1e-6), which
-    certifies nothing about the error, ``values`` are the last cycle's
-    entry values and ``error_bound`` is ``inf``.
+    certifies nothing about the error, ``values[0]`` is the last iterate
+    and ``error_bound`` is ``inf``.
 
-    Either way the iteration ends after ``max_cycles`` cycles at the
-    latest.  Non-convergence is reported through the ``converged`` flag,
-    never raised: at alpha = 1 monotone convergence can be arbitrarily
-    slow.
+    Either way ``values[l]``, l >= 1, and ``q`` come from one final sweep
+    applied to the returned ``values[0]``, and the iteration ends after
+    ``max_cycles`` cycles at the latest.  Non-convergence is reported
+    through the ``converged`` flag, never raised: at alpha = 1 monotone
+    convergence can be arbitrarily slow.
     """
     tol = _checked_tol(mdp, tol, max_cycles)
     beta = mdp.discount**mdp.period
@@ -249,11 +238,12 @@ def value_iterate(
             converged = True
             break
     if certified:
-        mid = v + beta / (1.0 - beta) * (lo + hi) / 2.0
-        _, entries = apply_cycle_operator(mid, mdp)
-        entries[0] = mid
+        v = v + beta / (1.0 - beta) * (lo + hi) / 2.0
+    q, values = apply_cycle_operator(v, mdp)
+    values[0] = v
     return StageValues(
-        values=entries,
+        values=values,
+        q=q,
         converged=converged,
         cycles=cycles,
         sup_history=np.asarray(sup_hist),
@@ -349,8 +339,8 @@ def policy_iterate(
     ``converged`` means the policy repeated and the fixed-point residual,
     the last ``sup_history`` entry, is within ``tol`` (default 1e-8 for
     alpha < 1, 1e-6 at alpha = 1).  ``values`` are the exact values of the
-    last evaluated policy.  At alpha < 1, ``error_bound`` is the residual
-    divided by 1 - alpha^T.
+    last evaluated policy and ``q`` the Q-tables of its sweep.  At
+    alpha < 1, ``error_bound`` is the residual divided by 1 - alpha^T.
 
     At alpha = 1 the starting policy must be proper (see
     ``evaluate_policy``); greedy steps from a proper policy stay proper.
@@ -376,6 +366,7 @@ def policy_iterate(
     beta = mdp.discount**mdp.period
     return StageValues(
         values=values,
+        q=q,
         converged=converged,
         cycles=cycles,
         sup_history=np.asarray(sup_hist),
@@ -384,26 +375,11 @@ def policy_iterate(
     )
 
 
-def extract_periodic_policy(stage_values: StageValues, mdp: PeriodicMdp) -> PeriodicPolicy:
-    """Greedy periodic policy from converged stage-entry values.
-
-    The stage-l map minimizes against the entry values of stage l+1
-    (cyclically).  Ties break to the lowest action index so repeated runs
-    yield identical policies.
-    """
-    T = mdp.period
-    actions = np.empty((T, mdp.num_states), dtype=int)
-    for l in range(T):
-        q = _stage_q(stage_values.values[(l + 1) % T], mdp, l)
-        actions[l] = np.argmin(q, axis=1)
-    return PeriodicPolicy(actions=actions)
-
-
-def fixed_point_residual(stage_values: StageValues, mdp: PeriodicMdp) -> float:
-    """Sup-norm defect of the cycle fixed-point equation at stage 0."""
-    v = stage_values.values[0]
-    _, entries = apply_cycle_operator(v, mdp)
-    return float(np.max(np.abs(entries[0] - v)))
+def fixed_point_residual(v0: np.ndarray, mdp: PeriodicMdp) -> float:
+    """Sup-norm defect of the cycle fixed-point equation at the stage-0
+    vector ``v0``."""
+    _, entries = apply_cycle_operator(v0, mdp)
+    return float(np.max(np.abs(entries[0] - v0)))
 
 
 def finite_horizon_oracle(mdp: PeriodicMdp, horizon: int) -> np.ndarray:
@@ -500,10 +476,12 @@ def simulate_policy(
 
 
 class InstanceFormatError(ValueError):
-    """Malformed MDP instance file; carries the offending line number."""
+    """Malformed MDP instance file; carries the offending line number, or
+    None when the fault concerns the whole file, whose name the message
+    then carries instead."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -525,7 +503,9 @@ def load_instance(path: str | Path) -> PeriodicMdp:
     S, A and T are integers >= 1.  The four dimension directives must
     precede any kernel/cost line, and S, A and T may not change after it;
     every (stage, state, action) triple needs exactly one kernel row and
-    one cost line.
+    one cost line.  An error on one line names it ("line N: ..."); one
+    found once the whole file is read (a missing directive or row, a
+    check of ``PeriodicMdp``) names the file instead.
 
     The file is read in one streaming pass.  The first kernel/cost line
     allocates the (T, S, A, S) kernel, and each kernel row is parsed by
@@ -603,18 +583,20 @@ def load_instance(path: str | Path) -> PeriodicMdp:
                 raise InstanceFormatError(line_no, f"unknown directive {key!r}")
     missing = [d for d in _DIMENSIONS if d not in dims]
     if missing:
-        raise InstanceFormatError(0, f"missing dimension directive(s): {', '.join(missing)}")
+        raise InstanceFormatError(
+            None, f"{path}: missing dimension directive(s): {', '.join(missing)}"
+        )
     if P is None:  # no kernel or cost line at all
-        raise InstanceFormatError(0, "missing kernel row for (0, 0, 0)")
+        raise InstanceFormatError(None, f"{path}: missing kernel row for (0, 0, 0)")
     absent = (kernel_line == 0) | (cost_line == 0)
     if absent.any():
         idx = tuple(int(i) for i in np.unravel_index(np.argmax(absent), absent.shape))
         what = "kernel row" if kernel_line[idx] == 0 else "cost line"
-        raise InstanceFormatError(0, f"missing {what} for {idx}")
+        raise InstanceFormatError(None, f"{path}: missing {what} for {idx}")
     try:
         return PeriodicMdp(transitions=P, costs=c, discount=dims["discount"])
     except ValueError as exc:
-        raise InstanceFormatError(0, str(exc)) from exc
+        raise InstanceFormatError(None, f"{path}: {exc}") from exc
 
 
 def dump_instance(mdp: PeriodicMdp, path: str | Path) -> None:

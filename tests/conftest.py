@@ -86,3 +86,15 @@ def random_mdp(rng, n_states, n_actions, period, discount, cost_scale=1.0):
     P /= P.sum(axis=-1, keepdims=True)
     c = cost_scale * rng.random((period, n_states, n_actions))
     return PeriodicMdp(transitions=P, costs=c, discount=discount)
+
+
+def stage_sweep(values, mdp, stage):
+    """Stage-``stage`` Q-table (S, A) of ``mdp`` against ``values`` and its
+    minimum (S,): the cycle of the MDP's one-stage slice, whose only stage
+    reads ``values``."""
+    from periodet import PeriodicMdp, apply_cycle_operator
+
+    keep = slice(stage, stage + 1)
+    one = PeriodicMdp(mdp.transitions[keep], mdp.costs[keep], mdp.discount)
+    q, entries = apply_cycle_operator(values, one)
+    return q[0], entries[0]

@@ -24,7 +24,6 @@ from periodet import (
     analytic_delay,
     estimate_add_pfa,
     estimate_bayes_cost,
-    extract_periodic_policy,
     finite_horizon_oracle,
     fixed_point_residual,
     kl_information,
@@ -269,7 +268,7 @@ def test_criterion_8_property_suites(solved_t2, solved_t4, alternating_t2):
         )
         values = value_iterate(mdp, tol=1e-9)
         assert values.converged
-        assert fixed_point_residual(values, mdp) <= 1e-9
+        assert fixed_point_residual(values.values[0], mdp) <= 1e-9
         horizon = 300 * mdp.period
         lower = finite_horizon_oracle(mdp, horizon)
         tail_bound = 0.9**horizon * mdp.costs.max() / 0.1
@@ -322,9 +321,8 @@ def test_criterion_9_periodic_policy_dominates_stationary(tmp_path):
     instance = tmp_path / "instance.mdp"
     instance.write_text(src.read_text())
     mdp = load_instance(instance)
-    values = value_iterate(mdp, tol=1e-10)
-    policy = extract_periodic_policy(values, mdp)
-    per_mean, per_se = simulate_policy(mdp, policy.actions, 20_000, 150, seed=SEED)
+    actions = value_iterate(mdp, tol=1e-10).actions
+    per_mean, per_se = simulate_policy(mdp, actions, 20_000, 150, seed=SEED)
     worst_margin = math.inf
     ok = True
     for maps in product(range(mdp.num_actions), repeat=mdp.num_states):

@@ -1,3 +1,8 @@
+import importlib.util
+import shlex
+from importlib import resources
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -92,17 +97,27 @@ def test_out_of_range_value_is_a_parse_error(tmp_path, capsys, line):
         "reproduce fig1 --grid 1",
         "mdp-solve {mdp} --tol 0",
         "mdp-solve {mdp} --max-cycles 0",
+        "sweep --config {cfg} --thresholds 0.5,abc",
+        "sweep --config {cfg} --thresholds ''",
+        "sweep --config {cfg} --thresholds 0.5,1.0",
+        "simulate --config {cfg} --policy single:x",
+        "simulate --config {cfg} --policy single:1.5",
+        "simulate --config {cfg} --policy bogus",
+        # one threshold for a period-2 config: only the config refutes it
+        "simulate --config {cfg} --policy periodic:0.5",
     ],
 )
 def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, command):
-    # override flags get the range test of the config field they replace
+    # override flags get the range test of the config field they replace;
+    # list and policy flags get a converter of their own
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(MINIMAL)
     mdp = tmp_path / "zero.mdp"
     mdp.write_text(ZERO_COST_INSTANCE)
-    flag = command.split()[-2]
+    argv = shlex.split(command.format(cfg=cfg, mdp=mdp))
+    flag = argv[-2]
     with pytest.raises(SystemExit) as exit_info:
-        main(command.format(cfg=cfg, mdp=mdp).split() + ["--out-dir", str(tmp_path)])
+        main(argv + ["--out-dir", str(tmp_path)])
     assert exit_info.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
@@ -256,8 +271,6 @@ def test_cmd_mdp_solve_zero_costs(tmp_path, capsys):
 
 
 def test_cmd_mdp_solve_bundled_instance_matches_oracle(tmp_path):
-    from importlib import resources
-
     from periodet import finite_horizon_oracle, load_instance, value_iterate
 
     src = resources.files("periodet.configs").joinpath("instance_three_state_t2.mdp")
@@ -274,21 +287,68 @@ def test_cmd_mdp_solve_bundled_instance_matches_oracle(tmp_path):
     assert np.all(values.values[0] <= lower + tail + slack)
 
 
+def test_solve_example_mdp_script_writes_the_mdp_solve_policy(tmp_path, monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "solve_example_mdp.py"
+    spec = importlib.util.spec_from_file_location("solve_example_mdp", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)  # the script writes into ./periodet-results
+    assert module.main() == 0
+    direct = tmp_path / "direct"
+    direct.mkdir()
+    instance = direct / "instance_three_state_t2.mdp"
+    src = resources.files("periodet.configs").joinpath(instance.name)
+    instance.write_text(src.read_text())
+    assert main(["mdp-solve", str(instance), "--out-dir", str(direct)]) == 0
+    name = "instance_three_state_t2_policy.csv"
+    assert (run_dir / "periodet-results" / name).read_bytes() == (direct / name).read_bytes()
+
+
 # ── exit codes ─────────────────────────────────────────────────────────
 
 
-def test_exit_code_parse_failure(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text,where",
+    [
+        # a fault of the whole file names the file and no line
+        ("period = 2\n", ": missing required field 'rho'"),
+        ("period = 2\nrho = 2\n", ":2: field 'rho' must be in (0, 1)"),
+    ],
+    ids=["whole file", "one line"],
+)
+def test_exit_code_parse_failure(tmp_path, capsys, text, where):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("period = 2\n")  # missing required fields
+    bad.write_text(text)
     assert main(["solve", "--config", str(bad), "--out-dir", str(tmp_path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {bad}{where}" in err
+    assert f"{bad}:0" not in err
 
 
-def test_exit_code_instance_parse_failure(tmp_path, capsys):
+TWO_STATE = "states 2\nactions 1\nperiod 1\ndiscount 0.9\n"
+
+
+@pytest.mark.parametrize(
+    "text,where",
+    [
+        ("nonsense 1 2 3\n", "line 1: unknown directive"),
+        # faults of the whole file name the file and no line
+        (TWO_STATE + "kernel 0 0 0 0.5 0.5\ncost 0 0 0 1\nkernel 0 1 0 0.5 0.5\n",
+         "{bad}: missing cost line for (0, 1, 0)"),
+        (TWO_STATE + "kernel 0 0 0 0.5 0.6\ncost 0 0 0 1\nkernel 0 1 0 0.5 0.5\ncost 0 1 0 1\n",
+         "{bad}: transition row (0, 0, 0) sums to 1.1"),
+    ],
+    ids=["one line", "missing row", "row sum"],
+)
+def test_exit_code_instance_parse_failure(tmp_path, capsys, text, where):
     bad = tmp_path / "bad.mdp"
-    bad.write_text("nonsense 1 2 3\n")
+    bad.write_text(text)
     assert main(["mdp-solve", str(bad), "--out-dir", str(tmp_path)]) == 2
-    assert "line 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {where.format(bad=bad)}" in err
+    assert "line 0" not in err
 
 
 @pytest.mark.parametrize(

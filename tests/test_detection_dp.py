@@ -13,9 +13,6 @@ from periodet import (
     GeometricPrior,
     IpidScenario,
     OddsState,
-    StageValues,
-    apply_cycle_operator,
-    apply_stage_operator,
     belief_to_log_odds,
     detection_mdp,
     finite_horizon_oracle,
@@ -29,7 +26,7 @@ from periodet import (
 from periodet.cli import REPRODUCE_FIGURES, REPRODUCE_TABLES, bundled_config
 from periodet.detection_dp import QUADRATURE_NODES, WINDOW_SCALES, extract_thresholds
 
-from conftest import make_scenario
+from conftest import make_scenario, stage_sweep
 
 
 def classical_shiryaev_solver(mean_shift, lam, d, rho, grid_points, tol=1e-6):
@@ -239,7 +236,7 @@ def test_unresolvable_stage_raises():
 def test_stage_bellman_boundary_values(alternating_t2):
     scenario, costs = alternating_t2
     mdp = detection_mdp(scenario, costs, 100)
-    out = apply_stage_operator(np.zeros(101), mdp, 0)
+    _, out = stage_sweep(np.zeros(101), mdp, 0)
     assert out[99] == pytest.approx(0.0, abs=1e-12)  # p = 1: stop is free
     assert out[0] == pytest.approx(0.0, abs=1e-12)  # zero tail: continue is free
     assert out[100] == 0.0  # the stopped state costs nothing
@@ -251,7 +248,7 @@ def test_first_sweep_shape(alternating_t2):
     mdp = detection_mdp(scenario, costs, 100)
     cur = np.zeros(101)
     for s in (1, 0):
-        cur = apply_stage_operator(cur, mdp, s)
+        _, cur = stage_sweep(cur, mdp, s)
     cur = cur[:100]
     stop0 = costs.false_alarm[0] * (1 - grid.points)
     assert np.all(cur >= -1e-12)
@@ -320,9 +317,8 @@ def test_fixed_point_residual_at_convergence(alternating_t2, solved_t2):
     scenario, costs = alternating_t2
     sol = solved_t2
     mdp = detection_mdp(scenario, costs, sol.grid.resolution)
-    entry = np.pad(sol.stage_curves, ((0, 0), (0, 1)))  # the stopped state costs 0
-    values = StageValues(entry, sol.converged, sol.cycles, sol.sup_history, sol.l2_history)
-    assert fixed_point_residual(values, mdp) <= 1e-6
+    v0 = np.append(sol.stage_curves[0], 0.0)  # the stopped state costs 0
+    assert fixed_point_residual(v0, mdp) <= 1e-6
 
 
 def test_t4_solve_structure(solved_t4):
@@ -374,10 +370,10 @@ def test_solve_matches_tight_value_iteration_on_bundled_configs():
         assert sol.converged and sol.cycles <= 10, name
         mdp = detection_mdp(cfg.scenario(), cfg.cost_spec(), 100)
         tight = value_iterate(mdp, tol=1e-12)
-        q, entries = apply_cycle_operator(tight.values[0], mdp)
-        expected = extract_thresholds(q[:, :100, 0], q[:, :100, 1], sol.grid)
+        q = tight.q[:, :100]
+        expected = extract_thresholds(q[..., 0], q[..., 1], sol.grid)
         np.testing.assert_array_equal(sol.thresholds, expected, err_msg=name)
-        np.testing.assert_allclose(sol.stage_curves, entries[:, :100], rtol=0, atol=1e-10,
+        np.testing.assert_allclose(sol.stage_curves, q.min(axis=2), rtol=0, atol=1e-10,
                                    err_msg=name)
 
 

@@ -57,8 +57,8 @@ def test_periodic_equal_entries_equivalent_to_single(t2):
 
 
 def stopping_times(scenario, thresholds, horizon, seed, n_paths=8):
-    thresholds = PeriodicThresholds(thresholds).stage_thresholds(scenario.period)
-    return _simulate_stopping(scenario, 0.01, thresholds, n_paths, horizon, seed)[1]
+    levels = PeriodicThresholds(thresholds).stage_thresholds(scenario.period)[None]
+    return _simulate_stopping(scenario, 0.01, levels, n_paths, horizon, seed)[1]
 
 
 def test_run_policy_zero_threshold_stops_immediately(t2):
@@ -73,9 +73,9 @@ def test_run_policy_threshold_one_never_stops(t2):
 
 def test_run_policy_deterministic_replay(t2):
     scenario, _ = t2
-    thresholds = SingleThreshold(0.5).stage_thresholds(scenario.period)
-    a = _simulate_stopping(scenario, 0.01, thresholds, 8, 2000, seed=3)
-    b = _simulate_stopping(scenario, 0.01, thresholds, 8, 2000, seed=3)
+    levels = SingleThreshold(0.5).stage_thresholds(scenario.period)[None]
+    a = _simulate_stopping(scenario, 0.01, levels, 8, 2000, seed=3)
+    b = _simulate_stopping(scenario, 0.01, levels, 8, 2000, seed=3)
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
     assert np.all(a[1] <= 2000)  # every path alarmed
@@ -106,10 +106,10 @@ def test_kernel_levels_match_one_rule_runs(t2):
     scenario, _ = t2
     levels = np.array([[0.2, 0.1], [0.5, 0.5], [0.9, 0.8]])
     nu, tau, log_r = _simulate_stopping(scenario, 0.01, levels, 300, 400, 8, with_log_r=True)
-    top = _simulate_stopping(scenario, 0.01, levels[-1], 300, 400, 8, with_log_r=True)
+    top = _simulate_stopping(scenario, 0.01, levels[-1:], 300, 400, 8, with_log_r=True)
     np.testing.assert_array_equal(nu, top[0])
-    np.testing.assert_array_equal(tau[:, -1], top[1])
-    np.testing.assert_array_equal(log_r[:, -1], top[2])
+    np.testing.assert_array_equal(tau[:, -1:], top[1])
+    np.testing.assert_array_equal(log_r[:, -1:], top[2])
     for k in range(len(levels)):
         alarmed = tau[:, k] <= 400
         stage = (tau[alarmed, k] - 1) % 2
@@ -123,7 +123,11 @@ def test_kernel_validation(t2):
     with pytest.raises(ValueError, match="nondecreasing"):
         _simulate_stopping(scenario, 0.01, np.array([[0.5, 0.5], [0.4, 0.6]]), 8, 50, 1)
     with pytest.raises(ValueError, match="int32"):
-        _simulate_stopping(scenario, 0.01, np.array([0.5, 0.5]), 8, np.iinfo(np.int32).max, 1)
+        _simulate_stopping(scenario, 0.01, np.array([[0.5, 0.5]]), 8, np.iinfo(np.int32).max, 1)
+    # one rule is a (1, T) row, never a bare (T,) vector
+    for levels in ([0.5, 0.5], [[0.5, 0.5, 0.5]]):
+        with pytest.raises(ValueError, match="shape"):
+            _simulate_stopping(scenario, 0.01, np.array(levels), 8, 50, 1)
 
 
 # ── Bayes cost ─────────────────────────────────────────────────────────

@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 
 from periodet import (
     PeriodicMdp,
-    StageValues,
     apply_cycle_operator,
-    apply_stage_operator,
     evaluate_policy,
-    extract_periodic_policy,
     finite_horizon_oracle,
     fixed_point_residual,
     load_instance,
@@ -21,7 +18,7 @@ from periodet import (
 )
 from periodet.periodic_mdp import InstanceFormatError, dump_instance
 
-from conftest import random_mdp
+from conftest import random_mdp, stage_sweep
 
 
 def classical_value_iteration(P, c, discount, tol=1e-14, max_iters=200_000):
@@ -65,14 +62,6 @@ def hand_mdp(discount=0.5):
     return PeriodicMdp(transitions=HAND_P, costs=HAND_C, discount=discount)
 
 
-def hand_stage0_q(values):
-    """Stage-0 Q-table of the hand instance against ``values``: the cycle
-    of its one-stage slice, whose only stage reads ``values``."""
-    stage0 = PeriodicMdp(transitions=HAND_P[:1], costs=HAND_C[:1], discount=0.5)
-    q, _ = apply_cycle_operator(values, stage0)
-    return q[0]
-
-
 def test_mdp_validation():
     with pytest.raises(ValueError, match="row"):
         PeriodicMdp(transitions=HAND_P * 0.9, costs=HAND_C, discount=0.5)
@@ -103,7 +92,7 @@ def test_row_sum_error_names_plain_numbers():
 
 def test_stage_operator_zero_costs_zero_values():
     mdp = PeriodicMdp(transitions=HAND_P, costs=np.zeros_like(HAND_C), discount=0.9)
-    out = apply_stage_operator(np.zeros(2), mdp, 0)
+    _, out = stage_sweep(np.zeros(2), mdp, 0)
     np.testing.assert_array_equal(out, 0.0)
 
 
@@ -111,14 +100,15 @@ def test_stage_operator_myopic_minimum():
     P = np.ones((1, 1, 2, 1))
     c = np.array([[[3.0, 5.0]]])
     mdp = PeriodicMdp(transitions=P, costs=c, discount=0.0)
-    assert apply_stage_operator(np.array([42.0]), mdp, 0)[0] == 3.0
+    _, entries = apply_cycle_operator(np.array([42.0]), mdp)
+    assert entries[0, 0] == 3.0
 
 
 def test_stage_operator_hand_value():
     # stage 0, V = (1, 2), alpha = 0.5:
     #   state 0: a0: 1 + .5*(.75*1+.25*2) = 1.625 ; a1: 2 + .5*(.5+1) = 2.75
     #   state 1: a0: 0 + .5*1 = 0.5        ; a1: 3 + .5*(.25+1.5) = 3.875
-    out = apply_stage_operator(np.array([1.0, 2.0]), hand_mdp(), 0)
+    _, out = stage_sweep(np.array([1.0, 2.0]), hand_mdp(), 0)
     np.testing.assert_allclose(out, [1.625, 0.5], atol=1e-15)
 
 
@@ -126,9 +116,8 @@ def test_policy_operator_greedy_matches_stage_operator():
     mdp = hand_mdp()
     v = np.array([1.0, 2.0])
     greedy = np.array([0, 0])
-    np.testing.assert_allclose(
-        hand_stage0_q(v)[np.arange(2), greedy], apply_stage_operator(v, mdp, 0)
-    )
+    q, out = stage_sweep(v, mdp, 0)
+    np.testing.assert_allclose(q[np.arange(2), greedy], out)
 
 
 def test_policy_operator_dominates_stage_operator():
@@ -136,7 +125,7 @@ def test_policy_operator_dominates_stage_operator():
     for _ in range(25):
         mdp = random_mdp(rng, 4, 3, 2, 0.9)
         v = rng.random(4) * 5
-        base = apply_stage_operator(v, mdp, 1)
+        _, base = stage_sweep(v, mdp, 1)
         q, _ = apply_cycle_operator(v, mdp)  # the last stage, 1, reads v
         for _ in range(4):
             mu = rng.integers(0, 3, size=4)
@@ -144,7 +133,8 @@ def test_policy_operator_dominates_stage_operator():
 
 
 def test_policy_operator_hand_value():
-    out = hand_stage0_q(np.array([1.0, 2.0]))[np.arange(2), np.array([1, 1])]
+    q, _ = stage_sweep(np.array([1.0, 2.0]), hand_mdp(), 0)
+    out = q[np.arange(2), np.array([1, 1])]
     np.testing.assert_allclose(out, [2.75, 3.875], atol=1e-15)
 
 
@@ -153,7 +143,8 @@ def test_cycle_operator_degenerate_period():
     mdp = random_mdp(rng, 3, 2, 1, 0.8)
     v = rng.random(3)
     q, entries = apply_cycle_operator(v, mdp)
-    np.testing.assert_allclose(entries[0], apply_stage_operator(v, mdp, 0))
+    by_hand = (mdp.costs[0] + 0.8 * np.einsum("sat,t->sa", mdp.transitions[0], v)).min(axis=1)
+    np.testing.assert_allclose(entries[0], by_hand)
     assert q.shape == (1, 3, 2) and entries.shape == (1, 3)
 
 
@@ -167,8 +158,8 @@ def test_cycle_operator_zero_costs():
 def test_cycle_operator_is_composition_of_hand_sweeps():
     mdp = hand_mdp()
     v = np.array([1.0, 2.0])
-    inner = apply_stage_operator(v, mdp, 1)
-    outer = apply_stage_operator(inner, mdp, 0)
+    _, inner = stage_sweep(v, mdp, 1)
+    _, outer = stage_sweep(inner, mdp, 0)
     q, entries = apply_cycle_operator(v, mdp)
     np.testing.assert_allclose(entries[1], inner, atol=1e-15)
     np.testing.assert_allclose(entries[0], outer, atol=1e-15)
@@ -202,7 +193,7 @@ def test_value_iterate_residual_and_oracle_bound():
     mdp = random_mdp(rng, 5, 3, 2, 0.9)
     values = value_iterate(mdp, tol=1e-10)
     assert values.converged
-    assert fixed_point_residual(values, mdp) <= 1e-10
+    assert fixed_point_residual(values.values[0], mdp) <= 1e-10
     horizon = 400
     lower = finite_horizon_oracle(mdp, horizon)
     tail = 0.9**horizon * mdp.costs.max() / (1 - 0.9)
@@ -231,7 +222,7 @@ def test_value_iterate_error_within_tol(discount):
         values = value_iterate(mdp, tol=1e-8)
         assert values.converged and values.error_bound <= 1e-8
         optimal = policy_iterate(mdp, np.zeros((3, 6), dtype=int), tol=1e-12)
-        exact = evaluate_policy(mdp, extract_periodic_policy(optimal, mdp).actions)
+        exact = evaluate_policy(mdp, optimal.actions)
         assert np.max(np.abs(values.values[0] - exact[0])) <= 1e-8
 
 
@@ -247,20 +238,29 @@ def test_stage_entry_values_are_intermediate_compositions():
     v0 = values.values[0]
     expect = v0
     for l in range(mdp.period - 1, -1, -1):
-        expect = apply_stage_operator(expect, mdp, l)
+        _, expect = stage_sweep(expect, mdp, l)
         np.testing.assert_allclose(values.values[l], expect, atol=1e-9)
 
 
+@pytest.mark.parametrize("discount", [0.9, 1.0])
+def test_stage_values_and_q_come_from_one_sweep_of_stage_zero(discount):
+    # at discount 1 too, values[1:] and q are the final sweep applied to
+    # the returned values[0], not the stage values of an earlier iterate
+    rng = np.random.default_rng(9)
+    if discount == 1.0:
+        mdp = absorbing_mdp(rng, n_states=6, period=3)
+    else:
+        mdp = random_mdp(rng, 6, 2, 3, discount)
+    values = value_iterate(mdp)
+    assert values.converged
+    q, entries = apply_cycle_operator(values.values[0], mdp)
+    for l in range(1, mdp.period):
+        np.testing.assert_array_equal(values.values[l], entries[l])
+    np.testing.assert_array_equal(values.q, q)
+
+
 def test_fixed_point_residual_nonzero_for_zero_guess():
-    mdp = hand_mdp()
-    fake = StageValues(
-        values=np.zeros((2, 2)),
-        converged=True,
-        cycles=0,
-        sup_history=np.array([]),
-        l2_history=np.array([]),
-    )
-    assert fixed_point_residual(fake, mdp) > 0
+    assert fixed_point_residual(np.zeros(2), hand_mdp()) > 0
 
 
 def test_fixed_point_residual_closed_form_one_state():
@@ -268,14 +268,7 @@ def test_fixed_point_residual_closed_form_one_state():
     P = np.ones((1, 1, 1, 1))
     c = np.array([[[2.0]]])
     mdp = PeriodicMdp(transitions=P, costs=c, discount=0.5)
-    exact = StageValues(
-        values=np.array([[4.0]]),
-        converged=True,
-        cycles=0,
-        sup_history=np.array([]),
-        l2_history=np.array([]),
-    )
-    assert fixed_point_residual(exact, mdp) <= 1e-12
+    assert fixed_point_residual(np.array([4.0]), mdp) <= 1e-12
 
 
 # ── policy evaluation and policy iteration ────────────────────────────
@@ -360,7 +353,7 @@ def test_policy_iterate_matches_value_iteration_and_oracle():
         values = policy_iterate(mdp, start, tol=1e-12)
         assert values.converged and values.error_bound <= 1e-11
         assert values.sup_history.size == values.cycles
-        assert fixed_point_residual(values, mdp) <= 1e-12
+        assert fixed_point_residual(values.values[0], mdp) <= 1e-12
         tight = value_iterate(mdp, tol=1e-12)
         np.testing.assert_allclose(values.values, tight.values, rtol=0, atol=1e-11)
         horizon = 300 * mdp.period
@@ -439,7 +432,7 @@ def test_oracle_matches_einsum_backward_induction(period):
         )
 
 
-# ── policy extraction ──────────────────────────────────────────────────
+# ── greedy policy (StageValues.actions) ───────────────────────────────
 
 
 def test_extraction_reduces_to_classical_greedy_at_period_one():
@@ -448,9 +441,8 @@ def test_extraction_reduces_to_classical_greedy_at_period_one():
     values = value_iterate(mdp, tol=1e-12)
     oracle = classical_value_iteration(mdp.transitions[0], mdp.costs[0], 0.9)
     np.testing.assert_allclose(values.values[0], oracle, atol=1e-9)
-    policy = extract_periodic_policy(values, mdp)
     greedy = np.argmin(mdp.costs[0] + 0.9 * (mdp.transitions[0] @ oracle), axis=1)
-    np.testing.assert_array_equal(policy.actions[0], greedy)
+    np.testing.assert_array_equal(values.actions[0], greedy)
 
 
 def test_extraction_witness_instance_with_stagewise_maps():
@@ -458,9 +450,9 @@ def test_extraction_witness_instance_with_stagewise_maps():
     P = np.ones((2, 1, 2, 1))
     c = np.array([[[0.0, 1.0]], [[1.0, 0.0]]])
     mdp = PeriodicMdp(transitions=P, costs=c, discount=0.5)
-    policy = extract_periodic_policy(value_iterate(mdp, tol=1e-12), mdp)
-    assert policy.actions[0, 0] == 0
-    assert policy.actions[1, 0] == 1
+    actions = value_iterate(mdp, tol=1e-12).actions
+    assert actions[0, 0] == 0
+    assert actions[1, 0] == 1
 
 
 def test_extracted_policy_achieves_optimal_value():
@@ -468,8 +460,7 @@ def test_extracted_policy_achieves_optimal_value():
     for _ in range(10):
         mdp = random_mdp(rng, 4, 3, 2, 0.9)
         values = value_iterate(mdp, tol=1e-12)
-        policy = extract_periodic_policy(values, mdp)
-        achieved = exact_periodic_policy_value(mdp, policy.actions)
+        achieved = exact_periodic_policy_value(mdp, values.actions)
         np.testing.assert_allclose(achieved[0], values.values[0], atol=1e-8)
 
 
@@ -477,8 +468,7 @@ def test_tie_break_prefers_lowest_action():
     P = np.ones((1, 1, 2, 1))
     c = np.array([[[3.0, 3.0]]])
     mdp = PeriodicMdp(transitions=P, costs=c, discount=0.0)
-    policy = extract_periodic_policy(value_iterate(mdp), mdp)
-    assert policy.actions[0, 0] == 0
+    assert value_iterate(mdp).actions[0, 0] == 0
 
 
 # ── rollout estimator ──────────────────────────────────────────────────
@@ -487,12 +477,11 @@ def test_tie_break_prefers_lowest_action():
 def test_simulate_policy_deterministic_and_unbiased():
     rng = np.random.default_rng(5)
     mdp = random_mdp(rng, 3, 2, 2, 0.9)
-    values = value_iterate(mdp, tol=1e-12)
-    policy = extract_periodic_policy(values, mdp)
-    mean1, se1 = simulate_policy(mdp, policy.actions, 4000, 150, seed=99)
-    mean2, _ = simulate_policy(mdp, policy.actions, 4000, 150, seed=99)
+    actions = value_iterate(mdp, tol=1e-12).actions
+    mean1, se1 = simulate_policy(mdp, actions, 4000, 150, seed=99)
+    mean2, _ = simulate_policy(mdp, actions, 4000, 150, seed=99)
     assert mean1 == mean2
-    exact = exact_periodic_policy_value(mdp, policy.actions)[0, 0]
+    exact = exact_periodic_policy_value(mdp, actions)[0, 0]
     assert abs(mean1 - exact) < 3 * se1 + 1e-3
 
 
@@ -724,7 +713,9 @@ def test_instance_missing_directives_and_rows(tmp_path, text, fragment):
     path.write_text(text)
     with pytest.raises(InstanceFormatError, match=fragment) as exc_info:
         load_instance(path)
-    assert exc_info.value.line_no == 0
+    # a fault of the whole file names the file, not a line
+    assert exc_info.value.line_no is None
+    assert str(exc_info.value).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize(
