@@ -15,13 +15,17 @@ Simpson weights w_k (``ipid_model.simpson_window``, ``QUADRATURE_NODES``
 nodes on a window ``WINDOW_SCALES`` scales beyond both locations) for the
 next observation, the predictive mixture density mix_ik at node k, the
 posterior p'_ik after it, and the linear-interpolation weight hat_j of
-grid point j.  The mass the window misses goes to the stopped state, so
-it adds nothing to the cost-to-go; a row summing above one (a window too
-coarse for the stage's densities) fails the row-sum check of
-``PeriodicMdp``.  ``solve_detection`` solves it exactly with
-``periodic_mdp.policy_iterate`` from the proper policy "stop everywhere"
-and reads the stage, continue and stop curves off the Q-tables it returns,
-those of its last ``apply_cycle_operator`` sweep.
+grid point j.  The sum is taken per grid cell, not per (belief, node)
+pair: p'_ik increases with node k's log-likelihood ratio, so with the
+nodes sorted by it the nodes that land in one cell are one run, and
+prefix sums of w f and w g give each cell's mass and first moment, which
+fix the cell's share for its two grid points.  The mass the window
+misses goes to the stopped state, so it adds nothing to the cost-to-go;
+a row summing above one (a window too coarse for the stage's densities)
+fails the row-sum check of ``PeriodicMdp``.  ``solve_detection`` solves
+it exactly with ``periodic_mdp.policy_iterate`` from the proper policy
+"stop everywhere" and reads the stage, continue and stop curves off the
+Q-tables it returns, those of its last ``apply_cycle_operator`` sweep.
 
 Timing convention (applied identically here and in the Monte-Carlo
 harness): observations are numbered n = 1, 2, ..., and observation n has
@@ -58,8 +62,11 @@ __all__ = [
 DEFAULT_GRID_POINTS = 100
 QUADRATURE_NODES = 1601
 WINDOW_SCALES = 8.0
-# beliefs per block when building K_s; bounds the temporaries to a few (16, N)
-_KERNEL_BLOCK_ROWS = 16
+# (belief, cell) pairs per block when building K_s; bounds the temporaries
+_KERNEL_BLOCK_CELLS = 1 << 13
+# stands in for an infinite or undefined (0/0) log-likelihood ratio when
+# searching; it lies beyond every finite cut
+_FAR = 1e300
 
 
 @dataclass(frozen=True)
@@ -127,36 +134,81 @@ def detection_mdp(
     c = np.zeros((T, M + 1, 2))
     P[:, :, 1, M] = 1.0  # stop, and stay stopped
     P[:, M, 0, M] = 1.0
+    predicted = p + (1.0 - p) * costs.rho  # the belief before the next observation
     for s in range(T):
         nxt = (s + 1) % T  # the continuation averages over the next observation
         f, g = scenario.pre[nxt], scenario.post[nxt]
         nodes, weights = simpson_window(f, g, WINDOW_SCALES, QUADRATURE_NODES)
-        f_vals, g_vals = np.exp(f.logpdf(nodes)), np.exp(g.logpdf(nodes))
         kernel = P[s, :M, 0, :M]
-        for lo in range(0, M, _KERNEL_BLOCK_ROWS):
-            rows = slice(lo, min(lo + _KERNEL_BLOCK_ROWS, M))
-            kernel[rows] = _kernel_rows(p[rows], costs.rho, f_vals, g_vals, weights, M)
+        _fill_kernel(kernel, p, predicted, f.logpdf(nodes), g.logpdf(nodes), weights)
         P[s, :M, 0, M] = np.maximum(1.0 - kernel.sum(axis=1), 0.0)
         c[s, :M, 0] = costs.delay[s] * p
         c[s, :M, 1] = costs.false_alarm[s] * (1.0 - p)
     return PeriodicMdp(transitions=P, costs=c, discount=1.0)
 
 
-def _kernel_rows(p, rho, f_vals, g_vals, weights, M):
-    """Rows of K_s for the beliefs ``p``: each node's quadrature mass split
-    between the two grid points around its posterior belief."""
-    pt = (p + (1.0 - p) * rho)[:, None]
-    mix = pt * g_vals + (1.0 - pt) * f_vals
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_next = np.where(mix > 0.0, pt * g_vals / np.where(mix > 0.0, mix, 1.0), 1.0)
-    u = p_next * (M - 1)
-    left = np.minimum(u.astype(np.intp), M - 2)
-    frac = u - left
-    mass = mix * weights
-    flat = left + M * np.arange(p.size)[:, None]
-    out = np.bincount(flat.ravel(), (mass * (1.0 - frac)).ravel(), minlength=p.size * M)
-    out += np.bincount((flat + 1).ravel(), (mass * frac).ravel(), minlength=p.size * M)
-    return out.reshape(p.size, M)
+def _fill_kernel(out, points, predicted, log_f, log_g, weights):
+    """Write K_s into ``out`` (M, M), which is zero on entry: row i for the
+    predicted belief p~ = ``predicted[i]``, column j for the grid point
+    q_j = ``points[j]``.
+
+    After node k the posterior is p' = p~ L_k / (p~ L_k + 1 - p~), with
+    likelihood ratio L_k = g_k / f_k, so p' increases with log L_k.  Once
+    the nodes are sorted by log L_k, those whose posterior lands in cell
+    [q_j, q_{j+1}) are one run, which ends where log L_k reaches the cut
+    logit(q_{j+1}) - logit(p~).  Prefix sums of w f and w g in that order
+    give each cell's sums S_f and S_g, so its mass is
+    m = p~ S_g + (1 - p~) S_f and its first moment p~ S_g.  Linear
+    interpolation, summed over the cell, gives q_j the share
+    clip(((1 - p~) q_{j+1} S_f - p~ (1 - q_{j+1}) S_g) / (q_{j+1} - q_j), 0, m)
+    and q_{j+1} the rest, which keeps the cell's mass and first moment.
+    Nodes where both densities vanish carry no mass, and p~ = 1 puts
+    every node in the last cell."""
+    with np.errstate(invalid="ignore"):
+        log_ratio = log_g - log_f
+    order = np.argsort(log_ratio, kind="stable")
+    sorted_ratio = np.nan_to_num(log_ratio[order], nan=_FAR, posinf=_FAR, neginf=-_FAR)
+    cum_f = np.concatenate(([0.0], np.cumsum(weights[order] * np.exp(log_f[order]))))
+    cum_g = np.concatenate(([0.0], np.cumsum(weights[order] * np.exp(log_g[order]))))
+    inner = points[1:-1]
+    logit_cuts = np.log(inner) - np.log1p(-inner)
+    with np.errstate(divide="ignore"):
+        logit_offset = np.log1p(-predicted) - np.log(predicted)
+    gap = np.diff(points)
+    to_left, to_right = points[1:] / gap, (1.0 - points[1:]) / gap
+    M = points.size
+    rows = max(1, _KERNEL_BLOCK_CELLS // M)
+    ends = np.empty((rows, M), dtype=np.intp)
+    ends[:, 0], ends[:, -1] = 0, sorted_ratio.size
+    for lo in range(0, M, rows):
+        block = slice(lo, min(lo + rows, M))
+        pt = predicted[block, None]
+        run = ends[: block.stop - lo]
+        run[:, 1:-1] = _count_below(sorted_ratio, logit_cuts + logit_offset[block, None])
+        pre = np.diff(cum_f[run], axis=1)
+        pre *= 1.0 - pt
+        post = np.diff(cum_g[run], axis=1)
+        post *= pt
+        mass = pre + post
+        left = pre * to_left
+        left -= post * to_right
+        np.maximum(left, 0.0, out=left)
+        np.minimum(left, mass, out=left)
+        out[block, :-1] = left
+        mass -= left
+        out[block, 1:] += mass
+
+
+def _count_below(ascending, keys):
+    """How many of the finite, ascending values lie below each key, for
+    keys ascending along their last axis; a value equal to a key may count
+    either way.  ``np.interp`` finds each key's segment starting from the
+    previous key's, where ``np.searchsorted`` bisects the whole array; the
+    floor of its interpolated position is off by at most one, and one
+    exact comparison puts that right."""
+    below = np.interp(keys, ascending, np.arange(ascending.size, dtype=float)).astype(np.intp)
+    below += ascending[below] < keys
+    return below
 
 
 @dataclass(frozen=True)

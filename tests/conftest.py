@@ -43,6 +43,33 @@ def brute_force_posterior(scenario, rho, observations):
     return posterior
 
 
+def per_node_kernel(pre, post, rho, resolution):
+    """Continuation kernel (M, M) on the uniform grid, deposited one
+    (belief, node) pair at a time: each Simpson node's mass
+    w (p~ g + (1 - p~) f) goes to the two grid points around its posterior
+    p~ g / (p~ g + (1 - p~) f), split linearly.  A reference for
+    ``detection_mdp``'s per-cell kernel; it shares only the quadrature."""
+    from periodet import simpson_window
+    from periodet.detection_dp import QUADRATURE_NODES, WINDOW_SCALES
+
+    M = resolution
+    nodes, weights = simpson_window(pre, post, WINDOW_SCALES, QUADRATURE_NODES)
+    f, g = np.exp(pre.logpdf(nodes)), np.exp(post.logpdf(nodes))
+    p = np.linspace(0.0, 1.0, M)
+    pt = (p + (1.0 - p) * rho)[:, None]
+    mix = pt * g + (1.0 - pt) * f
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p_next = np.where(mix > 0.0, pt * g / np.where(mix > 0.0, mix, 1.0), 1.0)
+    u = p_next * (M - 1)
+    left = np.minimum(u.astype(np.intp), M - 2)
+    frac = u - left
+    mass = mix * weights
+    flat = left + M * np.arange(M)[:, None]
+    out = np.bincount(flat.ravel(), (mass * (1.0 - frac)).ravel(), minlength=M * M)
+    out += np.bincount((flat + 1).ravel(), (mass * frac).ravel(), minlength=M * M)
+    return out.reshape(M, M)
+
+
 @pytest.fixture(scope="session")
 def alternating_t2():
     """Two-stage scenario with strong/weak signal and alternating penalties."""

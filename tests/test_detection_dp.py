@@ -26,7 +26,7 @@ from periodet import (
 from periodet.cli import REPRODUCE_FIGURES, REPRODUCE_TABLES, bundled_config
 from periodet.detection_dp import QUADRATURE_NODES, WINDOW_SCALES, extract_thresholds
 
-from conftest import make_scenario, stage_sweep
+from conftest import make_scenario, per_node_kernel, stage_sweep
 
 
 def classical_shiryaev_solver(mean_shift, lam, d, rho, grid_points, tol=1e-6):
@@ -67,6 +67,23 @@ class Cauchy:
 
     def sample(self, rng, size=None):
         return self.loc + self.scale * rng.standard_cauchy(size)
+
+
+@dataclass(frozen=True)
+class Clipped:
+    """Normal density cut off beyond ten standard deviations, where its
+    log-density is -inf."""
+
+    loc: float
+    scale: float = 1.0
+
+    def logpdf(self, x):
+        z = (np.asarray(x, dtype=float) - self.loc) / self.scale
+        inside = -0.5 * (z * z + math.log(2 * math.pi)) - math.log(self.scale)
+        return np.where(np.abs(z) <= 10.0, inside, -np.inf)
+
+    def sample(self, rng, size=None):
+        return self.loc + self.scale * rng.standard_normal(size)
 
 
 def continuation_kernel(scenario, stage, resolution, rho=0.01):
@@ -166,6 +183,78 @@ def test_transition_matches_scalar_recursion():
 
 
 # ── continuation kernel ────────────────────────────────────────────────
+
+
+KERNEL_SCENARIOS = {
+    "alternating_t2": make_scenario([0.0, 0.0], [2.0, 1.0]),
+    "decaying_t4": make_scenario([0.0] * 4, [2.0, 1.5, 1.0, 0.5]),
+    "unequal_variances": IpidScenario(
+        pre=(Gaussian(0.0, 1.0), Gaussian(0.5, 2.0)), post=(Gaussian(1.0, 3.0), Gaussian(0.0, 0.5))
+    ),
+    "cauchy": IpidScenario(pre=(Cauchy(0.0),), post=(Cauchy(2.0),)),
+    "identical": make_scenario([0.0], [0.0]),
+    # a narrow density next to a wide one: f, then g, underflows to 0
+    "spike_to_wide": IpidScenario(
+        pre=(Gaussian(0.0, 1e-2), Gaussian(0.0, 4.0)), post=(Gaussian(0.0, 4.0), Gaussian(0.0, 1e-2))
+    ),
+    # both log-densities are -inf on the nodes between the two supports
+    "disjoint_supports": IpidScenario(pre=(Clipped(0.0),), post=(Clipped(30.0),)),
+}
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 50, 200])
+@pytest.mark.parametrize("name", sorted(KERNEL_SCENARIOS))
+def test_kernel_matches_per_node_deposit(name, resolution):
+    scen, rho = KERNEL_SCENARIOS[name], 0.01
+    for s in range(scen.period):
+        nxt = (s + 1) % scen.period
+        expected = per_node_kernel(scen.pre[nxt], scen.post[nxt], rho, resolution)
+        K = continuation_kernel(scen, s, resolution, rho)
+        np.testing.assert_allclose(K, expected, rtol=0, atol=1e-12)
+
+
+def test_kernel_scenarios_reach_vanishing_densities():
+    # the spike's f underflows to 0 on most nodes, where g / f overflows
+    scen = KERNEL_SCENARIOS["spike_to_wide"]
+    nodes, _ = simpson_window(scen.pre[0], scen.post[0], WINDOW_SCALES, QUADRATURE_NODES)
+    assert np.count_nonzero(np.exp(scen.pre[0].logpdf(nodes)) == 0.0) == 1214
+    # disjoint supports give log L = -inf, NaN (both densities 0) and +inf
+    scen = KERNEL_SCENARIOS["disjoint_supports"]
+    nodes, _ = simpson_window(scen.pre[0], scen.post[0], WINDOW_SCALES, QUADRATURE_NODES)
+    with np.errstate(invalid="ignore"):
+        log_ratio = scen.post[0].logpdf(nodes) - scen.pre[0].logpdf(nodes)
+    assert np.isneginf(log_ratio).any() and np.isnan(log_ratio).any() and np.isposinf(log_ratio).any()
+
+
+_means = st.floats(-3.0, 3.0)
+_variances = st.floats(0.25, 4.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    stages=st.lists(st.tuples(_means, _variances, _means, _variances), min_size=1, max_size=3),
+    rho=st.floats(1e-4, 0.5),
+    resolution=st.integers(2, 80),
+)
+def test_kernel_keeps_mass_and_first_moment(stages, rho, resolution):
+    pre = tuple(Gaussian(m, v) for m, v, _, _ in stages)
+    post = tuple(Gaussian(m, v) for _, _, m, v in stages)
+    T, M = len(stages), resolution
+    costs = DetectionCostSpec(false_alarm=(5.0,) * T, delay=(1.0,) * T, rho=rho)
+    P = detection_mdp(IpidScenario(pre=pre, post=post), costs, M).transitions
+    points = BeliefGrid(M).points
+    pt = points + (1.0 - points) * rho
+    for s in range(T):
+        nxt = (s + 1) % T
+        K = P[s, :M, 0, :M]
+        assert np.all(K >= 0.0)
+        assert np.all(K[-1, :-1] == 0.0)
+        assert K[-1, -1] == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(P[s, :M, 0, :].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        # hat interpolation keeps the first moment: E[p'] over the window
+        nodes, weights = simpson_window(pre[nxt], post[nxt], WINDOW_SCALES, QUADRATURE_NODES)
+        g_mass = weights @ np.exp(post[nxt].logpdf(nodes))
+        np.testing.assert_allclose(K @ points, pt * g_mass, rtol=0, atol=1e-12)
 
 
 def test_continuation_zero_curve():
