@@ -264,16 +264,14 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([_plain(v) for v in row] for row in rows)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, np.integer):
-        return str(int(v))
-    return str(v)
+def _plain(v):
+    """``v`` as ``csv.writer`` should get it: a NumPy scalar as the Python
+    number it holds.  The writer then writes a float's ``repr`` and ``str``
+    of anything else."""
+    return v.item() if isinstance(v, np.generic) else v
 
 
 def _write_sweep_csv(sweep, path: Path) -> None:
@@ -292,11 +290,7 @@ def write_solution_artifacts(solution: DetectionSolution, out_dir: Path, stem: s
         + [f"stage_{s}_cost" for s in range(T)]
         + [f"stop_cost_{s}" for s in range(T)]
     )
-    curve_rows = [
-        [grid[i], *(solution.stage_curves[s, i] for s in range(T)),
-         *(solution.stop_curves[s, i] for s in range(T))]
-        for i in range(grid.size)
-    ]
+    curve_rows = np.column_stack((grid, *solution.stage_curves, *solution.stop_curves)).tolist()
     paths = []
     p1 = out_dir / f"{stem}_curves.csv"
     _write_csv(p1, curve_header, curve_rows)

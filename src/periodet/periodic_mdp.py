@@ -23,9 +23,10 @@ one with the stage values.  The optimal policy is periodic:
   1971) and the stop is certified.  At alpha = 1 it stops on a small step,
   which certifies nothing.
 * ``policy_iterate`` alternates ``evaluate_policy`` (one dense linear
-  solve of the cycle system) with greedy improvement on the sweep's
-  Q-tables, and stops when the policy repeats (Howard, 1960; Puterman,
-  *Markov Decision Processes*, 1994, ch. 6-7).  At alpha = 1 every
+  solve of the cycle system on the states the policy keeps running) with
+  greedy improvement on the sweep's Q-tables, and stops when the policy
+  repeats (Howard, 1960; Puterman, *Markov Decision Processes*, 1994,
+  ch. 6-7).  At alpha = 1 every
   evaluated policy must be proper: from every state it reaches the
   zero-cost absorbing states (Bertsekas & Tsitsiklis, 1991).
 
@@ -255,16 +256,22 @@ def value_iterate(
 def evaluate_policy(mdp: PeriodicMdp, actions: np.ndarray) -> np.ndarray:
     """Exact stage-entry values (T, S) of the periodic policy ``actions``.
 
-    ``actions[l, s]`` is the stage-l action in state s.  Stage 0 comes from
-    one dense solve of the cycle system (I - M) V_0 = b, where
-    M = alpha^T P_0 ... P_{T-1} is the discounted one-cycle kernel under
-    the policy and b the expected discounted cost of one cycle; stages
-    T-1, ..., 1 follow by one backward sweep from V_0.
+    ``actions[l, s]`` is the stage-l action in state s, and K_l, c_l are
+    the stage-l kernel and costs under the policy.  States of known value
+    are eliminated first (Puterman, *Markov Decision Processes*, 1994,
+    ch. 6): a state is dead when every stage holds it absorbing at zero
+    cost, and worth 0; it exits at stage l when its K_l row lies on dead
+    states only, and is then worth c_l there.  The other states of stage
+    l run, R_l.  Stage 0 comes from one dense solve of the cycle system
+    (I - M) V_0 = b on R_0, where M = alpha^T K_0[R_0, R_1] ...
+    K_{T-1}[R_{T-1}, R_0] is the discounted one-cycle kernel among running
+    states and b the expected discounted cost of one cycle, exit costs
+    included; stages T-1, ..., 1 follow by one backward sweep from V_0.
+    Without dead states, as on a dense random MDP, every state runs.
 
-    At alpha = 1, states that every stage holds absorbing at zero cost are
-    pinned to 0 and dropped from the system.  The rest is nonsingular
-    exactly when every state reaches such a state (the policy is proper);
-    otherwise ``ValueError`` is raised.
+    At alpha = 1 the system is nonsingular exactly when every state of R_0
+    reaches an exit along the positive entries of the kernels (the policy
+    is proper); otherwise ``ValueError`` names the first that does not.
     """
     actions = _checked_actions(mdp, actions, "actions")
     T, S = mdp.period, mdp.num_states
@@ -272,19 +279,37 @@ def evaluate_policy(mdp: PeriodicMdp, actions: np.ndarray) -> np.ndarray:
     kernels = [mdp.transitions[l][idx, actions[l]] for l in range(T)]  # (S, S) each
     costs = [mdp.costs[l][idx, actions[l]] for l in range(T)]
     alpha = mdp.discount
-    cycle, b = alpha * kernels[T - 1], costs[T - 1]
-    for l in range(T - 2, -1, -1):
-        b = costs[l] + alpha * (kernels[l] @ b)
-        cycle = alpha * (kernels[l] @ cycle)
-    live = np.ones(S, dtype=bool)
+    dead = np.ones(S, dtype=bool)
+    for K, c in zip(kernels, costs):
+        dead &= (K[idx, idx] == 1.0) & (c == 0.0)
+    # the entries are nonnegative, so a row sum over some states is 0
+    # exactly when the row has no positive entry on them
+    exits = [dead | (K @ ~dead == 0.0) for K in kernels]
+    running = [np.flatnonzero(~e) for e in exits]
+    # backward over one cycle: ``base`` holds the stage values when the
+    # running states of the next cycle's stage 0 are worth 0, ``cycle`` the
+    # kernel from the stage's running states to those, and ``reach``
+    # which states meet an exit before then along positive entries
+    base, reach, cycle = np.where(exits[0], costs[0], 0.0), exits[0], None
+    for l in range(T - 1, -1, -1):
+        block = kernels[l][np.ix_(running[l], running[(l + 1) % T])]
+        cycle = alpha * (block if cycle is None else block @ cycle)
+        base = np.where(exits[l], costs[l], costs[l] + alpha * (kernels[l] @ base))
+        reach = exits[l] | (kernels[l] @ reach > 0.0)
     if alpha == 1.0:
-        for K, c in zip(kernels, costs):
-            live &= (K[idx, idx] != 1.0) | (c != 0.0)
-        _check_proper(cycle, live)
-    v0 = np.zeros(S)
-    system = np.eye(int(live.sum())) - cycle[np.ix_(live, live)]
+        reach, support = reach[running[0]], cycle > 0.0
+        while not reach.all():
+            grown = reach | support[:, reach].any(axis=1)
+            if np.array_equal(grown, reach):
+                stuck = running[0][~reach]
+                raise ValueError(
+                    f"policy is improper: {stuck.size} state(s), first {stuck[0]}, never "
+                    "reach a zero-cost absorbing state"
+                )
+            reach = grown
+    v0 = base
     try:
-        v0[live] = np.linalg.solve(system, b[live])
+        v0[running[0]] = np.linalg.solve(np.eye(running[0].size) - cycle, base[running[0]])
     except np.linalg.LinAlgError:
         raise ValueError("policy is improper: its cycle system is singular") from None
     values = np.empty((T, S))
@@ -305,22 +330,6 @@ def _checked_actions(mdp: PeriodicMdp, actions, name: str) -> np.ndarray:
     if np.any((actions < 0) | (actions >= mdp.num_actions)):
         raise ValueError(f"{name} must lie in [0, {mdp.num_actions})")
     return actions
-
-
-def _check_proper(cycle: np.ndarray, live: np.ndarray) -> None:
-    """Raise unless every live state reaches a dead (absorbing, zero-cost)
-    state along the positive entries of the one-cycle kernel."""
-    support = cycle > 0.0
-    reach = ~live | support[:, ~live].any(axis=1)
-    while not reach.all():
-        grown = reach | support[:, reach].any(axis=1)
-        if np.array_equal(grown, reach):
-            stuck = np.flatnonzero(~reach)
-            raise ValueError(
-                f"policy is improper: {stuck.size} state(s), first {stuck[0]}, never reach "
-                "a zero-cost absorbing state"
-            )
-        reach = grown
 
 
 def policy_iterate(

@@ -28,7 +28,8 @@ def plain_domain_update(p, rho, scenario, n, y):
     f = math.exp(scenario.pre[s].logpdf(y))
     g = math.exp(scenario.post[s].logpdf(y))
     pt = p + (1.0 - p) * rho
-    return pt * g / (pt * g + (1.0 - pt) * f)
+    # 1 - pt, written so that it does not cancel when p is near 1
+    return pt * g / (pt * g + (1.0 - p) * (1.0 - rho) * f)
 
 
 def step_belief(p, prior, scenario, y, n=0):

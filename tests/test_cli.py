@@ -14,6 +14,7 @@ from periodet.cli import (
     bundled_config,
     main,
     parse_config,
+    write_solution_artifacts,
 )
 
 MINIMAL = """\
@@ -163,6 +164,30 @@ def test_cmd_solve_writes_artifacts(tmp_path, config_file, capsys):
         assert (out_dir / f"exp_{suffix}.csv").exists()
     header = (out_dir / "exp_curves.csv").read_text().splitlines()[0]
     assert header == "p,stage_0_cost,stage_1_cost,stop_cost_0,stop_cost_1"
+
+
+@pytest.mark.parametrize("solved", ["solved_t2", "solved_t4"])
+def test_solution_csvs_match_value_by_value_reference(tmp_path, request, solved):
+    solution = request.getfixturevalue(solved)
+    T = solution.period
+
+    def line(*values):
+        return ",".join(v if isinstance(v, str) else repr(float(v)) for v in values)
+
+    curves = [line("p", *(f"stage_{s}_cost" for s in range(T)),
+                   *(f"stop_cost_{s}" for s in range(T)))]
+    for i, p in enumerate(solution.grid.points):
+        curves.append(line(p, *solution.stage_curves[:, i], *solution.stop_curves[:, i]))
+    history = ["cycle,sup_distance,l2_distance"] + [
+        line(str(n), sup, l2)
+        for n, (sup, l2) in enumerate(zip(solution.sup_history, solution.l2_history), start=1)
+    ]
+    thresholds = ["stage,threshold"] + [line(str(s), a) for s, a in enumerate(solution.thresholds)]
+    paths = write_solution_artifacts(solution, tmp_path, "pin")
+    assert [path.name for path in paths] == ["pin_curves.csv", "pin_history.csv",
+                                             "pin_thresholds.csv"]
+    for path, lines in zip(paths, (curves, history, thresholds)):
+        assert path.read_bytes() == "".join(f"{text}\r\n" for text in lines).encode()
 
 
 def test_cmd_solve_nonconvergence_exit_code(tmp_path, config_file):

@@ -202,7 +202,7 @@ KERNEL_SCENARIOS = {
 }
 
 
-@pytest.mark.parametrize("resolution", [2, 3, 50, 200])
+@pytest.mark.parametrize("resolution", [2, 3, 50, 200, 1000])
 @pytest.mark.parametrize("name", sorted(KERNEL_SCENARIOS))
 def test_kernel_matches_per_node_deposit(name, resolution):
     scen, rho = KERNEL_SCENARIOS[name], 0.01

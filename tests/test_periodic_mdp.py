@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodet import (
+    DetectionCostSpec,
     PeriodicMdp,
     apply_cycle_operator,
+    detection_mdp,
     evaluate_policy,
     finite_horizon_oracle,
     fixed_point_residual,
@@ -16,9 +18,10 @@ from periodet import (
     simulate_policy,
     value_iterate,
 )
+from periodet import periodic_mdp
 from periodet.periodic_mdp import InstanceFormatError, dump_instance
 
-from conftest import random_mdp, stage_sweep
+from conftest import make_scenario, random_mdp, stage_sweep
 
 
 def classical_value_iteration(P, c, discount, tol=1e-14, max_iters=200_000):
@@ -33,14 +36,18 @@ def classical_value_iteration(P, c, discount, tol=1e-14, max_iters=200_000):
     return v
 
 
-def exact_periodic_policy_value(mdp, stage_maps):
-    """Stage-entry values of a fixed periodic policy by linear solve."""
+def exact_periodic_policy_value(mdp, stage_maps, zero=()):
+    """Stage-entry values of a fixed periodic policy by linear solve.  The
+    states in ``zero`` are pinned to 0 at every stage: at discount 1 the
+    equations of a state absorbing at zero cost are singular."""
     T, S = mdp.period, mdp.num_states
     idx = lambda l, s: l * S + s
     A = np.eye(T * S)
     b = np.zeros(T * S)
     for l in range(T):
         for s in range(S):
+            if s in zero:
+                continue
             a = stage_maps[l][s]
             b[idx(l, s)] = mdp.costs[l, s, a]
             for s2 in range(S):
@@ -330,6 +337,96 @@ def test_improper_policy_raises():
     mdp = absorbing_mdp(np.random.default_rng(45))
     with pytest.raises(ValueError, match="improper"):
         evaluate_policy(mdp, np.zeros((2, 5), dtype=int))
+
+
+def test_improper_policy_names_the_stuck_state():
+    # state 3 is absorbing at zero cost and action 1 jumps there; under
+    # action 0 states 0 and 1 get there too, state 2 stays put at cost 1.
+    # State 0 exits at stage 0, so state 2 is the second running one there
+    P = np.zeros((2, 4, 2, 4))
+    P[:, :, 1, 3] = 1.0
+    P[:, 0, 0, [0, 3]] = 0.5
+    P[:, 1, 0, [1, 3]] = 0.5
+    P[:, 2, 0, 2] = 1.0
+    P[:, 3, 0, 3] = 1.0
+    c = np.ones((2, 4, 2))
+    c[:, 3] = 0.0
+    mdp = PeriodicMdp(transitions=P, costs=c, discount=1.0)
+    actions = np.array([[1, 0, 0, 0], [0, 0, 0, 0]])
+    with pytest.raises(ValueError, match=r"improper: 1 state\(s\), first 2,"):
+        evaluate_policy(mdp, actions)
+    actions[:, 2] = 1
+    np.testing.assert_allclose(
+        evaluate_policy(mdp, actions), exact_periodic_policy_value(mdp, actions, zero=(3,)),
+        rtol=0, atol=1e-12,
+    )
+
+
+DETECTION_CASES = {
+    1: (make_scenario([0.0], [1.0]), DetectionCostSpec((5.0,), (1.0,), rho=0.05)),
+    2: (
+        make_scenario([0.0, 0.0], [2.0, 1.0]),
+        DetectionCostSpec((20.0, 5.0), (10.0, 1.0), rho=0.01),
+    ),
+    4: (
+        make_scenario([0.0] * 4, [2.0, 1.5, 1.0, 0.5]),
+        DetectionCostSpec((20.0, 15.0, 10.0, 5.0), (10.0, 10.0, 6.0, 1.0), rho=0.01),
+    ),
+}
+
+
+@pytest.mark.parametrize("period", sorted(DETECTION_CASES))
+def test_evaluate_policy_on_detection_mdp_matches_brute_force_system(period, monkeypatch):
+    # stop rows exit to the stopped state M, which is dead: the policies
+    # policy iteration visits, and single thresholds, keep few states running
+    M = 50
+    mdp = detection_mdp(*DETECTION_CASES[period], grid_resolution=M)
+    visited = []
+
+    def recording(mdp, actions):
+        visited.append(np.array(actions))
+        return evaluate_policy(mdp, actions)
+
+    monkeypatch.setattr(periodic_mdp, "evaluate_policy", recording)
+    stop_everywhere = np.ones((period, M + 1), dtype=int)
+    policy_iterate(mdp, stop_everywhere)
+    assert len(visited) >= 2 and np.array_equal(visited[0], stop_everywhere)
+    # nothing runs: every value is the stopping cost, exactly
+    np.testing.assert_array_equal(evaluate_policy(mdp, stop_everywhere), mdp.costs[:, :, 1])
+    points = np.linspace(0.0, 1.0, M)
+    single = [
+        np.tile(np.append(points >= a, True), (period, 1)).astype(int) for a in (0.05, 0.5, 0.95)
+    ]
+    for actions in visited + single:
+        np.testing.assert_allclose(
+            evaluate_policy(mdp, actions), exact_periodic_policy_value(mdp, actions, zero=(M,)),
+            rtol=0, atol=1e-12,
+        )
+
+
+def test_evaluate_policy_discounted_with_dead_states_and_exits():
+    # dead states 2 and 5; action 1 splits its jump between them; state 3
+    # is absorbing at zero cost at stage 0 only, so it is not dead
+    rng = np.random.default_rng(53)
+    base = absorbing_mdp(rng, n_states=6, period=3)
+    P, c = np.array(base.transitions), np.array(base.costs)
+    P[:, :, 1] = 0.0
+    P[:, :, 1, [2, 5]] = 0.5
+    P[:, [2, 5]] = 0.0
+    P[:, 2, :, 2] = P[:, 5, :, 5] = 1.0
+    c[:, [2, 5]] = 0.0
+    P[0, 3, 0] = 0.0
+    P[0, 3, 0, 3] = 1.0
+    c[0, 3, 0] = 0.0
+    mdp = PeriodicMdp(transitions=P, costs=c, discount=0.9)
+    policies = [np.zeros((3, 6), dtype=int), np.ones((3, 6), dtype=int)]
+    policies += [rng.integers(0, 2, size=(3, 6)) for _ in range(10)]
+    for actions in policies:
+        values = evaluate_policy(mdp, actions)
+        np.testing.assert_allclose(
+            values, exact_periodic_policy_value(mdp, actions), rtol=0, atol=1e-12
+        )
+        assert np.all(values[:, [2, 5]] == 0.0)
 
 
 def test_evaluate_policy_rejects_bad_actions():
