@@ -11,9 +11,13 @@ mdp-solve  solve a generic periodic MDP instance file
 
 Scenario configs are flat ``key = value`` text files (see ``parse_config``)
 and every bundled experiment ships as one.  All outputs are CSV files with
-header rows plus a human-readable summary on stdout.  Exit codes: 0 on
-success, 2 on config/instance parse errors, 3 when a solver did not
-converge (``solve``: policy iteration did not repeat its policy within
+header rows plus a human-readable summary on stdout.  ``reproduce fig1``
+and ``fig2`` print their target value at p=0 and then write and print
+what ``solve`` and ``sweep`` do on the figure's config, ``fig3`` what
+``tradeoff`` does, each with the figure id as the file stem.  Exit codes:
+0 on success, 2 on config/instance parse errors, 3 when a solver did not
+converge (``solve``, ``simulate --policy optimal`` and every ``reproduce``
+batch but fig3: policy iteration did not repeat its policy within
 ``max_cycles`` improvement steps, or left a fixed-point residual above
 the tolerance; ``mdp-solve``: value iteration did not meet its stopping
 rule within ``max_cycles`` cycles), 1 on any other runtime failure.
@@ -36,6 +40,7 @@ from .detection_dp import DetectionCostSpec, DetectionSolution, solve_detection
 from .ipid_model import Gaussian, GeometricPrior, IpidScenario, kl_information, prior_tail_exponent, sample_path
 from .monte_carlo import (
     PeriodicThresholds,
+    SimulationReport,
     SingleThreshold,
     SweepResult,
     analytic_delay,
@@ -253,7 +258,8 @@ REPRODUCE_TABLES: dict[str, tuple[ReproRow, ...]] = {
 
 REPRODUCE_FIGURES = {"fig1": "alternating_t2", "fig2": "decaying_t4", "fig3": "tradeoff_t2"}
 
-FIGURE_TARGETS = {"fig1": (5.0, (0.6, 0.0)), "fig2": (5.0, None)}
+# target solver value at p = 0 of the figures that solve
+FIGURE_TARGETS = {"fig1": 5.0, "fig2": 5.0}
 
 
 # ---------------------------------------------------------------------------
@@ -274,100 +280,119 @@ def _plain(v):
     return v.item() if isinstance(v, np.generic) else v
 
 
-def _write_sweep_csv(sweep, path: Path) -> None:
+def write_solution_artifacts(solution: DetectionSolution, out_dir: Path, stem: str) -> list[Path]:
+    T = solution.period
+    tables = {
+        "curves": (["p", *(f"stage_{s}_cost" for s in range(T)),
+                    *(f"stop_cost_{s}" for s in range(T))],
+                   np.column_stack((solution.grid.points, *solution.stage_curves,
+                                    *solution.stop_curves)).tolist()),
+        "history": (["cycle", "sup_distance", "l2_distance"],
+                    [[n, sup, l2] for n, (sup, l2) in
+                     enumerate(zip(solution.sup_history, solution.l2_history), start=1)]),
+        "thresholds": (["stage", "threshold"], list(enumerate(solution.thresholds))),
+    }
+    paths = [out_dir / f"{stem}_{name}.csv" for name in tables]
+    for path, (header, rows) in zip(paths, tables.values()):
+        _write_csv(path, header, rows)
+    return paths
+
+
+def _write_solution(solution: DetectionSolution, out_dir: Path, stem: str) -> None:
+    files = write_solution_artifacts(solution, out_dir, stem)
+    print(f"value at p=0: {solution.value_at_zero:.4f}")
+    print(f"stage thresholds: ({', '.join(f'{a:.4f}' for a in solution.thresholds)})")
+    print(f"cycles: {solution.cycles} (converged: {solution.converged})")
+    for f in files:
+        print(f"wrote {f}")
+
+
+def _write_sweep(sweep: SweepResult, out_dir: Path, stem: str) -> None:
+    out = out_dir / f"{stem}_sweep.csv"
     _write_csv(
-        path,
+        out,
         ["threshold", "cost", "std_error", "censored_fraction"],
         [[p.threshold, p.cost, p.std_error, p.censored_fraction] for p in sweep.points],
     )
+    best = sweep.best
+    print(f"best single threshold: cost {best.cost:.4f} +- {best.std_error:.4f} "
+          f"at A = {best.threshold}")
+    print(f"wrote {out}")
 
 
-def write_solution_artifacts(solution: DetectionSolution, out_dir: Path, stem: str) -> list[Path]:
-    T = solution.period
-    grid = solution.grid.points
-    curve_header = (
-        ["p"]
-        + [f"stage_{s}_cost" for s in range(T)]
-        + [f"stop_cost_{s}" for s in range(T)]
+# library calls, one call site each
+
+def _solve_from_config(cfg: ExperimentConfig) -> DetectionSolution:
+    return solve_detection(cfg.scenario(), cfg.cost_spec(), grid_resolution=cfg.grid_points,
+                           tol=cfg.tolerance, max_cycles=cfg.max_cycles)
+
+
+def _optimal_policy(cfg: ExperimentConfig) -> tuple[DetectionSolution, PeriodicThresholds, int]:
+    """The solution, its threshold policy, and the exit code of the solve:
+    ``EXIT_NO_CONVERGENCE`` if it did not converge."""
+    solution = _solve_from_config(cfg)
+    exit_code = EXIT_OK if solution.converged else EXIT_NO_CONVERGENCE
+    return solution, PeriodicThresholds(tuple(solution.thresholds)), exit_code
+
+
+def _bayes_cost(cfg: ExperimentConfig, policy) -> SimulationReport:
+    return estimate_bayes_cost(
+        cfg.scenario(), cfg.cost_spec(), policy, cfg.paths, horizon=cfg.horizon, seed=cfg.seed
     )
-    curve_rows = np.column_stack((grid, *solution.stage_curves, *solution.stop_curves)).tolist()
-    paths = []
-    p1 = out_dir / f"{stem}_curves.csv"
-    _write_csv(p1, curve_header, curve_rows)
-    paths.append(p1)
-    p2 = out_dir / f"{stem}_history.csv"
-    _write_csv(
-        p2,
-        ["cycle", "sup_distance", "l2_distance"],
-        [
-            [i + 1, solution.sup_history[i], solution.l2_history[i]]
-            for i in range(solution.sup_history.size)
-        ],
+
+
+def _sweep(cfg: ExperimentConfig, grid=DEFAULT_THRESHOLD_GRID) -> SweepResult:
+    return sweep_single_threshold(
+        cfg.scenario(), cfg.cost_spec(), grid, cfg.paths, seed=cfg.seed, horizon=cfg.horizon
     )
-    paths.append(p2)
-    p3 = out_dir / f"{stem}_thresholds.csv"
-    _write_csv(
-        p3,
-        ["stage", "threshold"],
-        [[s, solution.thresholds[s]] for s in range(T)],
-    )
-    paths.append(p3)
-    return paths
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _solve_from_config(cfg: ExperimentConfig) -> DetectionSolution:
-    return solve_detection(
-        cfg.scenario(),
-        cfg.cost_spec(),
-        grid_resolution=cfg.grid_points,
-        tol=cfg.tolerance,
-        max_cycles=cfg.max_cycles,
-    )
+# override flag -> the config field it replaces
+_OVERRIDES = {"seed": "seed", "paths": "paths", "grid": "grid_points", "tol": "tolerance"}
+
+
+def _inputs(args, bundled: str | None = None) -> tuple[ExperimentConfig, Path, str]:
+    """A subcommand's config with the override flags applied, its output
+    directory and the stem of its output files: the ``--config`` file and
+    its name, or (``reproduce``) the bundled config ``bundled`` and the
+    batch id."""
+    if bundled is None:
+        cfg, stem = load_config(args.config), Path(args.config).stem
+    else:
+        cfg, stem = bundled_config(bundled), args.id
+    kw = {key: getattr(args, flag) for flag, key in _OVERRIDES.items()
+          if getattr(args, flag) is not None}
+    return replace(cfg, **kw), Path(args.out_dir), stem
 
 
 def cmd_solve(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    solution = _solve_from_config(cfg)
-    out_dir = Path(args.out_dir)
-    stem = Path(args.config).stem
-    files = write_solution_artifacts(solution, out_dir, stem)
-    thr = ", ".join(f"{a:.4f}" for a in solution.thresholds)
-    print(f"value at p=0: {solution.value_at_zero:.4f}")
-    print(f"stage thresholds: ({thr})")
-    print(f"cycles: {solution.cycles} (converged: {solution.converged})")
-    for f in files:
-        print(f"wrote {f}")
-    return EXIT_OK if solution.converged else EXIT_NO_CONVERGENCE
+    cfg, out_dir, stem = _inputs(args)
+    solution, _, exit_code = _optimal_policy(cfg)
+    _write_solution(solution, out_dir, stem)
+    return exit_code
 
 
 def cmd_simulate(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg, out_dir, stem = _inputs(args)
+    spec, policy = args.policy
     exit_code = EXIT_OK
-    policy = args.policy
-    if policy == "optimal":
-        solution = _solve_from_config(cfg)
-        policy = PeriodicThresholds(tuple(solution.thresholds))
-        if not solution.converged:
-            exit_code = EXIT_NO_CONVERGENCE
+    if policy is None:
+        _, policy, exit_code = _optimal_policy(cfg)
     else:
         try:
             policy.stage_thresholds(cfg.period)
         except ValueError as exc:  # a periodic rule of the wrong length
             raise argparse.ArgumentError(None, f"argument --policy: {exc}") from None
-    report = estimate_bayes_cost(
-        cfg.scenario(), cfg.cost_spec(), policy, cfg.paths, horizon=cfg.horizon, seed=cfg.seed
-    )
-    out = Path(args.out_dir) / f"{Path(args.config).stem}_simulate.csv"
-    _write_csv(
-        out,
-        ["kind", "estimate", "std_error", "n_paths", "seed", "horizon", "censored_fraction"],
-        [[report.kind, report.estimate, report.std_error, report.n_paths,
-          report.seed, report.horizon, report.censored_fraction]],
-    )
-    print(f"policy: {args.policy}")
+    report = _bayes_cost(cfg, policy)
+    out = out_dir / f"{stem}_simulate.csv"
+    _write_csv(out, ["kind", "estimate", "std_error", "n_paths", "seed", "horizon",
+                     "censored_fraction"],
+               [[report.kind, report.estimate, report.std_error, report.n_paths,
+                 report.seed, report.horizon, report.censored_fraction]])
+    print(f"policy: {spec}")
     print(f"bayes cost: {report.estimate:.4f} +- {report.std_error:.4f} "
           f"({report.n_paths} paths, censored {report.censored_fraction:.4f})")
     print(f"wrote {out}")
@@ -375,17 +400,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    grid = args.thresholds or DEFAULT_THRESHOLD_GRID
-    result = sweep_single_threshold(
-        cfg.scenario(), cfg.cost_spec(), grid, cfg.paths, seed=cfg.seed, horizon=cfg.horizon
-    )
-    out = Path(args.out_dir) / f"{Path(args.config).stem}_sweep.csv"
-    _write_sweep_csv(result, out)
-    best = result.best
-    print(f"best single threshold: cost {best.cost:.4f} +- {best.std_error:.4f} "
-          f"at A = {best.threshold}")
-    print(f"wrote {out}")
+    cfg, out_dir, stem = _inputs(args)
+    _write_sweep(_sweep(cfg, args.thresholds or DEFAULT_THRESHOLD_GRID), out_dir, stem)
     return EXIT_OK
 
 
@@ -402,12 +418,10 @@ def _trace_rows(cfg: ExperimentConfig, horizon: int) -> list[list]:
 
 
 def cmd_tradeoff(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    alphas = args.alpha or DEFAULT_TRADEOFF_ALPHAS
-    return _tradeoff(cfg, alphas, Path(args.out_dir), Path(args.config).stem)
+    return _tradeoff(*_inputs(args), args.alpha or DEFAULT_TRADEOFF_ALPHAS)
 
 
-def _tradeoff(cfg: ExperimentConfig, alphas, out_dir: Path, stem: str) -> int:
+def _tradeoff(cfg: ExperimentConfig, out_dir: Path, stem: str, alphas) -> int:
     scenario = cfg.scenario()
     info = kl_information(scenario)
     tail = prior_tail_exponent(GeometricPrior(cfg.rho))
@@ -415,17 +429,9 @@ def _tradeoff(cfg: ExperimentConfig, alphas, out_dir: Path, stem: str) -> int:
         scenario, cfg.rho, [1.0 - alpha for alpha in alphas], cfg.paths,
         horizon=cfg.horizon, seed=cfg.seed,
     )
-    rows = []
-    for alpha, res in zip(alphas, sweep.points):
-        rows.append([
-            alpha,
-            abs(math.log(alpha)),
-            res.add.estimate,
-            res.conditional_add.estimate,
-            res.pfa.estimate,
-            res.pfa_posterior,
-            analytic_delay(alpha, info, tail),
-        ])
+    rows = [[alpha, abs(math.log(alpha)), res.add.estimate, res.conditional_add.estimate,
+             res.pfa.estimate, res.pfa_posterior, analytic_delay(alpha, info, tail)]
+            for alpha, res in zip(alphas, sweep.points)]
     out = out_dir / f"{stem}_tradeoff.csv"
     _write_csv(
         out,
@@ -445,26 +451,13 @@ def _tradeoff(cfg: ExperimentConfig, alphas, out_dir: Path, stem: str) -> int:
     return EXIT_OK
 
 
-def _solve_and_sweep(cfg: ExperimentConfig) -> tuple[DetectionSolution, SweepResult]:
-    """The solved policy and the single-threshold sweep it is compared with."""
-    solution = _solve_from_config(cfg)
-    sweep = sweep_single_threshold(
-        cfg.scenario(), cfg.cost_spec(), DEFAULT_THRESHOLD_GRID, cfg.paths,
-        seed=cfg.seed, horizon=cfg.horizon,
-    )
-    return solution, sweep
-
-
-def _reproduce_table(table: str, out_dir: Path, args) -> int:
-    rows = []
-    for row in REPRODUCE_TABLES[table]:
-        cfg = _apply_overrides(bundled_config(row.config), args)
-        solution, sweep = _solve_and_sweep(cfg)
-        policy = PeriodicThresholds(tuple(solution.thresholds))
-        optimal = estimate_bayes_cost(
-            cfg.scenario(), cfg.cost_spec(), policy, cfg.paths, horizon=cfg.horizon, seed=cfg.seed
-        )
-        best = sweep.best
+def _reproduce_table(args) -> int:
+    exit_code, rows = EXIT_OK, []
+    for row in REPRODUCE_TABLES[args.id]:
+        cfg = _inputs(args, row.config)[0]
+        solution, policy, code = _optimal_policy(cfg)
+        exit_code = max(exit_code, code)
+        optimal, best = _bayes_cost(cfg, policy), _sweep(cfg).best
         rows.append([
             row.label, best.cost, best.std_error, best.threshold,
             optimal.estimate, optimal.std_error, solution.value_at_zero,
@@ -472,7 +465,7 @@ def _reproduce_table(table: str, out_dir: Path, args) -> int:
         ])
         print(f"{row.label}: single {best.cost:.2f} (target {row.target_single}), "
               f"optimal {optimal.estimate:.2f} (target {row.target_optimal})")
-    out = out_dir / f"{table}.csv"
+    out = Path(args.out_dir) / f"{args.id}.csv"
     _write_csv(
         out,
         ["row", "single_threshold_cost", "single_threshold_se", "single_best_threshold",
@@ -481,28 +474,23 @@ def _reproduce_table(table: str, out_dir: Path, args) -> int:
         rows,
     )
     print(f"wrote {out}")
-    return EXIT_OK
+    return exit_code
 
 
 def cmd_reproduce(args) -> int:
-    out_dir = Path(args.out_dir)
-    target = args.id
-    if target in REPRODUCE_TABLES:
-        return _reproduce_table(target, out_dir, args)
-    if target in ("fig1", "fig2"):
-        cfg = _apply_overrides(bundled_config(REPRODUCE_FIGURES[target]), args)
-        solution, sweep = _solve_and_sweep(cfg)
-        write_solution_artifacts(solution, out_dir, target)
-        _write_sweep_csv(sweep, out_dir / f"{target}_sweep.csv")
-        target_value = FIGURE_TARGETS[target][0]
-        print(f"value at p=0: {solution.value_at_zero:.4f} (target {target_value})")
-        print(f"thresholds: {np.round(solution.thresholds, 4).tolist()}")
-        print(f"best single threshold cost: {sweep.best.cost:.4f}")
-        return EXIT_OK if solution.converged else EXIT_NO_CONVERGENCE
-    if target == "fig3":
-        cfg = _apply_overrides(bundled_config(REPRODUCE_FIGURES[target]), args)
-        return _tradeoff(cfg, DEFAULT_TRADEOFF_ALPHAS, out_dir, "fig3")
-    raise ValueError(f"unknown reproduction id {target!r}")
+    """A table runs its rows; a figure writes and prints what ``solve`` and
+    ``sweep`` (fig1, fig2) or ``tradeoff`` (fig3) write and print on its
+    bundled config, with the figure id as the stem."""
+    if args.id in REPRODUCE_TABLES:
+        return _reproduce_table(args)
+    cfg, out_dir, stem = _inputs(args, REPRODUCE_FIGURES[args.id])
+    if args.id == "fig3":
+        return _tradeoff(cfg, out_dir, stem, DEFAULT_TRADEOFF_ALPHAS)
+    print(f"target value at p=0: {FIGURE_TARGETS[args.id]}")
+    solution, _, exit_code = _optimal_policy(cfg)
+    _write_solution(solution, out_dir, stem)
+    _write_sweep(_sweep(cfg), out_dir, stem)
+    return exit_code
 
 
 def cmd_mdp_solve(args) -> int:
@@ -510,39 +498,23 @@ def cmd_mdp_solve(args) -> int:
     values = value_iterate(mdp, tol=args.tol, max_cycles=args.max_cycles)
     actions = values.actions
     residual = fixed_point_residual(values.values[0], mdp)
-    out_dir = Path(args.out_dir)
-    stem = Path(args.instance).stem
-    _write_csv(
-        out_dir / f"{stem}_values.csv",
-        ["stage", "state", "value"],
-        [[l, s, values.values[l, s]] for l in range(mdp.period) for s in range(mdp.num_states)],
-    )
-    _write_csv(
-        out_dir / f"{stem}_policy.csv",
-        ["stage", "state", "action"],
-        [[l, s, int(actions[l, s])] for l in range(mdp.period) for s in range(mdp.num_states)],
-    )
+    out_dir, stem = Path(args.out_dir), Path(args.instance).stem
+    cells = [(l, s) for l in range(mdp.period) for s in range(mdp.num_states)]
+    files = []
+    for name, column, table in (("values", "value", values.values), ("policy", "action", actions)):
+        files.append(out_dir / f"{stem}_{name}.csv")
+        _write_csv(files[-1], ["stage", "state", column], [[l, s, table[l, s]] for l, s in cells])
     print(f"cycles: {values.cycles} (converged: {values.converged})")
     print(f"fixed-point residual: {residual:.3e}")
     for l in range(mdp.period):
         print(f"stage {l}: values {np.round(values.values[l], 6).tolist()} "
               f"actions {actions[l].tolist()}")
-    print(f"wrote {out_dir / (stem + '_values.csv')}")
-    print(f"wrote {out_dir / (stem + '_policy.csv')}")
+    for f in files:
+        print(f"wrote {f}")
     return EXIT_OK if values.converged else EXIT_NO_CONVERGENCE
 
 
 # ---------------------------------------------------------------------------
-
-# override flag -> the config field it replaces
-_OVERRIDES = {"seed": "seed", "paths": "paths", "grid": "grid_points", "tol": "tolerance"}
-
-
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    kw = {key: getattr(args, flag) for flag, key in _OVERRIDES.items()
-          if getattr(args, flag) is not None}
-    return replace(cfg, **kw) if kw else cfg
-
 
 def _field_type(key: str):
     """argparse ``type=`` for a flag that sets config field ``key``: the
@@ -576,18 +548,18 @@ def _float_list(in_range, what: str):
     return convert
 
 
-def _policy_spec(text: str) -> str | SingleThreshold | PeriodicThresholds:
-    """argparse ``type=`` for ``--policy``: 'optimal' as is, or the rule of
-    'single:A' or 'periodic:a0,a1,...', so a bad spec exits 2 naming the
-    flag."""
+def _policy_spec(text: str) -> tuple[str, SingleThreshold | PeriodicThresholds | None]:
+    """argparse ``type=`` for ``--policy``: the spec as given, with the rule
+    of 'single:A' or 'periodic:a0,a1,...' or None for 'optimal', so a bad
+    spec exits 2 naming the flag."""
     if text == "optimal":
-        return text
+        return text, None
     kind, _, rest = text.partition(":")
     try:
         if kind == "single":
-            return SingleThreshold(float(rest))
+            return text, SingleThreshold(float(rest))
         if kind == "periodic":
-            return PeriodicThresholds(tuple(float(v) for v in rest.split(",")))
+            return text, PeriodicThresholds(tuple(float(v) for v in rest.split(",")))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad policy spec {text!r}: {exc}") from None
     raise argparse.ArgumentTypeError(
@@ -602,40 +574,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    def experiment(name, func, summary, config_required=True):
+        """A subcommand that runs one config, with the shared flags."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         if config_required:
             p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out-dir", default="periodet-results", help="output directory")
         for flag, key in _OVERRIDES.items():
             p.add_argument(f"--{flag}", type=_field_type(key), default=None,
                            help=f"override config field {key!r}")
+        return p
 
-    p = sub.add_parser("solve", help="solve a detection scenario by policy iteration")
-    common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("simulate", help="Monte-Carlo Bayes cost of a policy")
-    common(p)
+    experiment("solve", cmd_solve, "solve a detection scenario by policy iteration")
+    p = experiment("simulate", cmd_simulate, "Monte-Carlo Bayes cost of a policy")
     p.add_argument("--policy", type=_policy_spec, default="optimal",
                    help="'optimal', 'single:A', or 'periodic:a0,a1,...'")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("sweep", help="single-threshold cost over a threshold grid")
-    common(p)
+    p = experiment("sweep", cmd_sweep, "single-threshold cost over a threshold grid")
     p.add_argument("--thresholds", type=_float_list(lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
                    default=None, help="comma-separated thresholds, each in [0, 1)")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("tradeoff", help="delay vs false-alarm tradeoff curve")
-    common(p)
+    p = experiment("tradeoff", cmd_tradeoff, "delay vs false-alarm tradeoff curve")
     p.add_argument("--alpha", type=_float_list(lambda v: 0.0 < v < 1.0, "in (0, 1)"),
                    default=None, help="comma-separated false-alarm levels, each in (0, 1)")
-    p.set_defaults(func=cmd_tradeoff)
-
-    p = sub.add_parser("reproduce", help="run a bundled experiment batch")
+    p = experiment("reproduce", cmd_reproduce, "run a bundled experiment batch",
+                   config_required=False)
     p.add_argument("id", choices=sorted(REPRODUCE_TABLES) + sorted(REPRODUCE_FIGURES))
-    common(p, config_required=False)
-    p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("mdp-solve", help="solve a periodic MDP instance file")
     p.add_argument("instance", help="instance file (see periodic_mdp.load_instance)")

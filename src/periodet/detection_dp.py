@@ -227,7 +227,6 @@ class DetectionSolution:
     """
 
     grid: BeliefGrid
-    costs: DetectionCostSpec
     stage_curves: np.ndarray  # (T, M)
     continue_curves: np.ndarray  # (T, M)
     stop_curves: np.ndarray  # (T, M)
@@ -266,7 +265,6 @@ def solve_detection(
     cont, stop, entry = result.q[:, :M, 0], result.q[:, :M, 1], result.q[:, :M].min(axis=2)
     return DetectionSolution(
         grid=grid,
-        costs=costs,
         stage_curves=entry,
         continue_curves=cont,
         stop_curves=stop,

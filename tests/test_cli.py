@@ -1,5 +1,7 @@
+import csv
 import importlib.util
 import shlex
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -208,6 +210,13 @@ def test_cmd_simulate_identical_bytes_for_same_seed(tmp_path, config_file):
     assert (out1 / "exp_simulate.csv").read_bytes() == (out2 / "exp_simulate.csv").read_bytes()
 
 
+@pytest.mark.parametrize("spec", ["optimal", "single:0.4", "periodic:0.4,0.2"])
+def test_cmd_simulate_prints_the_policy_spec_as_given(tmp_path, config_file, capsys, spec):
+    assert main(["simulate", "--config", str(config_file), "--out-dir", str(tmp_path),
+                 "--policy", spec, "--paths", "50"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"policy: {spec}"
+
+
 def test_cmd_simulate_single_threshold_never_beats_solver_policy(tmp_path, config_file, capsys):
     def cost_of(policy):
         assert main([
@@ -286,6 +295,54 @@ def test_cmd_reproduce_table_applies_grid_and_tol(tmp_path):
     assert got == want
 
 
+def test_cmd_reproduce_table_exits_3_when_a_solve_does_not_converge(tmp_path):
+    argv = ["reproduce", "table1", "--out-dir", str(tmp_path), "--paths", "200",
+            "--grid", "30", "--tol", "1e-300"]
+    assert main(argv) == 3
+    lines = (tmp_path / "table1.csv").read_text().splitlines()
+    assert len(lines) == 1 + len(REPRODUCE_TABLES["table1"])
+
+
+def _bundled_copy(directory: Path, name: str) -> Path:
+    path = directory / f"{name}.cfg"
+    path.write_text(resources.files("periodet.configs").joinpath(path.name).read_text())
+    return path
+
+
+def _csv_rows(path: Path) -> list[dict]:
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+FLAGS = ["--grid", "40", "--paths", "300", "--seed", "5"]
+
+
+def test_reproduce_figure_writes_what_solve_and_sweep_write(tmp_path):
+    config = _bundled_copy(tmp_path, REPRODUCE_FIGURES["fig1"])
+    fig, direct = tmp_path / "fig", tmp_path / "direct"
+    assert main(["reproduce", "fig1", "--out-dir", str(fig), *FLAGS]) == 0
+    for command in ("solve", "sweep"):
+        assert main([command, "--config", str(config), "--out-dir", str(direct), *FLAGS]) == 0
+    for suffix in ("curves", "history", "thresholds", "sweep"):
+        assert ((fig / f"fig1_{suffix}.csv").read_bytes()
+                == (direct / f"{config.stem}_{suffix}.csv").read_bytes())
+
+
+def test_reproduce_table_row_matches_simulate_and_sweep(tmp_path):
+    row = REPRODUCE_TABLES["table3"][0]
+    config = _bundled_copy(tmp_path, row.config)
+    assert main(["reproduce", "table3", "--out-dir", str(tmp_path), *FLAGS]) == 0
+    for command in (["simulate", "--policy", "optimal"], ["sweep"]):
+        assert main([*command, "--config", str(config), "--out-dir", str(tmp_path), *FLAGS]) == 0
+    got = _csv_rows(tmp_path / "table3.csv")[0]
+    simulated = _csv_rows(tmp_path / f"{row.config}_simulate.csv")[0]
+    best = min(_csv_rows(tmp_path / f"{row.config}_sweep.csv"), key=lambda r: float(r["cost"]))
+    assert got["row"] == row.label
+    assert got["optimal_policy_cost"] == simulated["estimate"]
+    assert got["optimal_policy_se"] == simulated["std_error"]
+    assert got["single_threshold_cost"] == best["cost"]
+
+
 def test_cmd_mdp_solve_zero_costs(tmp_path, capsys):
     instance = tmp_path / "zero.mdp"
     instance.write_text(ZERO_COST_INSTANCE)
@@ -312,11 +369,16 @@ def test_cmd_mdp_solve_bundled_instance_matches_oracle(tmp_path):
     assert np.all(values.values[0] <= lower + tail + slack)
 
 
-def test_solve_example_mdp_script_writes_the_mdp_solve_policy(tmp_path, monkeypatch):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "solve_example_mdp.py"
-    spec = importlib.util.spec_from_file_location("solve_example_mdp", script)
+def _load_script(name: str):
+    script = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_solve_example_mdp_script_writes_the_mdp_solve_policy(tmp_path, monkeypatch):
+    module = _load_script("solve_example_mdp")
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     monkeypatch.chdir(run_dir)  # the script writes into ./periodet-results
@@ -329,6 +391,23 @@ def test_solve_example_mdp_script_writes_the_mdp_solve_policy(tmp_path, monkeypa
     assert main(["mdp-solve", str(instance), "--out-dir", str(direct)]) == 0
     name = "instance_three_state_t2_policy.csv"
     assert (run_dir / "periodet-results" / name).read_bytes() == (direct / name).read_bytes()
+
+
+def test_reproduce_experiments_script_writes_every_batch(tmp_path, monkeypatch):
+    module = _load_script("reproduce_experiments")
+    script_dir, direct = tmp_path / "script", tmp_path / "direct"
+    monkeypatch.setattr(sys, "argv", ["reproduce_experiments.py", "--paths", "200",
+                                      "--out-dir", str(script_dir)])
+    assert module.main() == 0
+    for batch in module.BATCHES:
+        assert main(["reproduce", batch, "--paths", "200", "--out-dir", str(direct)]) == 0
+    solved = ("curves", "history", "thresholds", "sweep")
+    names = sorted([f"{table}.csv" for table in REPRODUCE_TABLES]
+                   + [f"{fig}_{suffix}.csv" for fig in ("fig1", "fig2") for suffix in solved]
+                   + ["fig3_tradeoff.csv", "fig3_trace.csv"])
+    assert sorted(path.name for path in script_dir.iterdir()) == names
+    for name in names:
+        assert (script_dir / name).read_bytes() == (direct / name).read_bytes()
 
 
 # ── exit codes ─────────────────────────────────────────────────────────
