@@ -21,22 +21,22 @@ from .ipid_model import (
     Gaussian,
     GeometricPrior,
     IpidScenario,
-    SamplePath,
     kl_information,
     log_likelihood_ratio,
     prior_tail_exponent,
-    sample_path,
     simpson_window,
 )
 from .monte_carlo import (
     AddPfaResult,
     AddPfaSweep,
     PeriodicThresholds,
+    SamplePath,
     SimulationReport,
     SingleThreshold,
     analytic_delay,
     estimate_add_pfa,
     estimate_bayes_cost,
+    sample_path,
     sweep_single_threshold,
 )
 from .periodic_mdp import (

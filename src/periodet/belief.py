@@ -7,15 +7,15 @@ saturates at 1.0 in floating point after long post-change stretches,
 while log odds stay finite and exact far beyond that; callers that need
 p read it back with ``log_odds_to_belief``.
 
-``update_odds`` is the one recursion.  Each step pumps the odds by the
-geometric prior's hazard rho, then scales them by the stage-matched
-likelihood ratio exp(Z_n) of observation n:
+One step, ``log_odds_step_geometric``, holds the recursion's arithmetic.
+It pumps the odds by the geometric prior's hazard rho, then scales them
+by the stage-matched likelihood ratio exp(Z_n) of observation n:
 
-    log R_n = log(R_{n-1} + rho) - log(1 - rho) + Z_n,
+    log R_n = log(R_{n-1} + rho) - log(1 - rho) + Z_n.
 
-the arithmetic of ``log_odds_step_geometric``, which the Monte-Carlo
-engine runs vectorized over paths.  A state pinned at p = 1 (log odds
-+inf) stays pinned: the change is absorbing.
+``update_odds`` runs it online and rejects an observation outside both
+stage supports; a state at p = 1 (log odds +inf) stays there, as the
+change is absorbing.  The Monte-Carlo kernel runs it over its paths.
 """
 
 from __future__ import annotations

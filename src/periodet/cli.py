@@ -35,9 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .belief import OddsState, log_odds_to_belief, update_odds
+from .belief import log_odds_to_belief
 from .detection_dp import DetectionCostSpec, DetectionSolution, solve_detection
-from .ipid_model import Gaussian, GeometricPrior, IpidScenario, kl_information, prior_tail_exponent, sample_path
+from .ipid_model import Gaussian, GeometricPrior, IpidScenario, kl_information, prior_tail_exponent
 from .monte_carlo import (
     PeriodicThresholds,
     SimulationReport,
@@ -47,6 +47,7 @@ from .monte_carlo import (
     default_horizon,
     estimate_add_pfa,
     estimate_bayes_cost,
+    sample_path,
     sweep_single_threshold,
 )
 from .periodic_mdp import (
@@ -406,15 +407,9 @@ def cmd_sweep(args) -> int:
 
 
 def _trace_rows(cfg: ExperimentConfig, horizon: int) -> list[list]:
-    scenario = cfg.scenario()
-    prior = GeometricPrior(cfg.rho)
-    path = sample_path(scenario, prior, horizon, cfg.seed)
-    state = OddsState(-math.inf)
-    rows = []
-    for y in path.observations:
-        state = update_odds(state, prior, scenario, y)
-        rows.append([state.n, log_odds_to_belief(state.log_r), int(path.change_active(state.n))])
-    return rows
+    path = sample_path(cfg.scenario(), GeometricPrior(cfg.rho), horizon, cfg.seed)
+    return [[n, log_odds_to_belief(log_r), int(path.change_active(n))]
+            for n, log_r in enumerate(path.log_odds.tolist(), start=1)]
 
 
 def cmd_tradeoff(args) -> int:
@@ -594,7 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", type=_float_list(lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
                    default=None, help="comma-separated thresholds, each in [0, 1)")
     p = experiment("tradeoff", cmd_tradeoff, "delay vs false-alarm tradeoff curve")
-    p.add_argument("--alpha", type=_float_list(lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    # an alpha below half the spacing of floats under 1 would make 1 - alpha round to 1
+    p.add_argument("--alpha", type=_float_list(lambda v: 0.0 < v < 1.0 and 1.0 - v < 1.0,
+                                               "in (0, 1) with 1 - alpha < 1"),
                    default=None, help="comma-separated false-alarm levels, each in (0, 1)")
     p = experiment("reproduce", cmd_reproduce, "run a bundled experiment batch",
                    config_required=False)

@@ -4,10 +4,11 @@ An i.p.i.d. process emits independent observations whose marginal density
 repeats with period T.  A monitored stream follows the pre-change law
 (f_1, ..., f_T) up to some random change point nu and the post-change law
 (g_1, ..., g_T) from nu on.  This module holds the density types, the
-geometric change-point prior, path sampling, the Simpson window that both
-the divergence and the detection DP integrate over, and the two
-information quantities that control asymptotic detection delay: the
-period-averaged Kullback-Leibler divergence and the prior's tail exponent.
+geometric change-point prior, the Simpson window that both the divergence
+and the detection DP integrate over, and the two information quantities
+that control asymptotic detection delay: the period-averaged
+Kullback-Leibler divergence and the prior's tail exponent.  Paths are
+drawn by the Monte-Carlo kernel (``monte_carlo.sample_path``).
 
 The prior is geometric and is the only one: its constant hazard rho makes
 the posterior change probability a Markov state, which the detection DP
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -31,9 +32,7 @@ __all__ = [
     "Gaussian",
     "IpidScenario",
     "GeometricPrior",
-    "SamplePath",
     "log_likelihood_ratio",
-    "sample_path",
     "simpson_window",
     "kl_information",
     "prior_tail_exponent",
@@ -42,7 +41,6 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-@runtime_checkable
 class Density(Protocol):
     """Log-density over the real line, with enough structure to sample and
     to place a truncated quadrature window (``loc`` and ``scale``)."""
@@ -93,8 +91,7 @@ class IpidScenario:
 
     ``pre`` and ``post`` each hold T densities, one per stage.  A scenario
     where every post density equals its pre counterpart is constructable
-    (the change is then undetectable); it is flagged via ``is_degenerate``
-    rather than rejected, so that callers can decide.
+    (the change is then undetectable); ``kl_information`` rejects it.
     """
 
     pre: tuple[Density, ...]
@@ -113,11 +110,6 @@ class IpidScenario:
     @property
     def period(self) -> int:
         return len(self.pre)
-
-    @property
-    def is_degenerate(self) -> bool:
-        """True when no stage distinguishes post from pre."""
-        return all(g == f for f, g in zip(self.pre, self.post))
 
     def stage_index(self, n: int) -> int:
         """0-based stage of observation n >= 1."""
@@ -142,49 +134,6 @@ class GeometricPrior:
     def __post_init__(self):
         if not (0.0 < self.rho < 1.0):
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
-
-    def sample(self, rng: np.random.Generator, size=None):
-        return rng.geometric(self.rho, size=size)
-
-
-@dataclass(frozen=True)
-class SamplePath:
-    """One simulated observation stream.
-
-    ``change_point`` is None when the change falls beyond the horizon,
-    so false-alarm probabilities can be estimated without truncating the
-    prior.
-    """
-
-    change_point: int | None
-    observations: np.ndarray
-    horizon: int
-    seed: int
-
-    def change_active(self, n: int) -> bool:
-        """Whether observation n is drawn from the post-change law."""
-        return self.change_point is not None and n >= self.change_point
-
-
-def sample_path(
-    scenario: IpidScenario, prior: GeometricPrior, horizon: int, seed: int
-) -> SamplePath:
-    """Draw a change point from the prior and a length-``horizon`` stream."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    rng = np.random.default_rng(seed)
-    nu = int(prior.sample(rng))
-    obs = np.empty(horizon)
-    for n in range(1, horizon + 1):
-        s = scenario.stage_index(n)
-        law = scenario.post[s] if n >= nu else scenario.pre[s]
-        obs[n - 1] = law.sample(rng)
-    return SamplePath(
-        change_point=nu if nu <= horizon else None,
-        observations=obs,
-        horizon=horizon,
-        seed=seed,
-    )
 
 
 def _kl_divergence(g: Density, f: Density) -> float:

@@ -29,6 +29,10 @@ each path's stopping time is nondecreasing in the threshold, and the
 largest threshold's estimate equals its one-rule run at the same seed.
 Separate calls (``estimate_bayes_cost`` for two policies, say) share only
 the change points.
+
+Paths are drawn here and nowhere else, by one change-point draw and one
+step (observation n of every running path, and its log odds);
+``sample_path`` runs the step on one path to the horizon.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .belief import belief_to_log_odds, log_odds_step_geometric
-from .ipid_model import IpidScenario, log_likelihood_ratio
+from .ipid_model import GeometricPrior, IpidScenario, log_likelihood_ratio
 from .detection_dp import DetectionCostSpec
 
 __all__ = [
@@ -48,10 +52,12 @@ __all__ = [
     "PeriodicThresholds",
     "StoppingPolicy",
     "SimulationReport",
+    "SamplePath",
     "AddPfaResult",
     "AddPfaSweep",
     "SweepPoint",
     "SweepResult",
+    "sample_path",
     "estimate_bayes_cost",
     "sweep_single_threshold",
     "estimate_add_pfa",
@@ -133,7 +139,57 @@ class AddPfaResult:
 
 def default_horizon(rho: float) -> int:
     """50 expected change times; long enough that censoring is rare."""
+    GeometricPrior(rho)  # rejects rho outside (0, 1)
     return int(math.ceil(50.0 / rho))
+
+
+def _change_points(rng: np.random.Generator, rho: float, size: int, horizon: int) -> np.ndarray:
+    """Geometric change points, horizon + 1 standing for any beyond it."""
+    return np.minimum(rng.geometric(rho, size).astype(np.int64), horizon + 1)
+
+
+def _step(scenario: IpidScenario, rho: float, rng: np.random.Generator, n: int,
+          nu: np.ndarray, log_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Observation n of the paths whose change points are ``nu``, post-change
+    draws first, and the paths' log odds after it."""
+    s = scenario.stage_index(n)
+    post = nu <= n
+    n_post = np.count_nonzero(post)
+    y = np.empty(nu.size)
+    y[post] = scenario.post[s].sample(rng, n_post)
+    y[~post] = scenario.pre[s].sample(rng, nu.size - n_post)
+    return y, log_odds_step_geometric(log_r, rho, log_likelihood_ratio(scenario, n, y))
+
+
+@dataclass(frozen=True)
+class SamplePath:
+    """One simulated stream; ``log_odds[n - 1]`` is log R_n.  ``change_point``
+    is None when the change falls beyond the horizon."""
+
+    change_point: int | None
+    observations: np.ndarray
+    log_odds: np.ndarray
+
+    def change_active(self, n: int) -> bool:
+        """Whether observation n is drawn from the post-change law."""
+        return self.change_point is not None and n >= self.change_point
+
+
+def sample_path(
+    scenario: IpidScenario, prior: GeometricPrior, horizon: int, seed: int
+) -> SamplePath:
+    """The one path ``_simulate_stopping`` draws at ``seed``, never stopped
+    by an alarm: its change point, observations and log odds."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    rng = np.random.default_rng(seed)
+    nu = _change_points(rng, prior.rho, 1, horizon)
+    observations, log_odds = np.empty(horizon), np.empty(horizon)
+    log_r = np.full(1, -math.inf)
+    for n in range(1, horizon + 1):
+        y, log_r = _step(scenario, prior.rho, rng, n, nu, log_r)
+        observations[n - 1], log_odds[n - 1] = y[0], log_r[0]
+    return SamplePath(int(nu[0]) if nu[0] <= horizon else None, observations, log_odds)
 
 
 def _simulate_stopping(
@@ -163,6 +219,7 @@ def _simulate_stopping(
     log_r_at_tau has tau's shape (+inf where no alarm) when ``with_log_r``
     is set and is None otherwise.
     """
+    GeometricPrior(rho)  # rejects rho outside (0, 1) before any draw
     if n_paths < 1 or horizon < 1:
         raise ValueError("need n_paths >= 1 and horizon >= 1")
     if horizon + 1 > np.iinfo(np.int32).max:
@@ -177,21 +234,15 @@ def _simulate_stopping(
     stage_levels = np.array([[belief_to_log_odds(a) for a in stage] for stage in levels.T])
 
     rng = np.random.default_rng(seed)
-    nu = rng.geometric(rho, n_paths).astype(np.int64)
-    nu = np.minimum(nu, horizon + 1)
+    nu = _change_points(rng, rho, n_paths, horizon)
     tau = np.full((n_paths, n_levels), horizon + 1, dtype=np.int32)
     log_r_at_tau = np.full((n_paths, n_levels), math.inf) if with_log_r else None
     alive = np.arange(n_paths)
     next_level = np.zeros(n_paths, dtype=np.intp)
     log_r = np.full(n_paths, -math.inf)
     for n in range(1, horizon + 1):
-        s = scenario.stage_index(n)
-        post = nu[alive] <= n
-        y = np.empty(alive.size)
-        y[post] = scenario.post[s].sample(rng, int(post.sum()))
-        y[~post] = scenario.pre[s].sample(rng, int(alive.size - post.sum()))
-        log_r = log_odds_step_geometric(log_r, rho, log_likelihood_ratio(scenario, n, y))
-        col = stage_levels[s]
+        _, log_r = _step(scenario, rho, rng, n, nu[alive], log_r)
+        col = stage_levels[scenario.stage_index(n)]
         crossed = log_r > col[next_level]
         if crossed.any():
             hit_log_r = log_r[crossed]

@@ -1,18 +1,22 @@
 import csv
 import importlib.util
+import math
 import shlex
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from periodet import GeometricPrior, OddsState, log_odds_to_belief, update_odds
 from periodet.cli import (
     ConfigError,
     DEFAULT_THRESHOLD_GRID,
     REPRODUCE_FIGURES,
     REPRODUCE_TABLES,
+    _trace_rows,
     bundled_config,
     main,
     parse_config,
@@ -126,7 +130,8 @@ def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, command):
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("alpha", ["1.5", "1.0", "0", "x", "0.01,1.5", "nan"])
+# 1e-17: 1 - alpha rounds to 1.0, which is no threshold a rule can take
+@pytest.mark.parametrize("alpha", ["1.5", "1.0", "0", "x", "0.01,1.5", "nan", "1e-17"])
 def test_out_of_range_alpha_is_a_usage_error(tmp_path, capsys, alpha):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(MINIMAL)
@@ -260,6 +265,38 @@ def test_cmd_tradeoff_columns_and_trace(tmp_path, config_file):
     assert set(body[:, 2]) <= {0.0, 1.0}
     # change marker is monotone: once active it stays active
     assert np.all(np.diff(body[:, 2]) >= 0)
+
+
+def test_cmd_tradeoff_smallest_alpha_below_one_runs(tmp_path, config_file):
+    # 1 - 1e-16 is the largest float below 1, so the threshold is valid
+    code = main([
+        "tradeoff", "--config", str(config_file), "--out-dir", str(tmp_path),
+        "--alpha", "1e-16", "--paths", "50",
+    ])
+    assert code == 0
+    assert len((tmp_path / "exp_tradeoff.csv").read_text().splitlines()) == 2
+
+
+def scalar_trace_rows(cfg, horizon):
+    """The trace drawn and scored one observation at a time: a geometric
+    change point, then one draw from the stage law and one ``update_odds``
+    step per observation."""
+    scenario, prior = cfg.scenario(), GeometricPrior(cfg.rho)
+    rng = np.random.default_rng(cfg.seed)
+    nu = int(rng.geometric(cfg.rho))
+    state, rows = OddsState(-math.inf), []
+    for n in range(1, horizon + 1):
+        s = scenario.stage_index(n)
+        law = scenario.post[s] if n >= nu else scenario.pre[s]
+        state = update_odds(state, prior, scenario, law.sample(rng))
+        rows.append([state.n, log_odds_to_belief(state.log_r), int(n >= nu)])
+    return rows
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_trace_rows_match_scalar_reference(seed):
+    cfg = replace(bundled_config("tradeoff_t2"), seed=seed)
+    assert _trace_rows(cfg, 600) == scalar_trace_rows(cfg, 600)
 
 
 def test_cmd_tradeoff_single_alpha_single_row(tmp_path, config_file):

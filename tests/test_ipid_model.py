@@ -12,7 +12,6 @@ from periodet import (
     kl_information,
     log_likelihood_ratio,
     prior_tail_exponent,
-    sample_path,
 )
 from periodet.ipid_model import _kl_quadrature
 
@@ -70,10 +69,9 @@ def test_scenario_shape_validation():
         IpidScenario(pre=(), post=())
 
 
-def test_degenerate_scenario_is_constructable_but_flagged():
+def test_degenerate_scenario_is_constructable():
     same = make_scenario([0.0, 1.0], [0.0, 1.0])
-    assert same.is_degenerate
-    assert not make_scenario([0.0, 1.0], [0.0, 2.0]).is_degenerate
+    assert same.pre == same.post
 
 
 # ── log likelihood ratio ───────────────────────────────────────────────
@@ -101,69 +99,13 @@ def test_llr_periodic_in_time(n, y, theta):
     assert log_likelihood_ratio(scen, n, y) == log_likelihood_ratio(scen, n + 2, y)
 
 
-# ── sampling ───────────────────────────────────────────────────────────
-
-
-def test_sample_path_deterministic():
-    scen = make_scenario([0.0, 0.0], [2.0, 1.0])
-    prior = GeometricPrior(0.1)
-    a = sample_path(scen, prior, horizon=50, seed=7)
-    b = sample_path(scen, prior, horizon=50, seed=7)
-    assert a.change_point == b.change_point
-    np.testing.assert_array_equal(a.observations, b.observations)
-
-
-def test_sample_path_rho_near_one_changes_immediately():
-    scen = make_scenario([0.0], [5.0])
-    prior = GeometricPrior(1.0 - 1e-12)
-    for seed in range(20):
-        assert sample_path(scen, prior, horizon=5, seed=seed).change_point == 1
-
-
-def test_geometric_change_point_mean():
-    # empirical mean of nu within 2% of 1/rho at 1e5 draws
-    rng = np.random.default_rng(123)
-    draws = GeometricPrior(0.01).sample(rng, size=100_000)
-    assert abs(draws.mean() - 100.0) / 100.0 < 0.02
+# ── geometric prior ────────────────────────────────────────────────────
 
 
 @pytest.mark.parametrize("rho", [0.0, 1.0, -0.1, 1.5, math.nan])
 def test_geometric_prior_rejects_rho_outside_unit_interval(rho):
     with pytest.raises(ValueError, match="rho must lie in"):
         GeometricPrior(rho)
-
-
-def test_geometric_change_point_tails():
-    # nu >= 1, and P(nu > n) = (1 - rho)^n within 4 binomial SE at 1e5 draws
-    rho = 0.2
-    draws = GeometricPrior(rho).sample(np.random.default_rng(321), size=100_000)
-    assert draws.min() == 1
-    for n in (1, 3, 7, 15):
-        want = (1.0 - rho) ** n
-        se = math.sqrt(want * (1.0 - want) / draws.size)
-        assert abs(np.mean(draws > n) - want) < 4.0 * se
-
-
-def test_sample_path_records_beyond_horizon_change():
-    scen = make_scenario([0.0], [2.0])
-    prior = GeometricPrior(1e-6)
-    path = sample_path(scen, prior, horizon=10, seed=3)
-    assert path.change_point is None
-    assert not path.change_active(10)
-
-
-def test_pre_change_observations_match_stage_laws():
-    # huge nu so the whole window is pre-change; bucket by stage and
-    # compare first two moments at 1e5 samples per stage
-    scen = make_scenario([1.0, -2.0], [5.0, 5.0])
-    path = sample_path(scen, GeometricPrior(1e-9), horizon=200_000, seed=11)
-    assert path.change_point is None
-    obs = path.observations
-    for s, mean in [(0, 1.0), (1, -2.0)]:
-        bucket = obs[s::2]
-        n = bucket.size
-        assert abs(bucket.mean() - mean) < 4.0 / math.sqrt(n)
-        assert abs(bucket.var() - 1.0) < 6.0 / math.sqrt(n)
 
 
 def test_post_change_llr_average_converges_to_information():
@@ -221,11 +163,3 @@ def test_tail_exponent_geometric():
 
 def test_tail_exponent_vanishes_as_rho_vanishes():
     assert prior_tail_exponent(GeometricPrior(1e-9)) == pytest.approx(0.0, abs=1e-8)
-
-
-def test_tail_exponent_matches_sampled_change_points():
-    # -log P(nu > n) / n read off 1e5 sampled change points at n = 20
-    prior = GeometricPrior(0.1)
-    draws = prior.sample(np.random.default_rng(99), size=100_000)
-    empirical = -math.log(np.mean(draws > 20)) / 20
-    assert empirical == pytest.approx(prior_tail_exponent(prior), rel=0.02)

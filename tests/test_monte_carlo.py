@@ -5,7 +5,10 @@ import pytest
 
 from periodet import (
     DetectionCostSpec,
+    Gaussian,
     GeometricPrior,
+    IpidScenario,
+    OddsState,
     PeriodicThresholds,
     SingleThreshold,
     analytic_delay,
@@ -14,9 +17,11 @@ from periodet import (
     estimate_bayes_cost,
     kl_information,
     prior_tail_exponent,
+    sample_path,
     sweep_single_threshold,
+    update_odds,
 )
-from periodet.monte_carlo import SweepPoint, _simulate_stopping, default_horizon
+from periodet.monte_carlo import SweepPoint, _simulate_stopping, _step, default_horizon
 
 from conftest import make_scenario
 
@@ -128,6 +133,146 @@ def test_kernel_validation(t2):
     for levels in ([0.5, 0.5], [[0.5, 0.5, 0.5]]):
         with pytest.raises(ValueError, match="shape"):
             _simulate_stopping(scenario, 0.01, np.array(levels), 8, 50, 1)
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0, -0.1, 1.5, math.nan])
+def test_raw_rho_outside_unit_interval_is_rejected_first(t2, rho):
+    # before the horizon default (rho = 0 divided by zero, rho = 1 took a
+    # log of zero) and before any draw
+    scenario, _ = t2
+    for call in (
+        lambda: default_horizon(rho),
+        lambda: estimate_add_pfa(scenario, rho, 0.5, 10),
+        lambda: estimate_add_pfa(scenario, rho, [0.5, 0.9], 10, horizon=50),
+        lambda: _simulate_stopping(scenario, rho, np.array([[0.5, 0.5]]), 8, 50, 1),
+    ):
+        with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\), got"):
+            call()
+
+
+# ── the change points and observations the kernel draws ────────────────
+
+
+def kernel_change_points(rho, n_paths, seed, horizon=10**6):
+    """The change points of an n_paths kernel run at ``seed``; threshold 0
+    stops every path at its first observation, so the run is cheap."""
+    scenario = make_scenario([0.0], [1.0])
+    return _simulate_stopping(scenario, rho, np.zeros((1, 1)), n_paths, horizon, seed)[0]
+
+
+def test_kernel_change_point_mean():
+    # empirical mean of nu within 2% of 1/rho at 1e5 draws
+    draws = kernel_change_points(0.01, 100_000, seed=123)
+    assert abs(draws.mean() - 100.0) / 100.0 < 0.02
+
+
+def test_kernel_change_point_tails():
+    # nu >= 1, and P(nu > n) = (1 - rho)^n within 4 binomial SE at 1e5 draws
+    rho = 0.2
+    draws = kernel_change_points(rho, 100_000, seed=321)
+    assert draws.min() == 1
+    for n in (1, 3, 7, 15):
+        want = (1.0 - rho) ** n
+        se = math.sqrt(want * (1.0 - want) / draws.size)
+        assert abs(np.mean(draws > n) - want) < 4.0 * se
+
+
+def test_tail_exponent_matches_kernel_change_points():
+    # -log P(nu > n) / n read off 1e5 kernel change points at n = 20
+    draws = kernel_change_points(0.1, 100_000, seed=99)
+    empirical = -math.log(np.mean(draws > 20)) / 20
+    assert empirical == pytest.approx(prior_tail_exponent(GeometricPrior(0.1)), rel=0.02)
+
+
+@pytest.mark.parametrize("change_point, means", [(10**9, (1.0, -2.0)), (1, (5.0, 5.0))])
+def test_step_observations_match_stage_laws(change_point, means):
+    # all paths before (or all after) the change: bucket by stage and
+    # compare first two moments at 1e5 draws per stage
+    scen = make_scenario([1.0, -2.0], [5.0, 5.0])
+    rng = np.random.default_rng(11)
+    nu = np.full(100_000, change_point)
+    log_r = np.full(nu.size, -math.inf)
+    for n, mean in zip((1, 2), means):
+        y, log_r = _step(scen, 1e-9, rng, n, nu, log_r)
+        assert abs(y.mean() - mean) < 4.0 / math.sqrt(y.size)
+        assert abs(y.var() - 1.0) < 6.0 / math.sqrt(y.size)
+
+
+def test_step_draws_post_change_before_pre_change(t2):
+    # the post-change paths take the first draws of a step, in path order
+    scenario, _ = t2
+    nu = np.array([5, 1, 9, 2])
+    y, _ = _step(scenario, 0.01, np.random.default_rng(3), 2, nu, np.zeros(4))
+    rng = np.random.default_rng(3)
+    post = scenario.post[1].sample(rng, 2)
+    pre = scenario.pre[1].sample(rng, 2)
+    np.testing.assert_array_equal(y, [pre[0], post[0], pre[1], post[1]])
+
+
+# ── sample_path: one kernel path, run to the horizon ───────────────────
+
+
+def test_sample_path_deterministic():
+    scen = make_scenario([0.0, 0.0], [2.0, 1.0])
+    prior = GeometricPrior(0.1)
+    a = sample_path(scen, prior, horizon=50, seed=7)
+    b = sample_path(scen, prior, horizon=50, seed=7)
+    assert a.change_point == b.change_point
+    np.testing.assert_array_equal(a.observations, b.observations)
+    np.testing.assert_array_equal(a.log_odds, b.log_odds)
+
+
+def test_sample_path_rho_near_one_changes_immediately():
+    scen = make_scenario([0.0], [5.0])
+    prior = GeometricPrior(1.0 - 1e-12)
+    for seed in range(20):
+        assert sample_path(scen, prior, horizon=5, seed=seed).change_point == 1
+
+
+def test_sample_path_records_beyond_horizon_change():
+    scen = make_scenario([0.0], [2.0])
+    prior = GeometricPrior(1e-6)
+    path = sample_path(scen, prior, horizon=10, seed=3)
+    assert path.change_point is None
+    assert not path.change_active(10)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+def test_sample_path_is_the_one_path_kernel_run(t2, seed):
+    scenario, costs = t2
+    horizon = 400
+    path = sample_path(scenario, GeometricPrior(costs.rho), horizon, seed)
+    for a in (0.0, 0.3, 0.9, 0.999, 1.0 - 1e-9):
+        nu, tau, log_r = _simulate_stopping(
+            scenario, costs.rho, np.full((1, 2), a), 1, horizon, seed, with_log_r=True
+        )
+        want_nu = horizon + 1 if path.change_point is None else path.change_point
+        assert nu[0] == want_nu
+        crossed = np.flatnonzero(path.log_odds > belief_to_log_odds(a))
+        want_tau = crossed[0] + 1 if crossed.size else horizon + 1
+        assert tau[0, 0] == want_tau
+        if want_tau <= horizon:
+            assert log_r[0, 0] == path.log_odds[want_tau - 1]
+        else:
+            assert log_r[0, 0] == math.inf
+
+
+@pytest.mark.parametrize("scenario", [
+    make_scenario([0.0], [1.5]),
+    make_scenario([0.0, 0.0], [2.0, 1.0]),
+    IpidScenario(
+        pre=(Gaussian(0.0, 1.0), Gaussian(0.5, 2.0), Gaussian(-1.0, 0.5)),
+        post=(Gaussian(1.0, 0.5), Gaussian(0.5, 1.0), Gaussian(0.0, 2.0)),
+    ),
+], ids=["T1", "T2", "T3_unequal_variances"])
+def test_sample_path_log_odds_are_the_online_recursion(scenario):
+    prior = GeometricPrior(0.05)
+    for seed in range(3):
+        path = sample_path(scenario, prior, horizon=300, seed=seed)
+        state = OddsState(-math.inf)
+        for y, log_r in zip(path.observations, path.log_odds):
+            state = update_odds(state, prior, scenario, y)
+            assert state.log_r == log_r
 
 
 # ── Bayes cost ─────────────────────────────────────────────────────────

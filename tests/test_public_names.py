@@ -1,0 +1,45 @@
+"""Public names and the README's CLI synopsis stay in step with the code."""
+
+import argparse
+import importlib
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+from periodet.cli import build_parser
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = ["belief", "detection_dp", "ipid_model", "monte_carlo", "periodic_mdp"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_lists_exactly_the_public_definitions(name):
+    module = importlib.import_module(f"periodet.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+    defined = {
+        n for n, value in vars(module).items()
+        if not n.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == module.__name__
+    }
+    assert sorted(defined - set(module.__all__)) == []
+
+
+def synopsis_lines():
+    """The ``periodet <command> ...`` lines of the README's CLI block."""
+    cli_section = README.read_text().split("## CLI", 1)[1]
+    block = cli_section.split("```", 2)[1]
+    return [line.split() for line in block.splitlines() if line.startswith("periodet ")]
+
+
+def test_readme_synopsis_flags_exist():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    lines = synopsis_lines()
+    assert {words[1] for words in lines} == set(subparsers)
+    for words in lines:
+        accepted = {s for action in subparsers[words[1]]._actions for s in action.option_strings}
+        flags = {m for word in words[2:] for m in re.findall(r"--[a-z][a-z-]*", word)}
+        assert flags and sorted(flags - accepted) == [], words[1]
