@@ -13,6 +13,11 @@ by the stage-matched likelihood ratio exp(Z_n) of observation n:
 
     log R_n = log(R_{n-1} + rho) - log(1 - rho) + Z_n.
 
+The pump log(R + rho) is computed as max(log R, log rho)
++ log1p(exp(-|log R - log rho|)) with NumPy's vectorized exp and log1p,
+which is exact at log R = +-inf and cannot overflow; exp(log R) would
+overflow once the log odds pass 709.
+
 ``update_odds`` runs it online and rejects an observation outside both
 stage supports; a state at p = 1 (log odds +inf) stays there, as the
 change is absorbing.  The Monte-Carlo kernel runs it over its paths.
@@ -81,8 +86,9 @@ def log_odds_to_belief(log_r: float) -> float:
 def log_odds_step_geometric(log_r, rho: float, llr):
     """One geometric-prior step in log-odds form.  Vectorizes over log_r
     and llr; ``update_odds`` and the Monte-Carlo engine share it."""
-    pumped = np.logaddexp(log_r, math.log(rho)) - math.log1p(-rho)
-    return pumped + llr
+    log_rho = math.log(rho)
+    pumped = np.maximum(log_r, log_rho) + np.log1p(np.exp(-np.abs(log_r - log_rho)))
+    return pumped - math.log1p(-rho) + llr
 
 
 def update_odds(

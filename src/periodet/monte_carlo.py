@@ -32,7 +32,10 @@ the change points.
 
 Paths are drawn here and nowhere else, by one change-point draw and one
 step (observation n of every running path, and its log odds);
-``sample_path`` runs the step on one path to the horizon.
+``sample_path`` runs the step on one path to the horizon.  Paths run in
+ascending change-point order (they are exchangeable, so this only
+relabels them): at every step the post-change paths are a prefix of the
+running ones, found with one ``searchsorted`` and drawn first.
 """
 
 from __future__ import annotations
@@ -144,20 +147,26 @@ def default_horizon(rho: float) -> int:
 
 
 def _change_points(rng: np.random.Generator, rho: float, size: int, horizon: int) -> np.ndarray:
-    """Geometric change points, horizon + 1 standing for any beyond it."""
-    return np.minimum(rng.geometric(rho, size).astype(np.int64), horizon + 1)
+    """Geometric change points in ascending order, horizon + 1 standing for
+    any beyond it.  Paths are exchangeable, so sorting only relabels them."""
+    return np.sort(np.minimum(rng.geometric(rho, size).astype(np.int64), horizon + 1))
 
 
 def _step(scenario: IpidScenario, rho: float, rng: np.random.Generator, n: int,
           nu: np.ndarray, log_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Observation n of the paths whose change points are ``nu``, post-change
-    draws first, and the paths' log odds after it."""
+    """Observation n of the paths whose change points are ``nu`` (ascending),
+    and the paths' log odds after it.  The post-change paths are the prefix
+    nu <= n and take the step's first draws; a side with no path draws
+    nothing."""
     s = scenario.stage_index(n)
-    post = nu <= n
-    n_post = np.count_nonzero(post)
-    y = np.empty(nu.size)
-    y[post] = scenario.post[s].sample(rng, n_post)
-    y[~post] = scenario.pre[s].sample(rng, nu.size - n_post)
+    n_post = int(np.searchsorted(nu, n, side="right"))
+    if n_post == nu.size:
+        y = scenario.post[s].sample(rng, n_post)
+    elif n_post == 0:
+        y = scenario.pre[s].sample(rng, nu.size)
+    else:
+        y = np.concatenate((scenario.post[s].sample(rng, n_post),
+                            scenario.pre[s].sample(rng, nu.size - n_post)))
     return y, log_odds_step_geometric(log_r, rho, log_likelihood_ratio(scenario, n, y))
 
 
@@ -210,12 +219,15 @@ def _simulate_stopping(
     time its log-odds exceeds level k.  A running path compares its
     log-odds with its first level not yet crossed only; on a crossing a
     ``searchsorted`` over the stage's levels finds every level passed at
-    once.  Draws go post-change before pre-change over the running paths,
-    so one rule sees the same draws at every K.
+    once.  Paths run in ascending change-point order, and the running
+    paths' change points are compacted along with their log-odds, so the
+    post-change paths are always a prefix and take a step's first draws;
+    one rule sees the same draws at every K.
 
-    Returns (nu, tau, log_r_at_tau).  tau is int32 of shape (n_paths, K);
-    both times use horizon + 1 as the beyond-horizon sentinel (change
-    never arrived / rule never alarmed).
+    Returns (nu, tau, log_r_at_tau), nu ascending and row i of tau
+    holding the stopping times of the path with change point nu[i].  tau
+    is int32 of shape (n_paths, K); both times use horizon + 1 as the
+    beyond-horizon sentinel (change never arrived / rule never alarmed).
     log_r_at_tau has tau's shape (+inf where no alarm) when ``with_log_r``
     is set and is None otherwise.
     """
@@ -239,9 +251,10 @@ def _simulate_stopping(
     log_r_at_tau = np.full((n_paths, n_levels), math.inf) if with_log_r else None
     alive = np.arange(n_paths)
     next_level = np.zeros(n_paths, dtype=np.intp)
+    nu_alive = nu
     log_r = np.full(n_paths, -math.inf)
     for n in range(1, horizon + 1):
-        _, log_r = _step(scenario, rho, rng, n, nu[alive], log_r)
+        _, log_r = _step(scenario, rho, rng, n, nu_alive, log_r)
         col = stage_levels[scenario.stage_index(n)]
         crossed = log_r > col[next_level]
         if crossed.any():
@@ -258,7 +271,8 @@ def _simulate_stopping(
                 log_r_at_tau[rows, cols] = np.repeat(hit_log_r, counts)
             next_level[crossed] = passed
             running = next_level < n_levels
-            alive, log_r, next_level = alive[running], log_r[running], next_level[running]
+            alive, nu_alive = alive[running], nu_alive[running]
+            log_r, next_level = log_r[running], next_level[running]
             if alive.size == 0:
                 break
     return nu, tau, log_r_at_tau

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ from periodet import (
     IpidScenario,
     OddsState,
     belief_to_log_odds,
+    log_odds_step_geometric,
     log_odds_to_belief,
     sample_path,
     update_odds,
@@ -118,6 +120,28 @@ def test_odds_geometric_arithmetic_example():
     y = (math.log(2.0) + 2.0) / 2.0  # solves theta*y - theta^2/2 = log 2
     state = update_odds(OddsState(0.0), GeometricPrior(0.01), scen, y=y)
     assert math.exp(state.log_r) == pytest.approx((1.01 / 0.99) * 2.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("rho", [1e-9, 1e-3, 0.01, 0.2, 0.9])
+def test_log_odds_pump_matches_logaddexp(rho):
+    # the pump against log(R + rho) - log(1 - rho) + Z written with
+    # np.logaddexp: equal at +-inf, within 16 ulp of the largest input
+    # elsewhere, on arrays and on scalars, and without a warning
+    rng = np.random.default_rng(17)
+    log_r = np.concatenate((rng.normal(0.0, 30.0, 2000), [-math.inf, math.inf, -800.0, 800.0]))
+    llr = rng.normal(0.0, 5.0, log_r.size)
+    want = np.logaddexp(log_r, math.log(rho)) - math.log1p(-rho) + llr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_odds_step_geometric(log_r, rho, llr)
+        got_scalar = np.array([log_odds_step_geometric(float(a), rho, float(z))
+                               for a, z in zip(log_r, llr)])
+    finite = np.isfinite(log_r)
+    scale = np.maximum(np.maximum(np.abs(log_r[finite]), np.abs(llr[finite])),
+                       max(abs(math.log(rho)), 1.0))
+    for values in (got, got_scalar):
+        np.testing.assert_array_equal(values[~finite], want[~finite])
+        assert np.all(np.abs(values[finite] - want[finite]) <= 16.0 * np.spacing(scale))
 
 
 # ── belief <-> odds transform ──────────────────────────────────────────

@@ -171,6 +171,7 @@ def test_kernel_change_point_tails():
     rho = 0.2
     draws = kernel_change_points(rho, 100_000, seed=321)
     assert draws.min() == 1
+    assert np.all(np.diff(draws) >= 0)  # the kernel runs paths in change-point order
     for n in (1, 3, 7, 15):
         want = (1.0 - rho) ** n
         se = math.sqrt(want * (1.0 - want) / draws.size)
@@ -199,14 +200,45 @@ def test_step_observations_match_stage_laws(change_point, means):
 
 
 def test_step_draws_post_change_before_pre_change(t2):
-    # the post-change paths take the first draws of a step, in path order
+    # change points come ascending, so the post-change paths are a prefix
+    # and take the first draws of a step
     scenario, _ = t2
-    nu = np.array([5, 1, 9, 2])
+    nu = np.array([1, 2, 5, 9])
     y, _ = _step(scenario, 0.01, np.random.default_rng(3), 2, nu, np.zeros(4))
     rng = np.random.default_rng(3)
     post = scenario.post[1].sample(rng, 2)
     pre = scenario.pre[1].sample(rng, 2)
-    np.testing.assert_array_equal(y, [pre[0], post[0], pre[1], post[1]])
+    np.testing.assert_array_equal(y, [post[0], post[1], pre[0], pre[1]])
+
+
+class CountingGaussian:
+    """A unit-variance Gaussian density that counts its ``sample`` calls."""
+
+    def __init__(self, mean):
+        self.density = Gaussian(mean)
+        self.loc, self.scale = self.density.loc, self.density.scale
+        self.sample_calls = 0
+
+    def logpdf(self, x):
+        return self.density.logpdf(x)
+
+    def sample(self, rng, size=None):
+        self.sample_calls += 1
+        return self.density.sample(rng, size)
+
+
+def test_step_skips_the_empty_side():
+    # one path is on one side of the change at every step, so a 600-step
+    # path makes one draw per step, and the draws match the plain densities
+    pre = (CountingGaussian(0.0), CountingGaussian(0.0))
+    post = (CountingGaussian(2.0), CountingGaussian(1.0))
+    prior = GeometricPrior(0.01)
+    path = sample_path(IpidScenario(pre=pre, post=post), prior, horizon=600, seed=5)
+    assert path.change_point is not None  # both laws are drawn from
+    assert sum(d.sample_calls for d in pre + post) == 600
+    plain = sample_path(make_scenario([0.0, 0.0], [2.0, 1.0]), prior, horizon=600, seed=5)
+    assert plain.change_point == path.change_point
+    np.testing.assert_array_equal(plain.observations, path.observations)
 
 
 # ── sample_path: one kernel path, run to the horizon ───────────────────
