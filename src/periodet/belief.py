@@ -4,8 +4,9 @@ The detection statistic is the posterior change probability
 p_n = P(nu <= n | Y_1..Y_n), carried as its log odds
 log R_n = log(p_n / (1 - p_n)).  The probability-domain recursion
 saturates at 1.0 in floating point after long post-change stretches,
-while log odds stay finite and exact far beyond that; callers that need
-p read it back with ``log_odds_to_belief``.
+while log odds stay finite and exact far beyond that.
+``belief_to_log_odds`` and ``log_odds_to_belief`` convert elementwise
+between p and log R and are the package's only logit and expit.
 
 One step, ``log_odds_step_geometric``, holds the recursion's arithmetic.
 It pumps the odds by the geometric prior's hazard rho, then scales them
@@ -60,27 +61,26 @@ class OddsState:
             raise ValueError("time index must be >= 0")
 
 
-def belief_to_log_odds(p: float) -> float:
-    """log(p / (1 - p)); 0 -> -inf, 1 -> +inf."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"belief must lie in [0, 1], got {p}")
-    if p == 0.0:
-        return -math.inf
-    if p == 1.0:
-        return math.inf
-    return math.log(p) - math.log1p(-p)
+def belief_to_log_odds(p):
+    """log(p / (1 - p)), elementwise; 0 -> -inf, 1 -> +inf, a float for a
+    scalar.  Raises ``ValueError`` on an entry outside [0, 1] or NaN."""
+    p = np.asarray(p, dtype=float)
+    inside = (p >= 0.0) & (p <= 1.0)
+    if not inside.all():
+        raise ValueError(f"belief must lie in [0, 1], got {p[~inside][0]}")
+    with np.errstate(divide="ignore"):
+        log_r = np.log(p) - np.log1p(-p)
+    return float(log_r) if log_r.ndim == 0 else log_r
 
 
-def log_odds_to_belief(log_r: float) -> float:
-    """Inverse of ``belief_to_log_odds``; accepts +-inf."""
-    if log_r == math.inf:
-        return 1.0
-    if log_r == -math.inf:
-        return 0.0
-    if log_r >= 0.0:
-        return 1.0 / (1.0 + math.exp(-log_r))
-    e = math.exp(log_r)
-    return e / (1.0 + e)
+def log_odds_to_belief(log_r):
+    """Inverse of ``belief_to_log_odds``, elementwise; -inf -> 0, +inf -> 1.
+    A scalar gives a float.  Only exp(-|log R|) is formed, so nothing
+    overflows."""
+    log_r = np.asarray(log_r, dtype=float)
+    e = np.exp(-np.abs(log_r))
+    p = np.where(log_r >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return float(p) if p.ndim == 0 else p
 
 
 def log_odds_step_geometric(log_r, rho: float, llr):

@@ -344,7 +344,7 @@ def _bayes_cost(cfg: ExperimentConfig, policy) -> SimulationReport:
 
 def _sweep(cfg: ExperimentConfig, grid=DEFAULT_THRESHOLD_GRID) -> SweepResult:
     return sweep_single_threshold(
-        cfg.scenario(), cfg.cost_spec(), grid, cfg.paths, seed=cfg.seed, horizon=cfg.horizon
+        cfg.scenario(), cfg.cost_spec(), grid, cfg.paths, horizon=cfg.horizon, seed=cfg.seed
     )
 
 
@@ -365,7 +365,7 @@ def _inputs(args, bundled: str | None = None) -> tuple[ExperimentConfig, Path, s
     else:
         cfg, stem = bundled_config(bundled), args.id
     kw = {key: getattr(args, flag) for flag, key in _OVERRIDES.items()
-          if getattr(args, flag) is not None}
+          if getattr(args, flag, None) is not None}
     return replace(cfg, **kw), Path(args.out_dir), stem
 
 
@@ -408,8 +408,8 @@ def cmd_sweep(args) -> int:
 
 def _trace_rows(cfg: ExperimentConfig, horizon: int) -> list[list]:
     path = sample_path(cfg.scenario(), GeometricPrior(cfg.rho), horizon, cfg.seed)
-    return [[n, log_odds_to_belief(log_r), int(path.change_active(n))]
-            for n, log_r in enumerate(path.log_odds.tolist(), start=1)]
+    return [[n, p, int(path.change_active(n))]
+            for n, p in enumerate(log_odds_to_belief(path.log_odds).tolist(), start=1)]
 
 
 def cmd_tradeoff(args) -> int:
@@ -569,26 +569,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def experiment(name, func, summary, config_required=True):
-        """A subcommand that runs one config, with the shared flags."""
+    def experiment(name, func, summary, overrides=_OVERRIDES, config_required=True):
+        """A subcommand that runs one config, with the override flags it
+        reads: all four where it solves and simulates (``simulate --policy
+        optimal``, the ``reproduce`` tables)."""
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         if config_required:
             p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out-dir", default="periodet-results", help="output directory")
-        for flag, key in _OVERRIDES.items():
-            p.add_argument(f"--{flag}", type=_field_type(key), default=None,
-                           help=f"override config field {key!r}")
+        for flag in overrides:
+            p.add_argument(f"--{flag}", type=_field_type(_OVERRIDES[flag]), default=None,
+                           help=f"override config field {_OVERRIDES[flag]!r}")
         return p
 
-    experiment("solve", cmd_solve, "solve a detection scenario by policy iteration")
+    experiment("solve", cmd_solve, "solve a detection scenario by policy iteration",
+               ("grid", "tol"))
     p = experiment("simulate", cmd_simulate, "Monte-Carlo Bayes cost of a policy")
     p.add_argument("--policy", type=_policy_spec, default="optimal",
                    help="'optimal', 'single:A', or 'periodic:a0,a1,...'")
-    p = experiment("sweep", cmd_sweep, "single-threshold cost over a threshold grid")
+    p = experiment("sweep", cmd_sweep, "single-threshold cost over a threshold grid",
+                   ("seed", "paths"))
     p.add_argument("--thresholds", type=_float_list(lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
                    default=None, help="comma-separated thresholds, each in [0, 1)")
-    p = experiment("tradeoff", cmd_tradeoff, "delay vs false-alarm tradeoff curve")
+    p = experiment("tradeoff", cmd_tradeoff, "delay vs false-alarm tradeoff curve",
+                   ("seed", "paths"))
     # an alpha below half the spacing of floats under 1 would make 1 - alpha round to 1
     p.add_argument("--alpha", type=_float_list(lambda v: 0.0 < v < 1.0 and 1.0 - v < 1.0,
                                                "in (0, 1) with 1 - alpha < 1"),

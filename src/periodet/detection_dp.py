@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .belief import belief_to_log_odds
 from .ipid_model import IpidScenario, simpson_window
 from .periodic_mdp import PeriodicMdp, policy_iterate
 
@@ -170,10 +171,8 @@ def _fill_kernel(out, points, predicted, log_f, log_g, weights):
     sorted_ratio = np.nan_to_num(log_ratio[order], nan=_FAR, posinf=_FAR, neginf=-_FAR)
     cum_f = np.concatenate(([0.0], np.cumsum(weights[order] * np.exp(log_f[order]))))
     cum_g = np.concatenate(([0.0], np.cumsum(weights[order] * np.exp(log_g[order]))))
-    inner = points[1:-1]
-    logit_cuts = np.log(inner) - np.log1p(-inner)
-    with np.errstate(divide="ignore"):
-        logit_offset = np.log1p(-predicted) - np.log(predicted)
+    logit_cuts = belief_to_log_odds(points[1:-1])
+    logit_offset = -belief_to_log_odds(predicted)
     gap = np.diff(points)
     to_left, to_right = points[1:] / gap, (1.0 - points[1:]) / gap
     M = points.size

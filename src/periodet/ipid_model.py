@@ -118,9 +118,9 @@ class IpidScenario:
         return (n - 1) % self.period
 
 
-def log_likelihood_ratio(scenario: IpidScenario, n: int, y) -> float:
+def log_likelihood_ratio(scenario: IpidScenario, n: int, y) -> float | np.ndarray:
     """Post-vs-pre log likelihood ratio of observation n, as a difference
-    of log-densities (never a ratio of densities)."""
+    of log-densities (never a ratio of densities); elementwise on an array y."""
     s = scenario.stage_index(n)
     return scenario.post[s].logpdf(y) - scenario.pre[s].logpdf(y)
 

@@ -8,10 +8,10 @@ average detection delay, and the false-alarm probability, and provides
 the closed-form asymptotic delay for comparison.
 
 Conventions shared with the dynamic-programming solver: observation n
-has 0-based stage (n - 1) % T; the decision after observation n uses the
-stage-((n-1) % T) threshold; a false alarm at time tau costs
-false_alarm[(tau - 1) % T]; each post-change observation n < tau that was
-answered with "continue" costs delay[(n - 1) % T].
+has stage s(n) = ``IpidScenario.stage_index(n)``; the decision after
+observation n uses the stage-s(n) threshold; a false alarm at time tau
+costs false_alarm[s(tau)]; each post-change observation n < tau that was
+answered with "continue" costs delay[s(n)].
 
 Paths that never alarm within the horizon are treated as stopping just
 after it (pessimistic for delay metrics, no false-alarm term) and the
@@ -46,14 +46,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .belief import belief_to_log_odds, log_odds_step_geometric
+from .belief import belief_to_log_odds, log_odds_step_geometric, log_odds_to_belief
 from .ipid_model import GeometricPrior, IpidScenario, log_likelihood_ratio
 from .detection_dp import DetectionCostSpec
 
 __all__ = [
     "SingleThreshold",
     "PeriodicThresholds",
-    "StoppingPolicy",
     "SimulationReport",
     "SamplePath",
     "AddPfaResult",
@@ -106,9 +105,6 @@ class PeriodicThresholds:
                 f"policy has {len(self.thresholds)} thresholds but the period is {period}"
             )
         return np.asarray(self.thresholds)
-
-
-StoppingPolicy = SingleThreshold | PeriodicThresholds
 
 
 @dataclass(frozen=True)
@@ -243,7 +239,7 @@ def _simulate_stopping(
         raise ValueError("threshold rows must be nondecreasing at every stage")
     n_levels = levels.shape[0]
     # stage_levels[s] holds the K log-odds levels of stage s, sorted
-    stage_levels = np.array([[belief_to_log_odds(a) for a in stage] for stage in levels.T])
+    stage_levels = belief_to_log_odds(levels.T)
 
     rng = np.random.default_rng(seed)
     nu = _change_points(rng, rho, n_paths, horizon)
@@ -298,11 +294,7 @@ def _sorted_levels(
 
 def _delay_cost_table(delay: Sequence[float], horizon: int) -> np.ndarray:
     """cum[t] = sum of the delay penalties charged at times 1..t."""
-    T = len(delay)
-    per_step = np.asarray([delay[(n - 1) % T] for n in range(1, horizon + 2)])
-    cum = np.zeros(horizon + 2)
-    cum[1:] = np.cumsum(per_step)
-    return cum
+    return np.concatenate(([0.0], np.cumsum(np.resize(delay, horizon + 1))))
 
 
 def _report(kind, values, n_paths, seed, horizon, censored) -> SimulationReport:
@@ -323,9 +315,8 @@ def _bayes_cost_reports(
     costs: DetectionCostSpec, nu: np.ndarray, tau: np.ndarray, seed: int, horizon: int
 ) -> list[SimulationReport]:
     """Realized Bayes cost of each rule, one report per column of tau."""
-    T = costs.period
     dcum = _delay_cost_table(costs.delay, horizon)
-    lam = np.asarray([costs.false_alarm[(t - 1) % T] for t in range(1, horizon + 2)])
+    lam = np.resize(costs.false_alarm, horizon + 1)  # lam[t - 1]: a false alarm at time t
     reports = []
     for tau_k in tau.T:
         false_alarm = tau_k < nu
@@ -339,8 +330,9 @@ def _bayes_cost_reports(
 def estimate_bayes_cost(
     scenario: IpidScenario,
     costs: DetectionCostSpec,
-    policy: StoppingPolicy,
+    policy: SingleThreshold | PeriodicThresholds,
     n_paths: int,
+    *,
     horizon: int | None = None,
     seed: int = 0,
 ) -> SimulationReport:
@@ -380,8 +372,9 @@ def sweep_single_threshold(
     costs: DetectionCostSpec,
     threshold_grid: Iterable[float],
     n_paths: int,
-    seed: int = 0,
+    *,
     horizon: int | None = None,
+    seed: int = 0,
 ) -> SweepResult:
     """Bayes cost of the single-threshold rule over a grid of thresholds.
 
@@ -415,8 +408,7 @@ def _add_pfa_result(
     detected = (tau >= nu) & (nu <= horizon)
     cond = (tau - nu)[detected]
     pfa = (tau < nu).astype(float)
-    with np.errstate(over="ignore"):
-        one_minus_p = 1.0 / (1.0 + np.exp(log_r_at_tau))
+    one_minus_p = log_odds_to_belief(-log_r_at_tau)
     pfa_posterior = float(np.where(tau <= horizon, one_minus_p, 0.0).mean())
     return AddPfaResult(
         add=_report("add", add, n_paths, seed, horizon, censored),
@@ -445,6 +437,7 @@ def estimate_add_pfa(
     rho: float,
     threshold: float | Sequence[float],
     n_paths: int,
+    *,
     horizon: int | None = None,
     seed: int = 0,
 ) -> AddPfaResult | AddPfaSweep:

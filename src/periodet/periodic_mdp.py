@@ -321,15 +321,17 @@ def evaluate_policy(mdp: PeriodicMdp, actions: np.ndarray) -> np.ndarray:
 
 
 def _checked_actions(mdp: PeriodicMdp, actions, name: str) -> np.ndarray:
-    """``actions`` as an array, after checking that it is a (T, S) map into
-    the action range; ``name`` is the argument named in the error."""
+    """``actions`` as an int array, after checking that it is a (T, S) integer
+    map into the action range; ``name`` is the argument named in the error."""
     actions = np.asarray(actions)
     T, S = mdp.period, mdp.num_states
     if actions.shape != (T, S):
         raise ValueError(f"{name} must have shape ({T}, {S}), got {actions.shape}")
+    if not np.issubdtype(actions.dtype, np.integer):
+        raise ValueError(f"{name} must hold integer actions, got dtype {actions.dtype}")
     if np.any((actions < 0) | (actions >= mdp.num_actions)):
         raise ValueError(f"{name} must lie in [0, {mdp.num_actions})")
-    return actions
+    return actions.astype(int)
 
 
 def policy_iterate(
@@ -355,7 +357,7 @@ def policy_iterate(
     ``evaluate_policy``); greedy steps from a proper policy stay proper.
     """
     tol = _checked_tol(mdp, tol, max_cycles)
-    actions = np.array(actions, dtype=int)
+    actions = _checked_actions(mdp, actions, "actions")
     sup_hist: list[float] = []
     l2_hist: list[float] = []
     converged = False
@@ -438,7 +440,7 @@ def simulate_policy(
     state is exactly that count whatever the rounding of u*S, and a step
     costs about one comparison per kernel entry in the path's bucket.
     """
-    stage_maps = _checked_actions(mdp, np.asarray(stage_maps, dtype=int), "stage_maps")
+    stage_maps = _checked_actions(mdp, stage_maps, "stage_maps")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if horizon < 0:

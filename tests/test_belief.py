@@ -161,6 +161,25 @@ def test_roundtrip_inverse(p):
     assert log_odds_to_belief(belief_to_log_odds(p)) == pytest.approx(p, abs=1e-12)
 
 
+def test_conversions_on_arrays():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(belief_to_log_odds(np.array([0.0, 1.0])),
+                                      [-math.inf, math.inf])
+        np.testing.assert_array_equal(log_odds_to_belief(np.array([-math.inf, math.inf])),
+                                      [0.0, 1.0])
+        p = np.linspace(0.0, 1.0, 1001)[1:-1]
+        log_r = belief_to_log_odds(p)
+        # an error of a few ulps in log R moves p by about |log R| times as many
+        tolerance = 4.0 * np.spacing(p) * np.maximum(1.0, np.abs(log_r))
+        assert np.all(np.abs(log_odds_to_belief(log_r) - p) <= tolerance)
+        assert type(belief_to_log_odds(0.25)) is float
+        assert type(log_odds_to_belief(-1.0)) is float
+        for bad in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                belief_to_log_odds(np.array([0.5, bad, 0.25]))
+
+
 # ── the brute-force oracle itself ──────────────────────────────────────
 
 

@@ -130,6 +130,28 @@ def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, command):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "solve --seed 5",
+        "solve --paths 7",
+        "sweep --grid 7",
+        "sweep --tol 1e-3",
+        "tradeoff --grid 7",
+        "tradeoff --tol 1e-3",
+    ],
+)
+def test_override_flag_a_command_does_not_read_is_a_usage_error(tmp_path, capsys, command):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(MINIMAL)
+    name, *flag = shlex.split(command)
+    with pytest.raises(SystemExit) as exit_info:
+        main([name, "--config", str(cfg), *flag, "--out-dir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 # 1e-17: 1 - alpha rounds to 1.0, which is no threshold a rule can take
 @pytest.mark.parametrize("alpha", ["1.5", "1.0", "0", "x", "0.01,1.5", "nan", "1e-17"])
 def test_out_of_range_alpha_is_a_usage_error(tmp_path, capsys, alpha):
@@ -351,15 +373,18 @@ def _csv_rows(path: Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-FLAGS = ["--grid", "40", "--paths", "300", "--seed", "5"]
+# each command gets the override flags it takes; reproduce and simulate take all
+SOLVER_FLAGS = ["--grid", "40"]
+SIMULATION_FLAGS = ["--paths", "300", "--seed", "5"]
+FLAGS = SOLVER_FLAGS + SIMULATION_FLAGS
 
 
 def test_reproduce_figure_writes_what_solve_and_sweep_write(tmp_path):
     config = _bundled_copy(tmp_path, REPRODUCE_FIGURES["fig1"])
     fig, direct = tmp_path / "fig", tmp_path / "direct"
     assert main(["reproduce", "fig1", "--out-dir", str(fig), *FLAGS]) == 0
-    for command in ("solve", "sweep"):
-        assert main([command, "--config", str(config), "--out-dir", str(direct), *FLAGS]) == 0
+    for command, flags in (("solve", SOLVER_FLAGS), ("sweep", SIMULATION_FLAGS)):
+        assert main([command, "--config", str(config), "--out-dir", str(direct), *flags]) == 0
     for suffix in ("curves", "history", "thresholds", "sweep"):
         assert ((fig / f"fig1_{suffix}.csv").read_bytes()
                 == (direct / f"{config.stem}_{suffix}.csv").read_bytes())
@@ -369,8 +394,9 @@ def test_reproduce_table_row_matches_simulate_and_sweep(tmp_path):
     row = REPRODUCE_TABLES["table3"][0]
     config = _bundled_copy(tmp_path, row.config)
     assert main(["reproduce", "table3", "--out-dir", str(tmp_path), *FLAGS]) == 0
-    for command in (["simulate", "--policy", "optimal"], ["sweep"]):
-        assert main([*command, "--config", str(config), "--out-dir", str(tmp_path), *FLAGS]) == 0
+    for command, flags in ((["simulate", "--policy", "optimal"], FLAGS),
+                           (["sweep"], SIMULATION_FLAGS)):
+        assert main([*command, "--config", str(config), "--out-dir", str(tmp_path), *flags]) == 0
     got = _csv_rows(tmp_path / "table3.csv")[0]
     simulated = _csv_rows(tmp_path / f"{row.config}_simulate.csv")[0]
     best = min(_csv_rows(tmp_path / f"{row.config}_sweep.csv"), key=lambda r: float(r["cost"]))

@@ -135,6 +135,19 @@ def test_kernel_validation(t2):
             _simulate_stopping(scenario, 0.01, np.array(levels), 8, 50, 1)
 
 
+def test_estimators_take_horizon_and_seed_by_keyword_only(t2):
+    # positionally, sweep_single_threshold took (seed, horizon) and the
+    # other two (horizon, seed), so a swapped call ran silently
+    scenario, costs = t2
+    for call in (
+        lambda: estimate_bayes_cost(scenario, costs, SingleThreshold(0.5), 10, 50, 1),
+        lambda: sweep_single_threshold(scenario, costs, (0.5,), 10, 1, 50),
+        lambda: estimate_add_pfa(scenario, costs.rho, 0.5, 10, 50, 1),
+    ):
+        with pytest.raises(TypeError, match="positional argument"):
+            call()
+
+
 @pytest.mark.parametrize("rho", [0.0, 1.0, -0.1, 1.5, math.nan])
 def test_raw_rho_outside_unit_interval_is_rejected_first(t2, rho):
     # before the horizon default (rho = 0 divided by zero, rho = 1 took a

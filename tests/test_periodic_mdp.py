@@ -436,6 +436,20 @@ def test_evaluate_policy_rejects_bad_actions():
         evaluate_policy(hand_mdp(), np.full((2, 2), 2))
 
 
+@pytest.mark.parametrize("action", [0.7, 1.9])
+def test_non_integer_actions_are_rejected_where_they_enter(action):
+    # they ran as their truncation (simulate_policy, policy_iterate) or
+    # failed as a bare IndexError (evaluate_policy)
+    mdp, actions = hand_mdp(), np.full((2, 2), action)
+    for call, name in (
+        (lambda: evaluate_policy(mdp, actions), "actions"),
+        (lambda: policy_iterate(mdp, actions), "actions"),
+        (lambda: simulate_policy(mdp, actions, 10, 5, seed=0), "stage_maps"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must hold integer actions"):
+            call()
+
+
 def test_policy_iterate_matches_value_iteration_and_oracle():
     rng = np.random.default_rng(47)
     for _ in range(50):

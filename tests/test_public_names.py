@@ -35,11 +35,14 @@ def synopsis_lines():
 
 
 def test_readme_synopsis_flags_exist():
+    """Each synopsis line lists exactly the options its parser accepts."""
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction)).choices
     lines = synopsis_lines()
     assert {words[1] for words in lines} == set(subparsers)
     for words in lines:
-        accepted = {s for action in subparsers[words[1]]._actions for s in action.option_strings}
+        accepted = ({s for action in subparsers[words[1]]._actions for s in action.option_strings}
+                    - {"-h", "--help"})
         flags = {m for word in words[2:] for m in re.findall(r"--[a-z][a-z-]*", word)}
-        assert flags and sorted(flags - accepted) == [], words[1]
+        assert sorted(flags - accepted) == [], words[1]
+        assert sorted(accepted - flags) == [], words[1]
