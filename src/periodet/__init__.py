@@ -19,7 +19,6 @@ from .detection_dp import (
 )
 from .ipid_model import (
     Gaussian,
-    GeometricPrior,
     IpidScenario,
     kl_information,
     log_likelihood_ratio,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ipid_model import GeometricPrior, IpidScenario, log_likelihood_ratio
+from .ipid_model import IpidScenario, log_likelihood_ratio
 
 __all__ = [
     "OddsState",
@@ -91,11 +91,10 @@ def log_odds_step_geometric(log_r, rho: float, llr):
     return pumped - math.log1p(-rho) + llr
 
 
-def update_odds(
-    state: OddsState, prior: GeometricPrior, scenario: IpidScenario, y: float
-) -> OddsState:
-    """Advance log R by one observation y: R' = ((R + rho) / (1 - rho))
-    g(y) / f(y).  Raises ``BeliefUpdateError`` when y lies outside both
+def update_odds(state: OddsState, scenario: IpidScenario, y: float) -> OddsState:
+    """Advance log R by one observation y of ``scenario``: R' = ((R + rho)
+    / (1 - rho)) g(y) / f(y), with the scenario's hazard rho and stage
+    densities.  Raises ``BeliefUpdateError`` when y lies outside both
     stage supports (a NaN log likelihood ratio)."""
     n = state.n + 1
     if state.log_r == math.inf:
@@ -105,4 +104,4 @@ def update_odds(
         raise BeliefUpdateError(
             f"observation {y!r} at time {n} is outside both stage supports"
         )
-    return OddsState(float(log_odds_step_geometric(state.log_r, prior.rho, llr)), n)
+    return OddsState(float(log_odds_step_geometric(state.log_r, scenario.rho, llr)), n)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .belief import log_odds_to_belief
 from .detection_dp import DetectionCostSpec, DetectionSolution, solve_detection
-from .ipid_model import Gaussian, GeometricPrior, IpidScenario, kl_information, prior_tail_exponent
+from .ipid_model import Gaussian, IpidScenario, kl_information, prior_tail_exponent
 from .monte_carlo import (
     PeriodicThresholds,
     SimulationReport,
@@ -106,14 +106,11 @@ class ExperimentConfig:
     def scenario(self) -> IpidScenario:
         pre = tuple(Gaussian(m, v) for m, v in zip(self.pre_means, self.pre_vars))
         post = tuple(Gaussian(m, v) for m, v in zip(self.post_means, self.post_vars))
-        return IpidScenario(pre=pre, post=post)
+        return IpidScenario(pre=pre, post=post, rho=self.rho)
 
     def cost_spec(self) -> DetectionCostSpec:
-        return DetectionCostSpec(
-            false_alarm=self.false_alarm_penalties,
-            delay=self.delay_penalties,
-            rho=self.rho,
-        )
+        return DetectionCostSpec(false_alarm=self.false_alarm_penalties,
+                                 delay=self.delay_penalties)
 
 
 def _positive(v: float) -> bool:
@@ -202,16 +199,15 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     values.setdefault("tolerance", 1e-6)
     values.setdefault("max_cycles", 100_000)
     values.setdefault("paths", 10_000)
-    values.setdefault("horizon", default_horizon(float(values["rho"])))  # type: ignore[arg-type]
     values.setdefault("seed", 0)
     try:
-        cfg = ExperimentConfig(**values)  # type: ignore[arg-type]
+        # horizon 1 stands in for a missing one until the scenario sets it
+        cfg = ExperimentConfig(**{"horizon": 1, **values})  # type: ignore[arg-type]
         # the model types own their checks; any the ranges above miss fail here
-        cfg.scenario()
-        cfg.cost_spec()
+        scenario, _ = cfg.scenario(), cfg.cost_spec()
     except (TypeError, ValueError) as exc:
         raise ConfigError(source, None, str(exc)) from exc
-    return cfg
+    return cfg if "horizon" in values else replace(cfg, horizon=default_horizon(scenario))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -353,6 +349,8 @@ def _sweep(cfg: ExperimentConfig, grid=DEFAULT_THRESHOLD_GRID) -> SweepResult:
 
 # override flag -> the config field it replaces
 _OVERRIDES = {"seed": "seed", "paths": "paths", "grid": "grid_points", "tol": "tolerance"}
+# the override flags that only a solve reads, and those only a simulation reads
+_SOLVER_FLAGS, _SIMULATION_FLAGS = ("grid", "tol"), ("seed", "paths")
 
 
 def _inputs(args, bundled: str | None = None) -> tuple[ExperimentConfig, Path, str]:
@@ -369,6 +367,14 @@ def _inputs(args, bundled: str | None = None) -> tuple[ExperimentConfig, Path, s
     return replace(cfg, **kw), Path(args.out_dir), stem
 
 
+def _reject_solver_flags(args, mode: str) -> None:
+    """The usage error for a solver flag given to ``mode``, which solves
+    nothing; ``main`` turns it into exit 2."""
+    for flag in _SOLVER_FLAGS:
+        if getattr(args, flag) is not None:
+            raise argparse.ArgumentError(None, f"argument --{flag}: {mode} runs no solver")
+
+
 def cmd_solve(args) -> int:
     cfg, out_dir, stem = _inputs(args)
     solution, _, exit_code = _optimal_policy(cfg)
@@ -383,6 +389,7 @@ def cmd_simulate(args) -> int:
     if policy is None:
         _, policy, exit_code = _optimal_policy(cfg)
     else:
+        _reject_solver_flags(args, f"--policy {spec}")
         try:
             policy.stage_thresholds(cfg.period)
         except ValueError as exc:  # a periodic rule of the wrong length
@@ -407,7 +414,7 @@ def cmd_sweep(args) -> int:
 
 
 def _trace_rows(cfg: ExperimentConfig, horizon: int) -> list[list]:
-    path = sample_path(cfg.scenario(), GeometricPrior(cfg.rho), horizon, cfg.seed)
+    path = sample_path(cfg.scenario(), horizon, cfg.seed)
     return [[n, p, int(path.change_active(n))]
             for n, p in enumerate(log_odds_to_belief(path.log_odds).tolist(), start=1)]
 
@@ -419,9 +426,9 @@ def cmd_tradeoff(args) -> int:
 def _tradeoff(cfg: ExperimentConfig, out_dir: Path, stem: str, alphas) -> int:
     scenario = cfg.scenario()
     info = kl_information(scenario)
-    tail = prior_tail_exponent(GeometricPrior(cfg.rho))
+    tail = prior_tail_exponent(scenario)
     sweep = estimate_add_pfa(
-        scenario, cfg.rho, [1.0 - alpha for alpha in alphas], cfg.paths,
+        scenario, [1.0 - alpha for alpha in alphas], cfg.paths,
         horizon=cfg.horizon, seed=cfg.seed,
     )
     rows = [[alpha, abs(math.log(alpha)), res.add.estimate, res.conditional_add.estimate,
@@ -480,6 +487,7 @@ def cmd_reproduce(args) -> int:
         return _reproduce_table(args)
     cfg, out_dir, stem = _inputs(args, REPRODUCE_FIGURES[args.id])
     if args.id == "fig3":
+        _reject_solver_flags(args, "reproduce fig3")
         return _tradeoff(cfg, out_dir, stem, DEFAULT_TRADEOFF_ALPHAS)
     print(f"target value at p=0: {FIGURE_TARGETS[args.id]}")
     solution, _, exit_code = _optimal_policy(cfg)
@@ -572,7 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     def experiment(name, func, summary, overrides=_OVERRIDES, config_required=True):
         """A subcommand that runs one config, with the override flags it
         reads: all four where it solves and simulates (``simulate --policy
-        optimal``, the ``reproduce`` tables)."""
+        optimal``, the ``reproduce`` tables); its modes that solve nothing
+        reject the solver's two (``_reject_solver_flags``)."""
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         if config_required:
@@ -584,16 +593,16 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     experiment("solve", cmd_solve, "solve a detection scenario by policy iteration",
-               ("grid", "tol"))
+               _SOLVER_FLAGS)
     p = experiment("simulate", cmd_simulate, "Monte-Carlo Bayes cost of a policy")
     p.add_argument("--policy", type=_policy_spec, default="optimal",
                    help="'optimal', 'single:A', or 'periodic:a0,a1,...'")
     p = experiment("sweep", cmd_sweep, "single-threshold cost over a threshold grid",
-                   ("seed", "paths"))
+                   _SIMULATION_FLAGS)
     p.add_argument("--thresholds", type=_float_list(lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
                    default=None, help="comma-separated thresholds, each in [0, 1)")
     p = experiment("tradeoff", cmd_tradeoff, "delay vs false-alarm tradeoff curve",
-                   ("seed", "paths"))
+                   _SIMULATION_FLAGS)
     # an alpha below half the spacing of floats under 1 would make 1 - alpha round to 1
     p.add_argument("--alpha", type=_float_list(lambda v: 0.0 < v < 1.0 and 1.0 - v < 1.0,
                                                "in (0, 1) with 1 - alpha < 1"),

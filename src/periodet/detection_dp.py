@@ -72,7 +72,7 @@ _FAR = 1e300
 
 @dataclass(frozen=True)
 class DetectionCostSpec:
-    """Per-stage penalties and the change-point hazard.
+    """Per-stage penalties; the change point's hazard is the scenario's.
 
     ``false_alarm[s]`` and ``delay[s]`` apply to the decision made after a
     stage-s observation.  Constant false_alarm and unit delay recover the
@@ -81,7 +81,6 @@ class DetectionCostSpec:
 
     false_alarm: tuple[float, ...]
     delay: tuple[float, ...]
-    rho: float
 
     def __post_init__(self):
         object.__setattr__(self, "false_alarm", tuple(float(x) for x in self.false_alarm))
@@ -92,8 +91,6 @@ class DetectionCostSpec:
             raise ValueError("false-alarm penalties must be finite and positive")
         if any(not (x >= 0.0 and math.isfinite(x)) for x in self.delay):
             raise ValueError("delay penalties must be finite and nonnegative")
-        if not (0.0 < self.rho < 1.0):
-            raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
 
     @property
     def period(self) -> int:
@@ -135,7 +132,7 @@ def detection_mdp(
     c = np.zeros((T, M + 1, 2))
     P[:, :, 1, M] = 1.0  # stop, and stay stopped
     P[:, M, 0, M] = 1.0
-    predicted = p + (1.0 - p) * costs.rho  # the belief before the next observation
+    predicted = p + (1.0 - p) * scenario.rho  # the belief before the next observation
     for s in range(T):
         nxt = (s + 1) % T  # the continuation averages over the next observation
         f, g = scenario.pre[nxt], scenario.post[nxt]

@@ -4,15 +4,16 @@ An i.p.i.d. process emits independent observations whose marginal density
 repeats with period T.  A monitored stream follows the pre-change law
 (f_1, ..., f_T) up to some random change point nu and the post-change law
 (g_1, ..., g_T) from nu on.  This module holds the density types, the
-geometric change-point prior, the Simpson window that both the divergence
-and the detection DP integrate over, and the two information quantities
-that control asymptotic detection delay: the period-averaged
-Kullback-Leibler divergence and the prior's tail exponent.  Paths are
-drawn by the Monte-Carlo kernel (``monte_carlo.sample_path``).
+scenario (both laws and the change point's hazard rho, the whole
+observation model), the Simpson window that both the divergence and the
+detection DP integrate over, and the two information quantities that
+control asymptotic detection delay: the period-averaged Kullback-Leibler
+divergence and the change point's tail exponent.  Paths are drawn by the
+Monte-Carlo kernel (``monte_carlo.sample_path``).
 
-The prior is geometric and is the only one: its constant hazard rho makes
-the posterior change probability a Markov state, which the detection DP
-and the Monte-Carlo engine both rely on.
+The change point is geometric, and only geometric: its constant hazard
+rho makes the posterior change probability a Markov state, which the
+detection DP and the Monte-Carlo engine both rely on.
 
 Indexing: observation n >= 1 has 0-based stage (n - 1) % T, so the density
 lists are addressed as pre[stage], post[stage].  ``IpidScenario.stage_index``
@@ -31,7 +32,6 @@ __all__ = [
     "Density",
     "Gaussian",
     "IpidScenario",
-    "GeometricPrior",
     "log_likelihood_ratio",
     "simpson_window",
     "kl_information",
@@ -87,15 +87,18 @@ class Gaussian:
 
 @dataclass(frozen=True)
 class IpidScenario:
-    """Pre- and post-change laws of one monitored stream.
+    """Pre- and post-change laws of one monitored stream, and its change point.
 
-    ``pre`` and ``post`` each hold T densities, one per stage.  A scenario
-    where every post density equals its pre counterpart is constructable
-    (the change is then undetectable); ``kl_information`` rejects it.
+    ``pre`` and ``post`` each hold T densities, one per stage.  The change
+    point is geometric with hazard ``rho``: P(nu = n) = (1-rho)^(n-1) rho
+    for n >= 1.  A scenario where every post density equals its pre
+    counterpart is constructable (the change is then undetectable);
+    ``kl_information`` rejects it.
     """
 
     pre: tuple[Density, ...]
     post: tuple[Density, ...]
+    rho: float
 
     def __post_init__(self):
         object.__setattr__(self, "pre", tuple(self.pre))
@@ -106,6 +109,8 @@ class IpidScenario:
             raise ValueError(
                 f"pre has {len(self.pre)} stages but post has {len(self.post)}"
             )
+        if not (0.0 < self.rho < 1.0):
+            raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
 
     @property
     def period(self) -> int:
@@ -123,17 +128,6 @@ def log_likelihood_ratio(scenario: IpidScenario, n: int, y) -> float | np.ndarra
     of log-densities (never a ratio of densities); elementwise on an array y."""
     s = scenario.stage_index(n)
     return scenario.post[s].logpdf(y) - scenario.pre[s].logpdf(y)
-
-
-@dataclass(frozen=True)
-class GeometricPrior:
-    """Change point with P(nu = n) = (1-rho)^(n-1) rho for n >= 1."""
-
-    rho: float
-
-    def __post_init__(self):
-        if not (0.0 < self.rho < 1.0):
-            raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
 
 
 def _kl_divergence(g: Density, f: Density) -> float:
@@ -194,7 +188,7 @@ def kl_information(scenario: IpidScenario) -> float:
     return info
 
 
-def prior_tail_exponent(prior: GeometricPrior) -> float:
+def prior_tail_exponent(scenario: IpidScenario) -> float:
     """Exponential decay rate of the prior tail, -log P(nu > n) / n, which
     for the geometric prior is -log(1 - rho) at every n."""
-    return -math.log1p(-prior.rho)
+    return -math.log1p(-scenario.rho)

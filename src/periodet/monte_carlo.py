@@ -47,7 +47,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .belief import belief_to_log_odds, log_odds_step_geometric, log_odds_to_belief
-from .ipid_model import GeometricPrior, IpidScenario, log_likelihood_ratio
+from .ipid_model import IpidScenario, log_likelihood_ratio
 from .detection_dp import DetectionCostSpec
 
 __all__ = [
@@ -109,7 +109,8 @@ class PeriodicThresholds:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Point estimate with its Monte-Carlo context."""
+    """Point estimate with its Monte-Carlo context; ``n_paths`` counts the
+    paths the estimate averages."""
 
     kind: str
     estimate: float
@@ -127,6 +128,8 @@ class AddPfaResult:
     ``pfa`` counts alarms strictly before the change; ``pfa_posterior`` is
     the zero-variance-in-the-limit alternative E[1 - p_tau], which stays
     informative when alarms before the change are too rare to count.
+    ``conditional_add`` averages over the detected paths only, and its
+    ``n_paths`` counts those.
     """
 
     add: SimulationReport
@@ -136,10 +139,9 @@ class AddPfaResult:
     censored_fraction: float
 
 
-def default_horizon(rho: float) -> int:
+def default_horizon(scenario: IpidScenario) -> int:
     """50 expected change times; long enough that censoring is rare."""
-    GeometricPrior(rho)  # rejects rho outside (0, 1)
-    return int(math.ceil(50.0 / rho))
+    return int(math.ceil(50.0 / scenario.rho))
 
 
 def _change_points(rng: np.random.Generator, rho: float, size: int, horizon: int) -> np.ndarray:
@@ -148,7 +150,7 @@ def _change_points(rng: np.random.Generator, rho: float, size: int, horizon: int
     return np.sort(np.minimum(rng.geometric(rho, size).astype(np.int64), horizon + 1))
 
 
-def _step(scenario: IpidScenario, rho: float, rng: np.random.Generator, n: int,
+def _step(scenario: IpidScenario, rng: np.random.Generator, n: int,
           nu: np.ndarray, log_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Observation n of the paths whose change points are ``nu`` (ascending),
     and the paths' log odds after it.  The post-change paths are the prefix
@@ -163,7 +165,7 @@ def _step(scenario: IpidScenario, rho: float, rng: np.random.Generator, n: int,
     else:
         y = np.concatenate((scenario.post[s].sample(rng, n_post),
                             scenario.pre[s].sample(rng, nu.size - n_post)))
-    return y, log_odds_step_geometric(log_r, rho, log_likelihood_ratio(scenario, n, y))
+    return y, log_odds_step_geometric(log_r, scenario.rho, log_likelihood_ratio(scenario, n, y))
 
 
 @dataclass(frozen=True)
@@ -180,26 +182,24 @@ class SamplePath:
         return self.change_point is not None and n >= self.change_point
 
 
-def sample_path(
-    scenario: IpidScenario, prior: GeometricPrior, horizon: int, seed: int
-) -> SamplePath:
-    """The one path ``_simulate_stopping`` draws at ``seed``, never stopped
-    by an alarm: its change point, observations and log odds."""
+def sample_path(scenario: IpidScenario, horizon: int, seed: int) -> SamplePath:
+    """The one path of ``scenario`` that ``_simulate_stopping`` draws at
+    ``seed``, never stopped by an alarm: its change point, observations and
+    log odds."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     rng = np.random.default_rng(seed)
-    nu = _change_points(rng, prior.rho, 1, horizon)
+    nu = _change_points(rng, scenario.rho, 1, horizon)
     observations, log_odds = np.empty(horizon), np.empty(horizon)
     log_r = np.full(1, -math.inf)
     for n in range(1, horizon + 1):
-        y, log_r = _step(scenario, prior.rho, rng, n, nu, log_r)
+        y, log_r = _step(scenario, rng, n, nu, log_r)
         observations[n - 1], log_odds[n - 1] = y[0], log_r[0]
     return SamplePath(int(nu[0]) if nu[0] <= horizon else None, observations, log_odds)
 
 
 def _simulate_stopping(
     scenario: IpidScenario,
-    rho: float,
     thresholds: np.ndarray,
     n_paths: int,
     horizon: int,
@@ -227,7 +227,6 @@ def _simulate_stopping(
     log_r_at_tau has tau's shape (+inf where no alarm) when ``with_log_r``
     is set and is None otherwise.
     """
-    GeometricPrior(rho)  # rejects rho outside (0, 1) before any draw
     if n_paths < 1 or horizon < 1:
         raise ValueError("need n_paths >= 1 and horizon >= 1")
     if horizon + 1 > np.iinfo(np.int32).max:
@@ -242,7 +241,7 @@ def _simulate_stopping(
     stage_levels = belief_to_log_odds(levels.T)
 
     rng = np.random.default_rng(seed)
-    nu = _change_points(rng, rho, n_paths, horizon)
+    nu = _change_points(rng, scenario.rho, n_paths, horizon)
     tau = np.full((n_paths, n_levels), horizon + 1, dtype=np.int32)
     log_r_at_tau = np.full((n_paths, n_levels), math.inf) if with_log_r else None
     alive = np.arange(n_paths)
@@ -250,7 +249,7 @@ def _simulate_stopping(
     nu_alive = nu
     log_r = np.full(n_paths, -math.inf)
     for n in range(1, horizon + 1):
-        _, log_r = _step(scenario, rho, rng, n, nu_alive, log_r)
+        _, log_r = _step(scenario, rng, n, nu_alive, log_r)
         col = stage_levels[scenario.stage_index(n)]
         crossed = log_r > col[next_level]
         if crossed.any():
@@ -297,14 +296,14 @@ def _delay_cost_table(delay: Sequence[float], horizon: int) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.resize(delay, horizon + 1))))
 
 
-def _report(kind, values, n_paths, seed, horizon, censored) -> SimulationReport:
+def _report(kind, values, seed, horizon, censored) -> SimulationReport:
     values = np.asarray(values, dtype=float)
     se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else math.nan
     return SimulationReport(
         kind=kind,
         estimate=float(values.mean()) if values.size else math.nan,
         std_error=se,
-        n_paths=n_paths,
+        n_paths=values.size,
         seed=seed,
         horizon=horizon,
         censored_fraction=censored,
@@ -323,7 +322,7 @@ def _bayes_cost_reports(
         delay_cost = dcum[np.maximum(tau_k - 1, 0)] - dcum[np.minimum(nu, tau_k) - 1]
         cost = np.where(false_alarm, lam[tau_k - 1], delay_cost)
         censored = float((tau_k > horizon).mean())
-        reports.append(_report("bayes_cost", cost, nu.size, seed, horizon, censored))
+        reports.append(_report("bayes_cost", cost, seed, horizon, censored))
     return reports
 
 
@@ -344,9 +343,9 @@ def estimate_bayes_cost(
     """
     if scenario.period != costs.period:
         raise ValueError("scenario and cost spec periods differ")
-    horizon = default_horizon(costs.rho) if horizon is None else horizon
+    horizon = default_horizon(scenario) if horizon is None else horizon
     levels = policy.stage_thresholds(scenario.period)[None]
-    nu, tau, _ = _simulate_stopping(scenario, costs.rho, levels, n_paths, horizon, seed)
+    nu, tau, _ = _simulate_stopping(scenario, levels, n_paths, horizon, seed)
     return _bayes_cost_reports(costs, nu, tau, seed, horizon)[0]
 
 
@@ -389,8 +388,8 @@ def sweep_single_threshold(
     if scenario.period != costs.period:
         raise ValueError("scenario and cost spec periods differ")
     grid, rank, levels = _sorted_levels(threshold_grid, scenario.period)
-    horizon = default_horizon(costs.rho) if horizon is None else horizon
-    nu, tau, _ = _simulate_stopping(scenario, costs.rho, levels, n_paths, horizon, seed)
+    horizon = default_horizon(scenario) if horizon is None else horizon
+    nu, tau, _ = _simulate_stopping(scenario, levels, n_paths, horizon, seed)
     reports = _bayes_cost_reports(costs, nu, tau, seed, horizon)
     return SweepResult(points=tuple(
         SweepPoint(a, reports[k].estimate, reports[k].std_error, reports[k].censored_fraction)
@@ -402,7 +401,6 @@ def _add_pfa_result(
     nu: np.ndarray, tau: np.ndarray, log_r_at_tau: np.ndarray, seed: int, horizon: int
 ) -> AddPfaResult:
     """ADD/PFA estimates of one rule from its stopping times."""
-    n_paths = nu.size
     censored = float((tau > horizon).mean())
     add = np.maximum(tau - nu, 0)
     detected = (tau >= nu) & (nu <= horizon)
@@ -411,9 +409,9 @@ def _add_pfa_result(
     one_minus_p = log_odds_to_belief(-log_r_at_tau)
     pfa_posterior = float(np.where(tau <= horizon, one_minus_p, 0.0).mean())
     return AddPfaResult(
-        add=_report("add", add, n_paths, seed, horizon, censored),
-        conditional_add=_report("conditional_add", cond, n_paths, seed, horizon, censored),
-        pfa=_report("pfa", pfa, n_paths, seed, horizon, censored),
+        add=_report("add", add, seed, horizon, censored),
+        conditional_add=_report("conditional_add", cond, seed, horizon, censored),
+        pfa=_report("pfa", pfa, seed, horizon, censored),
         pfa_posterior=pfa_posterior,
         censored_fraction=censored,
     )
@@ -434,7 +432,6 @@ class AddPfaSweep:
 
 def estimate_add_pfa(
     scenario: IpidScenario,
-    rho: float,
     threshold: float | Sequence[float],
     n_paths: int,
     *,
@@ -455,10 +452,10 @@ def estimate_add_pfa(
     threshold, and the largest threshold's point equals a one-threshold
     call at that seed.
     """
-    horizon = default_horizon(rho) if horizon is None else horizon
+    horizon = default_horizon(scenario) if horizon is None else horizon
     _, rank, levels = _sorted_levels(np.atleast_1d(threshold), scenario.period)
     nu, tau, log_r_at_tau = _simulate_stopping(
-        scenario, rho, levels, n_paths, horizon, seed, with_log_r=True
+        scenario, levels, n_paths, horizon, seed, with_log_r=True
     )
     points = tuple(_add_pfa_result(nu, tau[:, k], log_r_at_tau[:, k], seed, horizon)
                    for k in rank)

@@ -180,8 +180,8 @@ def _checked_tol(mdp: PeriodicMdp, tol: float | None, max_cycles: int) -> float:
     default, after checking it and ``max_cycles``."""
     if tol is None:
         tol = 1e-8 if mdp.discount < 1.0 else 1e-6
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_cycles < 1:
         raise ValueError("max_cycles must be >= 1")
     return tol

@@ -8,10 +8,10 @@ from periodet import DetectionCostSpec, Gaussian, IpidScenario, solve_detection
 SEED = 20240801
 
 
-def make_scenario(pre_means, post_means, variance=1.0):
+def make_scenario(pre_means, post_means, variance=1.0, rho=0.01):
     pre = tuple(Gaussian(m, variance) for m in pre_means)
     post = tuple(Gaussian(m, variance) for m in post_means)
-    return IpidScenario(pre=pre, post=post)
+    return IpidScenario(pre=pre, post=post, rho=rho)
 
 
 def brute_force_posterior(scenario, rho, observations):
@@ -74,7 +74,7 @@ def per_node_kernel(pre, post, rho, resolution):
 def alternating_t2():
     """Two-stage scenario with strong/weak signal and alternating penalties."""
     scenario = make_scenario([0.0, 0.0], [2.0, 1.0])
-    costs = DetectionCostSpec(false_alarm=(20.0, 5.0), delay=(10.0, 1.0), rho=0.01)
+    costs = DetectionCostSpec(false_alarm=(20.0, 5.0), delay=(10.0, 1.0))
     return scenario, costs
 
 
@@ -82,7 +82,7 @@ def alternating_t2():
 def decaying_t4():
     scenario = make_scenario([0.0] * 4, [2.0, 1.5, 1.0, 0.5])
     costs = DetectionCostSpec(
-        false_alarm=(20.0, 15.0, 10.0, 5.0), delay=(10.0, 10.0, 6.0, 1.0), rho=0.01
+        false_alarm=(20.0, 15.0, 10.0, 5.0), delay=(10.0, 10.0, 6.0, 1.0)
     )
     return scenario, costs
 

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from periodet import (
-    GeometricPrior,
     OddsState,
     PeriodicThresholds,
     analytic_delay,
@@ -194,14 +193,14 @@ def test_criterion_7_tradeoff_curve():
     cfg = bundled_config("tradeoff_t2")
     scenario = cfg.scenario()
     info = kl_information(scenario)
-    tail = prior_tail_exponent(GeometricPrior(cfg.rho))
+    tail = prior_tail_exponent(scenario)
     assert info == pytest.approx(0.15625, abs=1e-12)
     assert tail == pytest.approx(abs(math.log(0.99)), abs=1e-15)
     details = []
     ok = True
     for alpha in (1e-2, 1e-3, 1e-4):
         res = estimate_add_pfa(
-            scenario, cfg.rho, 1.0 - alpha, 5000, horizon=cfg.horizon, seed=SEED
+            scenario, 1.0 - alpha, 5000, horizon=cfg.horizon, seed=SEED
         )
         target = analytic_delay(alpha, info, tail)
         rel = abs(res.add.estimate - target) / target
@@ -221,13 +220,13 @@ def test_tradeoff_slope_matches_analytic_rate():
     cfg = bundled_config("tradeoff_t2")
     scenario = cfg.scenario()
     info = kl_information(scenario)
-    tail = prior_tail_exponent(GeometricPrior(cfg.rho))
+    tail = prior_tail_exponent(scenario)
     alphas = (1e-2, 1e-3, 1e-4)
     adds = []
     ratios = []
     for alpha in alphas:
         res = estimate_add_pfa(
-            scenario, cfg.rho, 1.0 - alpha, 5000, horizon=cfg.horizon, seed=SEED
+            scenario, 1.0 - alpha, 5000, horizon=cfg.horizon, seed=SEED
         )
         adds.append(res.add.estimate)
         ratios.append(res.add.estimate / analytic_delay(alpha, info, tail))
@@ -245,14 +244,13 @@ def test_criterion_8_property_suites(solved_t2, solved_t4, alternating_t2):
     simulation consistency on every bundled scenario."""
     # log-odds recursion vs the brute-force Bayes posterior to 1e-9 in p on
     # randomized sample paths
-    scen = make_scenario([0.0, 0.0], [1.0, 0.25])
-    prior = GeometricPrior(0.02)
+    scen = make_scenario([0.0, 0.0], [1.0, 0.25], rho=0.02)
     for seed in range(10):
-        path = sample_path(scen, prior, horizon=200, seed=seed)
-        want = brute_force_posterior(scen, prior.rho, path.observations)
+        path = sample_path(scen, horizon=200, seed=seed)
+        want = brute_force_posterior(scen, scen.rho, path.observations)
         state = OddsState(-math.inf)
         for y, p in zip(path.observations, want):
-            state = update_odds(state, prior, scen, y)
+            state = update_odds(state, scen, y)
             assert abs(log_odds_to_belief(state.log_r) - p) <= 1e-9
 
     # value iteration: monotone iterates, residual at tol, oracle sandwich
@@ -278,7 +276,7 @@ def test_criterion_8_property_suites(solved_t2, solved_t4, alternating_t2):
 
     # classical single-stage reduction against an independent solver
     scenario1 = make_scenario([0.0], [2.0])
-    costs1 = DetectionCostSpec(false_alarm=(5.0,), delay=(1.0,), rho=0.01)
+    costs1 = DetectionCostSpec(false_alarm=(5.0,), delay=(1.0,))
     sol1 = solve_detection(scenario1, costs1, grid_resolution=100, tol=1e-9)
     # the oracle runs to 1e-12: at 1e-9 it is itself 8e-8 from its limit
     oracle = classical_shiryaev_solver(2.0, 5.0, 1.0, 0.01, 100, tol=1e-12)

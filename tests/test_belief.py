@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from periodet import (
     BeliefUpdateError,
     Gaussian,
-    GeometricPrior,
     IpidScenario,
     OddsState,
     belief_to_log_odds,
@@ -34,10 +33,10 @@ def plain_domain_update(p, rho, scenario, n, y):
     return pt * g / (pt * g + (1.0 - p) * (1.0 - rho) * f)
 
 
-def step_belief(p, prior, scenario, y, n=0):
+def step_belief(p, scenario, y, n=0):
     """One ``update_odds`` step from belief p after n observations, read
     back as a belief."""
-    state = update_odds(OddsState(belief_to_log_odds(p), n), prior, scenario, y)
+    state = update_odds(OddsState(belief_to_log_odds(p), n), scenario, y)
     return log_odds_to_belief(state.log_r)
 
 
@@ -45,23 +44,23 @@ def step_belief(p, prior, scenario, y, n=0):
 
 
 def test_update_belief_identical_densities_accumulates_prior():
-    same = make_scenario([0.0], [0.0])
-    state = update_odds(OddsState(-math.inf), GeometricPrior(0.01), same, y=1.3)
+    same = make_scenario([0.0], [0.0], rho=0.01)
+    state = update_odds(OddsState(-math.inf), same, y=1.3)
     assert log_odds_to_belief(state.log_r) == pytest.approx(0.01, abs=1e-12)
     assert state.n == 1
 
 
 def test_update_belief_absorbing_at_one():
-    scen = make_scenario([0.0], [2.0])
+    scen = make_scenario([0.0], [2.0], rho=0.05)
     for y in (-50.0, 0.0, 50.0):
-        state = update_odds(OddsState(math.inf, 3), GeometricPrior(0.05), scen, y)
+        state = update_odds(OddsState(math.inf, 3), scen, y)
         assert log_odds_to_belief(state.log_r) == 1.0
 
 
 def test_update_belief_zero_llr_observation():
     # at y = 1 the strong-stage likelihood ratio is exactly 1
-    scen = make_scenario([0.0], [2.0])
-    assert step_belief(0.0, GeometricPrior(0.01), scen, y=1.0) == pytest.approx(0.01, abs=1e-12)
+    scen = make_scenario([0.0], [2.0], rho=0.01)
+    assert step_belief(0.0, scen, y=1.0) == pytest.approx(0.01, abs=1e-12)
 
 
 @given(
@@ -71,16 +70,16 @@ def test_update_belief_zero_llr_observation():
     theta=st.floats(0.1, 3.0),
 )
 def test_update_belief_matches_plain_domain(p, rho, y, theta):
-    scen = make_scenario([0.0, 0.0], [theta, theta / 2.0])
-    got = step_belief(p, GeometricPrior(rho), scen, y, n=4)
+    scen = make_scenario([0.0, 0.0], [theta, theta / 2.0], rho=rho)
+    got = step_belief(p, scen, y, n=4)
     want = plain_domain_update(p, rho, scen, 5, y)
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_update_belief_outside_both_supports():
-    scen = make_scenario([0.0], [2.0])
+    scen = make_scenario([0.0], [2.0], rho=0.01)
     with pytest.raises(BeliefUpdateError):
-        update_odds(OddsState(belief_to_log_odds(0.2)), GeometricPrior(0.01), scen, y=math.inf)
+        update_odds(OddsState(belief_to_log_odds(0.2)), scen, y=math.inf)
 
 
 @dataclass(frozen=True)
@@ -100,25 +99,25 @@ class UnitUniform:
 
 
 def test_update_belief_bounded_supports_error():
-    scen = IpidScenario(pre=(UnitUniform(),), post=(UnitUniform(),))
+    scen = IpidScenario(pre=(UnitUniform(),), post=(UnitUniform(),), rho=0.01)
     with pytest.raises(BeliefUpdateError, match="outside both"):
-        update_odds(OddsState(belief_to_log_odds(0.1)), GeometricPrior(0.01), scen, y=2.5)
+        update_odds(OddsState(belief_to_log_odds(0.1)), scen, y=2.5)
 
 
 # ── geometric prior ────────────────────────────────────────────────────
 
 
 def test_odds_geometric_first_step():
-    same = make_scenario([0.0], [0.0])  # LLR = 0 everywhere
-    state = update_odds(OddsState(-math.inf), GeometricPrior(0.01), same, y=0.4)
+    same = make_scenario([0.0], [0.0], rho=0.01)  # LLR = 0 everywhere
+    state = update_odds(OddsState(-math.inf), same, y=0.4)
     assert math.exp(state.log_r) == pytest.approx(0.01 / 0.99, rel=1e-12)
 
 
 def test_odds_geometric_arithmetic_example():
     # R' = ((1 + 0.01) / 0.99) * 2 when the likelihood ratio is 2
-    scen = make_scenario([0.0], [2.0])
+    scen = make_scenario([0.0], [2.0], rho=0.01)
     y = (math.log(2.0) + 2.0) / 2.0  # solves theta*y - theta^2/2 = log 2
-    state = update_odds(OddsState(0.0), GeometricPrior(0.01), scen, y=y)
+    state = update_odds(OddsState(0.0), scen, y=y)
     assert math.exp(state.log_r) == pytest.approx((1.01 / 0.99) * 2.0, rel=1e-10)
 
 
@@ -224,27 +223,26 @@ def test_belief_and_odds_paths_agree(seed, rho):
     """The log-odds recursion tracks the brute-force Bayes posterior
     P(nu <= n | y_1..y_n) to 1e-9 in p at every step of randomized
     thousand-step sample paths."""
-    scen = make_scenario([0.0, 0.0], [1.0, 0.25])
-    prior = GeometricPrior(rho)
-    path = sample_path(scen, prior, horizon=1000, seed=seed)
+    scen = make_scenario([0.0, 0.0], [1.0, 0.25], rho=rho)
+    path = sample_path(scen, horizon=1000, seed=seed)
     want = brute_force_posterior(scen, rho, path.observations)
     state = OddsState(-math.inf)
     for y, p in zip(path.observations, want):
-        state = update_odds(state, prior, scen, y)
+        state = update_odds(state, scen, y)
         assert log_odds_to_belief(state.log_r) == pytest.approx(p, abs=1e-9)
 
 
 def test_log_odds_path_matches_plain_domain_path():
     """The stability rewrite changes nothing beyond 1e-9 while the plain
     recursion stays representable."""
-    scen = make_scenario([0.0, 0.0], [2.0, 1.0])
     rho = 0.01
+    scen = make_scenario([0.0, 0.0], [2.0, 1.0], rho=rho)
     rng = np.random.default_rng(17)
     state = OddsState(-math.inf)
     p_plain = 0.0
     for n in range(1, 301):
         y = rng.normal()
-        state = update_odds(state, GeometricPrior(rho), scen, y)
+        state = update_odds(state, scen, y)
         p_plain = plain_domain_update(p_plain, rho, scen, n, y)
         assert log_odds_to_belief(state.log_r) == pytest.approx(p_plain, abs=1e-9)
 
@@ -255,24 +253,24 @@ def test_recursion_matches_brute_force_on_unequal_variances():
     scen = IpidScenario(
         pre=(Gaussian(0.0, 1.0), Gaussian(0.5, 2.0), Gaussian(-1.0, 0.5)),
         post=(Gaussian(1.0, 0.5), Gaussian(0.5, 1.0), Gaussian(0.0, 2.0)),
+        rho=0.05,
     )
-    prior = GeometricPrior(0.05)
     for seed in range(3):
-        path = sample_path(scen, prior, horizon=300, seed=seed)
-        want = brute_force_posterior(scen, prior.rho, path.observations)
+        path = sample_path(scen, horizon=300, seed=seed)
+        want = brute_force_posterior(scen, scen.rho, path.observations)
         state = OddsState(-math.inf)
         for y, p in zip(path.observations, want):
-            state = update_odds(state, prior, scen, y)
+            state = update_odds(state, scen, y)
             assert log_odds_to_belief(state.log_r) == pytest.approx(p, abs=1e-9)
 
 
 def test_pure_prior_accumulation_closed_form():
     # g == f: p_n = 1 - (1-rho)^n exactly
-    same = make_scenario([0.0, 0.0], [0.0, 0.0])
     rho = 0.03
+    same = make_scenario([0.0, 0.0], [0.0, 0.0], rho=rho)
     state = OddsState(-math.inf)
     for n in range(1, 201):
-        state = update_odds(state, GeometricPrior(rho), same, y=float(n % 5))
+        state = update_odds(state, same, y=float(n % 5))
         assert log_odds_to_belief(state.log_r) == pytest.approx(1.0 - (1.0 - rho) ** n, abs=1e-12)
 
 
@@ -284,10 +282,9 @@ def test_pure_prior_accumulation_closed_form():
 def test_monotone_response_to_likelihood_ratio(p, y_lo, bump):
     """Raising the current observation's log likelihood ratio never lowers
     the updated belief (for a positive-shift stage, LLR grows with y)."""
-    scen = make_scenario([0.0], [1.5])
-    prior = GeometricPrior(0.02)
-    lo = step_belief(p, prior, scen, y_lo)
-    hi = step_belief(p, prior, scen, y_lo + bump)
+    scen = make_scenario([0.0], [1.5], rho=0.02)
+    lo = step_belief(p, scen, y_lo)
+    hi = step_belief(p, scen, y_lo + bump)
     assert hi >= lo - 1e-12
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from periodet import GeometricPrior, OddsState, log_odds_to_belief, update_odds
+from periodet import OddsState, log_odds_to_belief, update_odds
 from periodet.cli import (
     ConfigError,
     DEFAULT_THRESHOLD_GRID,
@@ -149,6 +149,29 @@ def test_override_flag_a_command_does_not_read_is_a_usage_error(tmp_path, capsys
         main([name, "--config", str(cfg), *flag, "--out-dir", str(tmp_path)])
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "simulate --policy single:0.5 --grid 7",
+        "simulate --policy periodic:0.3,0.7 --tol 1e-3",
+        "reproduce fig3 --grid 7",
+        "reproduce fig3 --tol 1e-3",
+    ],
+)
+def test_solver_flag_a_mode_does_not_read_is_a_usage_error(tmp_path, capsys, command):
+    """``--grid`` and ``--tol`` belong to the subcommand, but these modes
+    solve nothing, so the flag is refused before anything runs."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(MINIMAL)
+    name, *rest = shlex.split(command)
+    config = ["--config", str(cfg)] if name == "simulate" else []
+    with pytest.raises(SystemExit) as exit_info:
+        main([name, *config, *rest, "--paths", "20", "--out-dir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert f"argument {rest[-2]}: " in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -303,14 +326,14 @@ def scalar_trace_rows(cfg, horizon):
     """The trace drawn and scored one observation at a time: a geometric
     change point, then one draw from the stage law and one ``update_odds``
     step per observation."""
-    scenario, prior = cfg.scenario(), GeometricPrior(cfg.rho)
+    scenario = cfg.scenario()
     rng = np.random.default_rng(cfg.seed)
     nu = int(rng.geometric(cfg.rho))
     state, rows = OddsState(-math.inf), []
     for n in range(1, horizon + 1):
         s = scenario.stage_index(n)
         law = scenario.post[s] if n >= nu else scenario.pre[s]
-        state = update_odds(state, prior, scenario, law.sample(rng))
+        state = update_odds(state, scenario, law.sample(rng))
         rows.append([state.n, log_odds_to_belief(state.log_r), int(n >= nu)])
     return rows
 

@@ -10,7 +10,6 @@ from periodet import (
     BeliefGrid,
     DetectionCostSpec,
     Gaussian,
-    GeometricPrior,
     IpidScenario,
     OddsState,
     belief_to_log_odds,
@@ -86,10 +85,10 @@ class Clipped:
         return self.loc + self.scale * rng.standard_normal(size)
 
 
-def continuation_kernel(scenario, stage, resolution, rho=0.01):
+def continuation_kernel(scenario, stage, resolution):
     """K_s of ``detection_mdp``: the continue rows among the grid states."""
     T = scenario.period
-    costs = DetectionCostSpec(false_alarm=(5.0,) * T, delay=(1.0,) * T, rho=rho)
+    costs = DetectionCostSpec(false_alarm=(5.0,) * T, delay=(1.0,) * T)
     mdp = detection_mdp(scenario, costs, resolution)
     return mdp.transitions[stage, :resolution, 0, :resolution]
 
@@ -99,13 +98,14 @@ def continuation_kernel(scenario, stage, resolution, rho=0.01):
 
 def test_cost_spec_validation():
     with pytest.raises(ValueError):
-        DetectionCostSpec(false_alarm=(0.0, 5.0), delay=(1.0, 1.0), rho=0.01)
+        DetectionCostSpec(false_alarm=(0.0, 5.0), delay=(1.0, 1.0))
     with pytest.raises(ValueError):
-        DetectionCostSpec(false_alarm=(5.0,), delay=(-1.0,), rho=0.01)
+        DetectionCostSpec(false_alarm=(5.0,), delay=(-1.0,))
     with pytest.raises(ValueError):
-        DetectionCostSpec(false_alarm=(5.0, 5.0), delay=(1.0,), rho=0.01)
-    with pytest.raises(ValueError):
-        DetectionCostSpec(false_alarm=(5.0,), delay=(1.0,), rho=1.0)
+        DetectionCostSpec(false_alarm=(5.0, 5.0), delay=(1.0,))
+    # the hazard belongs to the scenario, which checks it
+    with pytest.raises(ValueError, match="rho must lie in"):
+        make_scenario([0.0], [2.0], rho=1.0)
 
 
 def test_grid_endpoints():
@@ -119,8 +119,8 @@ def test_grid_endpoints():
 
 def test_quadrature_window_must_cover_locations():
     # a custom density of zero scale gives a window that ends on a location
-    scen = IpidScenario(pre=(Cauchy(0.0, scale=0.0),), post=(Cauchy(2.0, scale=0.0),))
-    costs = DetectionCostSpec(false_alarm=(5.0,), delay=(1.0,), rho=0.01)
+    scen = IpidScenario(pre=(Cauchy(0.0, scale=0.0),), post=(Cauchy(2.0, scale=0.0),), rho=0.01)
+    costs = DetectionCostSpec(false_alarm=(5.0,), delay=(1.0,))
     with pytest.raises(ValueError, match="window"):
         detection_mdp(scen, costs, 10)
 
@@ -128,8 +128,8 @@ def test_quadrature_window_must_cover_locations():
 def test_quadrature_window_must_be_finite():
     # an infinite scale gives a window that covers both locations but
     # would build a NaN kernel
-    scen = IpidScenario(pre=(Cauchy(0.0),), post=(Cauchy(2.0, scale=math.inf),))
-    costs = DetectionCostSpec(false_alarm=(5.0,), delay=(1.0,), rho=0.01)
+    scen = IpidScenario(pre=(Cauchy(0.0),), post=(Cauchy(2.0, scale=math.inf),), rho=0.01)
+    costs = DetectionCostSpec(false_alarm=(5.0,), delay=(1.0,))
     with pytest.raises(ValueError, match="not finite"):
         detection_mdp(scen, costs, 10)
     with pytest.raises(ValueError, match="not finite"):
@@ -150,9 +150,9 @@ def test_transition_absorbing_at_one():
 def test_transition_identical_densities_ignores_observation():
     # p' = ptilde whatever is observed, so each row sits on the grid points
     # around ptilde (within rounding of it) and interpolates it exactly
-    same = make_scenario([0.0], [0.0])
+    same = make_scenario([0.0], [0.0], rho=0.05)
     grid = BeliefGrid(50)
-    K = continuation_kernel(same, 0, 50, rho=0.05)
+    K = continuation_kernel(same, 0, 50)
     pt = grid.points + (1 - grid.points) * 0.05
     for i in range(50):
         support = grid.points[np.flatnonzero(K[i])]
@@ -162,10 +162,9 @@ def test_transition_identical_densities_ignores_observation():
 
 def test_transition_matches_scalar_recursion():
     # K_s rebuilt one (belief, node) pair at a time from the scalar filter
-    scen = make_scenario([0.0, 0.0], [2.0, 1.0])
     rho, M = 0.01, 7
+    scen = make_scenario([0.0, 0.0], [2.0, 1.0], rho=rho)
     grid = BeliefGrid(M).points
-    prior = GeometricPrior(rho)
     for s in range(2):
         nxt = (s + 1) % 2  # decision after stage s averages the next observation
         nodes, weights = simpson_window(scen.pre[nxt], scen.post[nxt], WINDOW_SCALES, QUADRATURE_NODES)
@@ -175,7 +174,7 @@ def test_transition_matches_scalar_recursion():
         for i, p in enumerate(grid):
             pt = p + (1 - p) * rho
             for x, w, fx, gx in zip(nodes, weights, f, g):
-                state = update_odds(OddsState(belief_to_log_odds(p), n=nxt), prior, scen, x)
+                state = update_odds(OddsState(belief_to_log_odds(p), n=nxt), scen, x)
                 p_next = log_odds_to_belief(state.log_r)
                 hat = np.maximum(0.0, 1.0 - np.abs(p_next - grid) * (M - 1))
                 expected[i] += w * (pt * gx + (1 - pt) * fx) * hat
@@ -189,27 +188,29 @@ KERNEL_SCENARIOS = {
     "alternating_t2": make_scenario([0.0, 0.0], [2.0, 1.0]),
     "decaying_t4": make_scenario([0.0] * 4, [2.0, 1.5, 1.0, 0.5]),
     "unequal_variances": IpidScenario(
-        pre=(Gaussian(0.0, 1.0), Gaussian(0.5, 2.0)), post=(Gaussian(1.0, 3.0), Gaussian(0.0, 0.5))
+        pre=(Gaussian(0.0, 1.0), Gaussian(0.5, 2.0)), post=(Gaussian(1.0, 3.0), Gaussian(0.0, 0.5)),
+        rho=0.01,
     ),
-    "cauchy": IpidScenario(pre=(Cauchy(0.0),), post=(Cauchy(2.0),)),
+    "cauchy": IpidScenario(pre=(Cauchy(0.0),), post=(Cauchy(2.0),), rho=0.01),
     "identical": make_scenario([0.0], [0.0]),
     # a narrow density next to a wide one: f, then g, underflows to 0
     "spike_to_wide": IpidScenario(
-        pre=(Gaussian(0.0, 1e-2), Gaussian(0.0, 4.0)), post=(Gaussian(0.0, 4.0), Gaussian(0.0, 1e-2))
+        pre=(Gaussian(0.0, 1e-2), Gaussian(0.0, 4.0)), post=(Gaussian(0.0, 4.0), Gaussian(0.0, 1e-2)),
+        rho=0.01,
     ),
     # both log-densities are -inf on the nodes between the two supports
-    "disjoint_supports": IpidScenario(pre=(Clipped(0.0),), post=(Clipped(30.0),)),
+    "disjoint_supports": IpidScenario(pre=(Clipped(0.0),), post=(Clipped(30.0),), rho=0.01),
 }
 
 
 @pytest.mark.parametrize("resolution", [2, 3, 50, 200, 1000])
 @pytest.mark.parametrize("name", sorted(KERNEL_SCENARIOS))
 def test_kernel_matches_per_node_deposit(name, resolution):
-    scen, rho = KERNEL_SCENARIOS[name], 0.01
+    scen = KERNEL_SCENARIOS[name]
     for s in range(scen.period):
         nxt = (s + 1) % scen.period
-        expected = per_node_kernel(scen.pre[nxt], scen.post[nxt], rho, resolution)
-        K = continuation_kernel(scen, s, resolution, rho)
+        expected = per_node_kernel(scen.pre[nxt], scen.post[nxt], scen.rho, resolution)
+        K = continuation_kernel(scen, s, resolution)
         np.testing.assert_allclose(K, expected, rtol=0, atol=1e-12)
 
 
@@ -240,8 +241,8 @@ def test_kernel_keeps_mass_and_first_moment(stages, rho, resolution):
     pre = tuple(Gaussian(m, v) for m, v, _, _ in stages)
     post = tuple(Gaussian(m, v) for _, _, m, v in stages)
     T, M = len(stages), resolution
-    costs = DetectionCostSpec(false_alarm=(5.0,) * T, delay=(1.0,) * T, rho=rho)
-    P = detection_mdp(IpidScenario(pre=pre, post=post), costs, M).transitions
+    costs = DetectionCostSpec(false_alarm=(5.0,) * T, delay=(1.0,) * T)
+    P = detection_mdp(IpidScenario(pre=pre, post=post, rho=rho), costs, M).transitions
     points = BeliefGrid(M).points
     pt = points + (1.0 - points) * rho
     for s in range(T):
@@ -285,8 +286,8 @@ def test_continuation_identity_curve_gives_pumped_belief():
 
 
 def test_quadrature_mass_lost_heavy_tails():
-    scen = IpidScenario(pre=(Cauchy(0.0),), post=(Cauchy(2.0),))
-    costs = DetectionCostSpec(false_alarm=(5.0,), delay=(1.0,), rho=0.01)
+    scen = IpidScenario(pre=(Cauchy(0.0),), post=(Cauchy(2.0),), rho=0.01)
+    costs = DetectionCostSpec(false_alarm=(5.0,), delay=(1.0,))
     sol = solve_detection(scen, costs, tol=1e-12)
     # the window [-8, 10] misses the same tail mass under both laws
     outside = 1.0 - (math.atan(8.0) + math.atan(10.0)) / math.pi
@@ -313,8 +314,8 @@ def test_bundled_configs_lose_no_quadrature_mass():
 def test_unresolvable_stage_raises():
     # a window 160 wide cannot resolve a pre-change spike of width 1e-3:
     # Simpson overshoots and continuation rows sum to about 26
-    scen = IpidScenario(pre=(Gaussian(0.0, 1e-6),), post=(Gaussian(0.0, 100.0),))
-    costs = DetectionCostSpec(false_alarm=(5.0,), delay=(1.0,), rho=0.01)
+    scen = IpidScenario(pre=(Gaussian(0.0, 1e-6),), post=(Gaussian(0.0, 100.0),), rho=0.01)
+    costs = DetectionCostSpec(false_alarm=(5.0,), delay=(1.0,))
     with pytest.raises(ValueError, match="sums to"):
         solve_detection(scen, costs)
 
@@ -426,8 +427,8 @@ def test_grid_refinement_stability(alternating_t2):
 
 
 def test_classical_reduction_matches_independent_solver():
-    scenario = make_scenario([0.0], [2.0])
-    costs = DetectionCostSpec(false_alarm=(5.0,), delay=(1.0,), rho=0.01)
+    scenario = make_scenario([0.0], [2.0], rho=0.01)
+    costs = DetectionCostSpec(false_alarm=(5.0,), delay=(1.0,))
     sol = solve_detection(scenario, costs, grid_resolution=100, tol=1e-9)
     # the oracle stops on a small step too, so it needs a tighter tol than
     # the agreement asked of it: at 1e-9 it is itself 8e-8 from its limit
@@ -437,7 +438,7 @@ def test_classical_reduction_matches_independent_solver():
 
 def test_solve_rejects_mismatched_periods():
     scenario = make_scenario([0.0], [2.0])
-    costs = DetectionCostSpec(false_alarm=(5.0, 5.0), delay=(1.0, 1.0), rho=0.01)
+    costs = DetectionCostSpec(false_alarm=(5.0, 5.0), delay=(1.0, 1.0))
     with pytest.raises(ValueError, match="period"):
         solve_detection(scenario, costs)
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from periodet import (
     Gaussian,
-    GeometricPrior,
     IpidScenario,
     kl_information,
     log_likelihood_ratio,
@@ -64,9 +63,9 @@ def test_gaussian_logpdf_finite(x, mean, var):
 
 def test_scenario_shape_validation():
     with pytest.raises(ValueError):
-        IpidScenario(pre=(Gaussian(0.0),), post=(Gaussian(1.0), Gaussian(2.0)))
+        IpidScenario(pre=(Gaussian(0.0),), post=(Gaussian(1.0), Gaussian(2.0)), rho=0.01)
     with pytest.raises(ValueError):
-        IpidScenario(pre=(), post=())
+        IpidScenario(pre=(), post=(), rho=0.01)
 
 
 def test_degenerate_scenario_is_constructable():
@@ -105,7 +104,7 @@ def test_llr_periodic_in_time(n, y, theta):
 @pytest.mark.parametrize("rho", [0.0, 1.0, -0.1, 1.5, math.nan])
 def test_geometric_prior_rejects_rho_outside_unit_interval(rho):
     with pytest.raises(ValueError, match="rho must lie in"):
-        GeometricPrior(rho)
+        IpidScenario(pre=(Gaussian(0.0),), post=(Gaussian(1.0),), rho=rho)
 
 
 def test_post_change_llr_average_converges_to_information():
@@ -156,10 +155,10 @@ def test_kl_closed_form_matches_quadrature(f, g):
 
 
 def test_tail_exponent_geometric():
-    assert prior_tail_exponent(GeometricPrior(0.01)) == pytest.approx(
+    assert prior_tail_exponent(make_scenario([0.0], [1.0], rho=0.01)) == pytest.approx(
         abs(math.log(0.99)), abs=1e-15
     )
 
 
 def test_tail_exponent_vanishes_as_rho_vanishes():
-    assert prior_tail_exponent(GeometricPrior(1e-9)) == pytest.approx(0.0, abs=1e-8)
+    assert prior_tail_exponent(make_scenario([0.0], [1.0], rho=1e-9)) == pytest.approx(0.0, abs=1e-8)

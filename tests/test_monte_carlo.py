@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from periodet import (
     DetectionCostSpec,
     Gaussian,
-    GeometricPrior,
     IpidScenario,
     OddsState,
     PeriodicThresholds,
@@ -28,8 +28,8 @@ from conftest import make_scenario
 
 @pytest.fixture(scope="module")
 def t2():
-    scenario = make_scenario([0.0, 0.0], [2.0, 1.0])
-    costs = DetectionCostSpec(false_alarm=(20.0, 5.0), delay=(10.0, 1.0), rho=0.01)
+    scenario = make_scenario([0.0, 0.0], [2.0, 1.0], rho=0.01)
+    costs = DetectionCostSpec(false_alarm=(20.0, 5.0), delay=(10.0, 1.0))
     return scenario, costs
 
 
@@ -63,7 +63,7 @@ def test_periodic_equal_entries_equivalent_to_single(t2):
 
 def stopping_times(scenario, thresholds, horizon, seed, n_paths=8):
     levels = PeriodicThresholds(thresholds).stage_thresholds(scenario.period)[None]
-    return _simulate_stopping(scenario, 0.01, levels, n_paths, horizon, seed)[1]
+    return _simulate_stopping(scenario, levels, n_paths, horizon, seed)[1]
 
 
 def test_run_policy_zero_threshold_stops_immediately(t2):
@@ -79,8 +79,8 @@ def test_run_policy_threshold_one_never_stops(t2):
 def test_run_policy_deterministic_replay(t2):
     scenario, _ = t2
     levels = SingleThreshold(0.5).stage_thresholds(scenario.period)[None]
-    a = _simulate_stopping(scenario, 0.01, levels, 8, 2000, seed=3)
-    b = _simulate_stopping(scenario, 0.01, levels, 8, 2000, seed=3)
+    a = _simulate_stopping(scenario, levels, 8, 2000, seed=3)
+    b = _simulate_stopping(scenario, levels, 8, 2000, seed=3)
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
     assert np.all(a[1] <= 2000)  # every path alarmed
@@ -98,7 +98,7 @@ def test_kernel_tau_monotone_in_level(t2):
     single = np.repeat(grid[:, None], 2, axis=1)
     periodic = np.array([[0.1, 0.0], [0.2, 0.4], [0.6, 0.4], [0.9, 1.0]])
     for levels in (single, periodic):
-        _, tau, _ = _simulate_stopping(scenario, 0.01, levels, 500, 300, seed=6)
+        _, tau, _ = _simulate_stopping(scenario, levels, 500, 300, seed=6)
         assert tau.shape == (500, len(levels)) and tau.dtype == np.int32
         assert np.all(np.diff(tau, axis=1) >= 0)
     # stage-1 level 1.0 never stops, so the last rule alarms at odd n only
@@ -110,8 +110,8 @@ def test_kernel_levels_match_one_rule_runs(t2):
     # the shared paths; the top level sees the same draws as a run alone
     scenario, _ = t2
     levels = np.array([[0.2, 0.1], [0.5, 0.5], [0.9, 0.8]])
-    nu, tau, log_r = _simulate_stopping(scenario, 0.01, levels, 300, 400, 8, with_log_r=True)
-    top = _simulate_stopping(scenario, 0.01, levels[-1:], 300, 400, 8, with_log_r=True)
+    nu, tau, log_r = _simulate_stopping(scenario, levels, 300, 400, 8, with_log_r=True)
+    top = _simulate_stopping(scenario, levels[-1:], 300, 400, 8, with_log_r=True)
     np.testing.assert_array_equal(nu, top[0])
     np.testing.assert_array_equal(tau[:, -1:], top[1])
     np.testing.assert_array_equal(log_r[:, -1:], top[2])
@@ -126,13 +126,13 @@ def test_kernel_levels_match_one_rule_runs(t2):
 def test_kernel_validation(t2):
     scenario, _ = t2
     with pytest.raises(ValueError, match="nondecreasing"):
-        _simulate_stopping(scenario, 0.01, np.array([[0.5, 0.5], [0.4, 0.6]]), 8, 50, 1)
+        _simulate_stopping(scenario, np.array([[0.5, 0.5], [0.4, 0.6]]), 8, 50, 1)
     with pytest.raises(ValueError, match="int32"):
-        _simulate_stopping(scenario, 0.01, np.array([[0.5, 0.5]]), 8, np.iinfo(np.int32).max, 1)
+        _simulate_stopping(scenario, np.array([[0.5, 0.5]]), 8, np.iinfo(np.int32).max, 1)
     # one rule is a (1, T) row, never a bare (T,) vector
     for levels in ([0.5, 0.5], [[0.5, 0.5, 0.5]]):
         with pytest.raises(ValueError, match="shape"):
-            _simulate_stopping(scenario, 0.01, np.array(levels), 8, 50, 1)
+            _simulate_stopping(scenario, np.array(levels), 8, 50, 1)
 
 
 def test_estimators_take_horizon_and_seed_by_keyword_only(t2):
@@ -142,7 +142,7 @@ def test_estimators_take_horizon_and_seed_by_keyword_only(t2):
     for call in (
         lambda: estimate_bayes_cost(scenario, costs, SingleThreshold(0.5), 10, 50, 1),
         lambda: sweep_single_threshold(scenario, costs, (0.5,), 10, 1, 50),
-        lambda: estimate_add_pfa(scenario, costs.rho, 0.5, 10, 50, 1),
+        lambda: estimate_add_pfa(scenario, 0.5, 10, 50, 1),
     ):
         with pytest.raises(TypeError, match="positional argument"):
             call()
@@ -150,17 +150,11 @@ def test_estimators_take_horizon_and_seed_by_keyword_only(t2):
 
 @pytest.mark.parametrize("rho", [0.0, 1.0, -0.1, 1.5, math.nan])
 def test_raw_rho_outside_unit_interval_is_rejected_first(t2, rho):
-    # before the horizon default (rho = 0 divided by zero, rho = 1 took a
-    # log of zero) and before any draw
+    # by the scenario, so neither the horizon default (rho = 0 divided by
+    # zero, rho = 1 took a log of zero) nor any draw can see it
     scenario, _ = t2
-    for call in (
-        lambda: default_horizon(rho),
-        lambda: estimate_add_pfa(scenario, rho, 0.5, 10),
-        lambda: estimate_add_pfa(scenario, rho, [0.5, 0.9], 10, horizon=50),
-        lambda: _simulate_stopping(scenario, rho, np.array([[0.5, 0.5]]), 8, 50, 1),
-    ):
-        with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\), got"):
-            call()
+    with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\), got"):
+        replace(scenario, rho=rho)
 
 
 # ── the change points and observations the kernel draws ────────────────
@@ -169,8 +163,8 @@ def test_raw_rho_outside_unit_interval_is_rejected_first(t2, rho):
 def kernel_change_points(rho, n_paths, seed, horizon=10**6):
     """The change points of an n_paths kernel run at ``seed``; threshold 0
     stops every path at its first observation, so the run is cheap."""
-    scenario = make_scenario([0.0], [1.0])
-    return _simulate_stopping(scenario, rho, np.zeros((1, 1)), n_paths, horizon, seed)[0]
+    scenario = make_scenario([0.0], [1.0], rho=rho)
+    return _simulate_stopping(scenario, np.zeros((1, 1)), n_paths, horizon, seed)[0]
 
 
 def test_kernel_change_point_mean():
@@ -195,19 +189,20 @@ def test_tail_exponent_matches_kernel_change_points():
     # -log P(nu > n) / n read off 1e5 kernel change points at n = 20
     draws = kernel_change_points(0.1, 100_000, seed=99)
     empirical = -math.log(np.mean(draws > 20)) / 20
-    assert empirical == pytest.approx(prior_tail_exponent(GeometricPrior(0.1)), rel=0.02)
+    tail = prior_tail_exponent(make_scenario([0.0], [1.0], rho=0.1))
+    assert empirical == pytest.approx(tail, rel=0.02)
 
 
 @pytest.mark.parametrize("change_point, means", [(10**9, (1.0, -2.0)), (1, (5.0, 5.0))])
 def test_step_observations_match_stage_laws(change_point, means):
     # all paths before (or all after) the change: bucket by stage and
     # compare first two moments at 1e5 draws per stage
-    scen = make_scenario([1.0, -2.0], [5.0, 5.0])
+    scen = make_scenario([1.0, -2.0], [5.0, 5.0], rho=1e-9)
     rng = np.random.default_rng(11)
     nu = np.full(100_000, change_point)
     log_r = np.full(nu.size, -math.inf)
     for n, mean in zip((1, 2), means):
-        y, log_r = _step(scen, 1e-9, rng, n, nu, log_r)
+        y, log_r = _step(scen, rng, n, nu, log_r)
         assert abs(y.mean() - mean) < 4.0 / math.sqrt(y.size)
         assert abs(y.var() - 1.0) < 6.0 / math.sqrt(y.size)
 
@@ -217,7 +212,7 @@ def test_step_draws_post_change_before_pre_change(t2):
     # and take the first draws of a step
     scenario, _ = t2
     nu = np.array([1, 2, 5, 9])
-    y, _ = _step(scenario, 0.01, np.random.default_rng(3), 2, nu, np.zeros(4))
+    y, _ = _step(scenario, np.random.default_rng(3), 2, nu, np.zeros(4))
     rng = np.random.default_rng(3)
     post = scenario.post[1].sample(rng, 2)
     pre = scenario.pre[1].sample(rng, 2)
@@ -245,11 +240,10 @@ def test_step_skips_the_empty_side():
     # path makes one draw per step, and the draws match the plain densities
     pre = (CountingGaussian(0.0), CountingGaussian(0.0))
     post = (CountingGaussian(2.0), CountingGaussian(1.0))
-    prior = GeometricPrior(0.01)
-    path = sample_path(IpidScenario(pre=pre, post=post), prior, horizon=600, seed=5)
+    path = sample_path(IpidScenario(pre=pre, post=post, rho=0.01), horizon=600, seed=5)
     assert path.change_point is not None  # both laws are drawn from
     assert sum(d.sample_calls for d in pre + post) == 600
-    plain = sample_path(make_scenario([0.0, 0.0], [2.0, 1.0]), prior, horizon=600, seed=5)
+    plain = sample_path(make_scenario([0.0, 0.0], [2.0, 1.0], rho=0.01), horizon=600, seed=5)
     assert plain.change_point == path.change_point
     np.testing.assert_array_equal(plain.observations, path.observations)
 
@@ -258,38 +252,35 @@ def test_step_skips_the_empty_side():
 
 
 def test_sample_path_deterministic():
-    scen = make_scenario([0.0, 0.0], [2.0, 1.0])
-    prior = GeometricPrior(0.1)
-    a = sample_path(scen, prior, horizon=50, seed=7)
-    b = sample_path(scen, prior, horizon=50, seed=7)
+    scen = make_scenario([0.0, 0.0], [2.0, 1.0], rho=0.1)
+    a = sample_path(scen, horizon=50, seed=7)
+    b = sample_path(scen, horizon=50, seed=7)
     assert a.change_point == b.change_point
     np.testing.assert_array_equal(a.observations, b.observations)
     np.testing.assert_array_equal(a.log_odds, b.log_odds)
 
 
 def test_sample_path_rho_near_one_changes_immediately():
-    scen = make_scenario([0.0], [5.0])
-    prior = GeometricPrior(1.0 - 1e-12)
+    scen = make_scenario([0.0], [5.0], rho=1.0 - 1e-12)
     for seed in range(20):
-        assert sample_path(scen, prior, horizon=5, seed=seed).change_point == 1
+        assert sample_path(scen, horizon=5, seed=seed).change_point == 1
 
 
 def test_sample_path_records_beyond_horizon_change():
-    scen = make_scenario([0.0], [2.0])
-    prior = GeometricPrior(1e-6)
-    path = sample_path(scen, prior, horizon=10, seed=3)
+    scen = make_scenario([0.0], [2.0], rho=1e-6)
+    path = sample_path(scen, horizon=10, seed=3)
     assert path.change_point is None
     assert not path.change_active(10)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 123])
 def test_sample_path_is_the_one_path_kernel_run(t2, seed):
-    scenario, costs = t2
+    scenario, _ = t2
     horizon = 400
-    path = sample_path(scenario, GeometricPrior(costs.rho), horizon, seed)
+    path = sample_path(scenario, horizon, seed)
     for a in (0.0, 0.3, 0.9, 0.999, 1.0 - 1e-9):
         nu, tau, log_r = _simulate_stopping(
-            scenario, costs.rho, np.full((1, 2), a), 1, horizon, seed, with_log_r=True
+            scenario, np.full((1, 2), a), 1, horizon, seed, with_log_r=True
         )
         want_nu = horizon + 1 if path.change_point is None else path.change_point
         assert nu[0] == want_nu
@@ -303,20 +294,20 @@ def test_sample_path_is_the_one_path_kernel_run(t2, seed):
 
 
 @pytest.mark.parametrize("scenario", [
-    make_scenario([0.0], [1.5]),
-    make_scenario([0.0, 0.0], [2.0, 1.0]),
+    make_scenario([0.0], [1.5], rho=0.05),
+    make_scenario([0.0, 0.0], [2.0, 1.0], rho=0.05),
     IpidScenario(
         pre=(Gaussian(0.0, 1.0), Gaussian(0.5, 2.0), Gaussian(-1.0, 0.5)),
         post=(Gaussian(1.0, 0.5), Gaussian(0.5, 1.0), Gaussian(0.0, 2.0)),
+        rho=0.05,
     ),
 ], ids=["T1", "T2", "T3_unequal_variances"])
 def test_sample_path_log_odds_are_the_online_recursion(scenario):
-    prior = GeometricPrior(0.05)
     for seed in range(3):
-        path = sample_path(scenario, prior, horizon=300, seed=seed)
+        path = sample_path(scenario, horizon=300, seed=seed)
         state = OddsState(-math.inf)
         for y, log_r in zip(path.observations, path.log_odds):
-            state = update_odds(state, prior, scenario, y)
+            state = update_odds(state, scenario, y)
             assert state.log_r == log_r
 
 
@@ -352,7 +343,7 @@ def test_bayes_cost_censoring_flagged(t2):
 def test_bayes_cost_delay_accounting_single_path():
     """Frozen-path check of the stage-indexed delay sum."""
     scenario = make_scenario([0.0, 0.0], [2.0, 1.0])
-    costs = DetectionCostSpec(false_alarm=(20.0, 5.0), delay=(10.0, 1.0), rho=0.01)
+    costs = DetectionCostSpec(false_alarm=(20.0, 5.0), delay=(10.0, 1.0))
     # nu = 1 and stop at tau = 4: delay = d0 + d1 + d0 (times 1, 2, 3)
     from periodet.monte_carlo import _delay_cost_table
 
@@ -414,7 +405,7 @@ def test_sweep_keeps_caller_order(t2):
 
 def test_add_pfa_calibrated_threshold_order(weak_t2):
     alpha = 1e-3
-    res = estimate_add_pfa(weak_t2, 0.01, 1.0 - alpha, 4000, seed=17)
+    res = estimate_add_pfa(weak_t2, 1.0 - alpha, 4000, seed=17)
     # posterior-based false-alarm estimate is pinned below alpha by the
     # threshold and stays within an order of magnitude of it
     assert 0.05 * alpha <= res.pfa_posterior <= alpha
@@ -425,9 +416,9 @@ def test_add_pfa_calibrated_threshold_order(weak_t2):
 def test_add_pfa_identical_densities_deterministic_belief():
     """With g == f the belief follows the deterministic prior staircase, so
     tau is a constant and the posterior PFA estimate is exact."""
-    same = make_scenario([0.0, 0.0], [0.0, 0.0])
     rho, a = 0.05, 0.6
-    res = estimate_add_pfa(same, rho, a, 2000, seed=19)
+    same = make_scenario([0.0, 0.0], [0.0, 0.0], rho=rho)
+    res = estimate_add_pfa(same, a, 2000, seed=19)
     # first n with 1 - (1-rho)^n > a
     tau_det = math.ceil(math.log1p(-a) / math.log1p(-rho))
     if 1.0 - (1.0 - rho) ** tau_det <= a:
@@ -437,17 +428,29 @@ def test_add_pfa_identical_densities_deterministic_belief():
     assert res.pfa_posterior == pytest.approx(pfa_exact, abs=1e-9)
 
 
+def test_conditional_add_counts_the_paths_it_averages():
+    # two paths in five alarm before the change, so the
+    # conditional delay averages fewer paths than ADD and PFA do
+    scenario = make_scenario([0.0, 0.0], [0.75, 0.25], rho=0.05)
+    res = estimate_add_pfa(scenario, 0.5, 2000, seed=47)
+    nu, tau, _ = _simulate_stopping(scenario, np.full((1, 2), 0.5), 2000, res.add.horizon, 47)
+    delay = (tau[:, 0] - nu)[(tau[:, 0] >= nu) & (nu <= res.add.horizon)]
+    assert res.add.n_paths == res.pfa.n_paths == 2000
+    assert res.conditional_add.n_paths == delay.size < 1500
+    assert res.conditional_add.estimate == delay.mean()
+
+
 def test_add_monotone_pfa_antitone_in_threshold(weak_t2):
     rng_levels = (0.9, 0.99, 0.999)
-    results = [estimate_add_pfa(weak_t2, 0.01, a, 4000, seed=23) for a in rng_levels]
+    results = [estimate_add_pfa(weak_t2, a, 4000, seed=23) for a in rng_levels]
     for lo, hi in zip(results, results[1:]):
         assert hi.add.estimate >= lo.add.estimate - 2 * (lo.add.std_error + hi.add.std_error)
         assert hi.pfa.estimate <= lo.pfa.estimate + 2 * (lo.pfa.std_error + hi.pfa.std_error)
 
 
 def test_add_pfa_deterministic(weak_t2):
-    a = estimate_add_pfa(weak_t2, 0.01, 0.99, 1000, seed=29)
-    b = estimate_add_pfa(weak_t2, 0.01, 0.99, 1000, seed=29)
+    a = estimate_add_pfa(weak_t2, 0.99, 1000, seed=29)
+    b = estimate_add_pfa(weak_t2, 0.99, 1000, seed=29)
     assert a == b
 
 
@@ -456,17 +459,17 @@ def test_add_pfa_levels_share_paths(weak_t2):
     # paths: ADD and PFA are then exactly monotone in the threshold, and
     # the largest threshold matches its one-threshold run bit for bit
     levels = (0.999, 0.9, 0.99, 0.9)
-    sweep = estimate_add_pfa(weak_t2, 0.01, levels, 2000, seed=41)
+    sweep = estimate_add_pfa(weak_t2, levels, 2000, seed=41)
     results = sweep.points
     assert len(results) == 4
     assert sweep.censored_fraction == max(r.censored_fraction for r in results)
     assert results[1] == results[3]
-    assert results[0] == estimate_add_pfa(weak_t2, 0.01, 0.999, 2000, seed=41)
+    assert results[0] == estimate_add_pfa(weak_t2, 0.999, 2000, seed=41)
     low, mid, high = results[1], results[2], results[0]
     assert low.add.estimate <= mid.add.estimate <= high.add.estimate
     assert low.pfa.estimate >= mid.pfa.estimate >= high.pfa.estimate
     with pytest.raises(ValueError):
-        estimate_add_pfa(weak_t2, 0.01, (0.9, 1.0), 100)
+        estimate_add_pfa(weak_t2, (0.9, 1.0), 100)
 
 
 # ── analytic delay and the universal bound ─────────────────────────────
@@ -478,7 +481,7 @@ def test_analytic_delay_unit_case():
 
 def test_analytic_delay_weak_scenario_slope(weak_t2):
     info = kl_information(weak_t2)
-    tail = prior_tail_exponent(GeometricPrior(0.01))
+    tail = prior_tail_exponent(weak_t2)
     slope = analytic_delay(1e-3, info, tail) / abs(math.log(1e-3))
     assert slope == pytest.approx(6.01, abs=0.01)
     assert analytic_delay(1e-3, info, tail) == pytest.approx(41.5, abs=0.1)
@@ -494,7 +497,7 @@ def test_analytic_delay_validation():
 def test_lower_bound_check_flags_and_monotone(weak_t2):
     # delays below 0.85 times the universal bound are the ones to flag
     info = kl_information(weak_t2)
-    tail = prior_tail_exponent(GeometricPrior(0.01))
+    tail = prior_tail_exponent(weak_t2)
     pts = [(1e-2, 30.0), (1e-3, 45.0), (1e-4, 20.0)]
     bounds = [analytic_delay(alpha, info, tail) for alpha, _ in pts]
     assert bounds == sorted(bounds)  # bound grows with |log alpha|
@@ -507,8 +510,8 @@ def test_lower_bound_holds_for_simulated_delays(weak_t2):
     # simulated conditional delay at a small false-alarm level clears the
     # asymptotic bound with the finite-alpha slack factor
     alpha = 1e-4
-    res = estimate_add_pfa(weak_t2, 0.01, 1.0 - alpha, 2000, seed=31)
-    bound = analytic_delay(alpha, kl_information(weak_t2), prior_tail_exponent(GeometricPrior(0.01)))
+    res = estimate_add_pfa(weak_t2, 1.0 - alpha, 2000, seed=31)
+    bound = analytic_delay(alpha, kl_information(weak_t2), prior_tail_exponent(weak_t2))
     assert not res.conditional_add.estimate < 0.85 * bound
     assert res.conditional_add.estimate / bound > 1.0
 
@@ -518,8 +521,8 @@ def test_classical_single_stage_costs_match_solver():
     minimum and the solver-policy cost both land on the solver value."""
     from periodet import solve_detection
 
-    scenario = make_scenario([0.0], [2.0])
-    costs = DetectionCostSpec(false_alarm=(5.0,), delay=(1.0,), rho=0.01)
+    scenario = make_scenario([0.0], [2.0], rho=0.01)
+    costs = DetectionCostSpec(false_alarm=(5.0,), delay=(1.0,))
     sol = solve_detection(scenario, costs, grid_resolution=100)
     policy = PeriodicThresholds(tuple(sol.thresholds))
     optimal = estimate_bayes_cost(scenario, costs, policy, 10_000, seed=37)
@@ -534,5 +537,5 @@ def test_classical_single_stage_costs_match_solver():
 
 
 def test_default_horizon_rule():
-    assert default_horizon(0.01) == 5000
-    assert default_horizon(0.5) == 100
+    assert default_horizon(make_scenario([0.0], [1.0], rho=0.01)) == 5000
+    assert default_horizon(make_scenario([0.0], [1.0], rho=0.5)) == 100

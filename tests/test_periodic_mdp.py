@@ -233,6 +233,16 @@ def test_value_iterate_error_within_tol(discount):
         assert np.max(np.abs(values.values[0] - exact[0])) <= 1e-8
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_solvers_reject_tol_outside_positive_reals(tol):
+    # a NaN tol never certified and an infinite one certified anything
+    mdp = random_mdp(np.random.default_rng(3), 4, 2, 2, 0.9)
+    start = np.zeros((2, 4), dtype=int)
+    for solve in (lambda: value_iterate(mdp, tol=tol), lambda: policy_iterate(mdp, start, tol=tol)):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solve()
+
+
 def test_value_iterate_undiscounted_bound_is_not_certified():
     mdp = PeriodicMdp(transitions=HAND_P, costs=np.zeros_like(HAND_C), discount=1.0)
     assert value_iterate(mdp).error_bound == np.inf
@@ -363,14 +373,14 @@ def test_improper_policy_names_the_stuck_state():
 
 
 DETECTION_CASES = {
-    1: (make_scenario([0.0], [1.0]), DetectionCostSpec((5.0,), (1.0,), rho=0.05)),
+    1: (make_scenario([0.0], [1.0], rho=0.05), DetectionCostSpec((5.0,), (1.0,))),
     2: (
-        make_scenario([0.0, 0.0], [2.0, 1.0]),
-        DetectionCostSpec((20.0, 5.0), (10.0, 1.0), rho=0.01),
+        make_scenario([0.0, 0.0], [2.0, 1.0], rho=0.01),
+        DetectionCostSpec((20.0, 5.0), (10.0, 1.0)),
     ),
     4: (
-        make_scenario([0.0] * 4, [2.0, 1.5, 1.0, 0.5]),
-        DetectionCostSpec((20.0, 15.0, 10.0, 5.0), (10.0, 10.0, 6.0, 1.0), rho=0.01),
+        make_scenario([0.0] * 4, [2.0, 1.5, 1.0, 0.5], rho=0.01),
+        DetectionCostSpec((20.0, 15.0, 10.0, 5.0), (10.0, 10.0, 6.0, 1.0)),
     ),
 }
 
