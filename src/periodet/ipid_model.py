@@ -11,6 +11,11 @@ control asymptotic detection delay: the period-averaged Kullback-Leibler
 divergence and the change point's tail exponent.  Paths are drawn by the
 Monte-Carlo kernel (``monte_carlo.sample_path``).
 
+The log likelihood ratio of a Gaussian stage pair is the quadratic
+(a y + b) y + c in the observation, with (a, b, c) cached per stage by the
+scenario; any other density pair takes the difference of its
+log-densities.  Either way a non-finite observation gives NaN.
+
 The change point is geometric, and only geometric: its constant hazard
 rho makes the posterior change probability a Markov state, which the
 detection DP and the Monte-Carlo engine both rely on.
@@ -23,7 +28,7 @@ is the only place the off-by-one lives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
@@ -99,6 +104,8 @@ class IpidScenario:
     pre: tuple[Density, ...]
     post: tuple[Density, ...]
     rho: float
+    # per stage, the (a, b, c) of a Gaussian pair's LLR, or None
+    _llr_coefficients: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pre", tuple(self.pre))
@@ -111,6 +118,8 @@ class IpidScenario:
             )
         if not (0.0 < self.rho < 1.0):
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
+        object.__setattr__(self, "_llr_coefficients", tuple(
+            _gaussian_llr_coefficients(f, g) for f, g in zip(self.pre, self.post)))
 
     @property
     def period(self) -> int:
@@ -123,11 +132,40 @@ class IpidScenario:
         return (n - 1) % self.period
 
 
+def _gaussian_llr_coefficients(f: Density, g: Density) -> tuple[float, float, float] | None:
+    """(a, b, c) with log g(y) - log f(y) = (a y + b) y + c for Gaussian f
+    and g, None otherwise."""
+    if not (isinstance(f, Gaussian) and isinstance(g, Gaussian)):
+        return None
+    a = 0.5 * (1.0 / f.variance - 1.0 / g.variance)
+    b = g.mean / g.variance - f.mean / f.variance
+    c = 0.5 * (f.mean**2 / f.variance - g.mean**2 / g.variance
+               + math.log(f.variance / g.variance))
+    return a, b, c
+
+
 def log_likelihood_ratio(scenario: IpidScenario, n: int, y) -> float | np.ndarray:
-    """Post-vs-pre log likelihood ratio of observation n, as a difference
-    of log-densities (never a ratio of densities); elementwise on an array y."""
+    """Post-vs-pre log likelihood ratio of observation n, elementwise on an
+    array y: the cached quadratic of a Gaussian stage pair, otherwise the
+    difference of the log-densities (never a ratio of densities).  A
+    non-finite y gives NaN, as the difference -inf - (-inf) does."""
     s = scenario.stage_index(n)
-    return scenario.post[s].logpdf(y) - scenario.pre[s].logpdf(y)
+    coefficients = scenario._llr_coefficients[s]
+    if coefficients is None:
+        return scenario.post[s].logpdf(y) - scenario.pre[s].logpdf(y)
+    a, b, c = coefficients
+    y = np.asarray(y, dtype=float)
+    # The sum of squares is finite unless some y is not (or |y| passes
+    # ~1e154).  A non-finite y becomes NaN, which the arithmetic carries
+    # through silently where inf could meet 0 or -inf.
+    flat = y.ravel()
+    if not math.isfinite(np.dot(flat, flat)):
+        y = np.where(np.isfinite(y), y, math.nan)
+    llr = y * a
+    llr += b
+    llr *= y
+    llr += c
+    return float(llr) if llr.ndim == 0 else llr
 
 
 def _kl_divergence(g: Density, f: Density) -> float:

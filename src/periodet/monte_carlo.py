@@ -215,17 +215,24 @@ def _simulate_stopping(
     time its log-odds exceeds level k.  A running path compares its
     log-odds with its first level not yet crossed only; on a crossing a
     ``searchsorted`` over the stage's levels finds every level passed at
-    once.  Paths run in ascending change-point order, and the running
-    paths' change points are compacted along with their log-odds, so the
-    post-change paths are always a prefix and take a step's first draws;
-    one rule sees the same draws at every K.
+    once, but only the first of them gets its time (and log odds) written,
+    and the running paths are compacted only when one has passed its last
+    level.  After the last step, level by level and in place, each level
+    left unwritten takes the time of the level below (it was passed in
+    the same step, as tau is nondecreasing in k), and the levels a
+    censored path never reached get the sentinel.  Paths run in ascending
+    change-point order, and the running paths' change points are compacted
+    along with their log-odds, so the post-change paths are always a
+    prefix and take a step's first draws; one rule sees the same draws at
+    every K.
 
     Returns (nu, tau, log_r_at_tau), nu ascending and row i of tau
     holding the stopping times of the path with change point nu[i].  tau
     is int32 of shape (n_paths, K); both times use horizon + 1 as the
     beyond-horizon sentinel (change never arrived / rule never alarmed).
     log_r_at_tau has tau's shape (+inf where no alarm) when ``with_log_r``
-    is set and is None otherwise.
+    is set and is None otherwise.  Both are stored level by level, so each
+    column (one rule's times) is contiguous.
     """
     if n_paths < 1 or horizon < 1:
         raise ValueError("need n_paths >= 1 and horizon >= 1")
@@ -242,8 +249,9 @@ def _simulate_stopping(
 
     rng = np.random.default_rng(seed)
     nu = _change_points(rng, scenario.rho, n_paths, horizon)
-    tau = np.full((n_paths, n_levels), horizon + 1, dtype=np.int32)
-    log_r_at_tau = np.full((n_paths, n_levels), math.inf) if with_log_r else None
+    # (K, n_paths), one row per level; 0 marks a time not yet written
+    tau = np.zeros((n_levels, n_paths), dtype=np.int32)
+    log_r_at_tau = np.empty((n_levels, n_paths)) if with_log_r else None
     alive = np.arange(n_paths)
     next_level = np.zeros(n_paths, dtype=np.intp)
     nu_alive = nu
@@ -251,26 +259,34 @@ def _simulate_stopping(
     for n in range(1, horizon + 1):
         _, log_r = _step(scenario, rng, n, nu_alive, log_r)
         col = stage_levels[scenario.stage_index(n)]
-        crossed = log_r > col[next_level]
-        if crossed.any():
-            hit_log_r = log_r[crossed]
-            first = next_level[crossed]
-            passed = np.searchsorted(col, hit_log_r)  # levels strictly below log_r
-            counts = passed - first
-            # (row, level) for every level passed now, path by path
-            starts = np.cumsum(counts) - counts
-            rows = np.repeat(alive[crossed], counts)
-            cols = np.arange(counts.sum()) + np.repeat(first - starts, counts)
-            tau[rows, cols] = n
+        hit = (log_r > col[next_level]).nonzero()[0]
+        if hit.size:
+            hit_log_r = log_r[hit]
+            first, rows = next_level[hit], alive[hit]
+            tau[first, rows] = n
             if log_r_at_tau is not None:
-                log_r_at_tau[rows, cols] = np.repeat(hit_log_r, counts)
-            next_level[crossed] = passed
-            running = next_level < n_levels
-            alive, nu_alive = alive[running], nu_alive[running]
-            log_r, next_level = log_r[running], next_level[running]
-            if alive.size == 0:
-                break
-    return nu, tau, log_r_at_tau
+                log_r_at_tau[first, rows] = hit_log_r
+            passed = np.searchsorted(col, hit_log_r)  # levels strictly below log_r
+            next_level[hit] = passed
+            if passed.max() == n_levels:
+                running = next_level < n_levels
+                alive, nu_alive = alive[running], nu_alive[running]
+                log_r, next_level = log_r[running], next_level[running]
+                if alive.size == 0:
+                    break
+    # a 0 is a level passed in the same step as the one below; the paths
+    # still running passed only their first next_level levels
+    for k in range(1, n_levels):
+        same_step = tau[k] == 0
+        np.copyto(tau[k], tau[k - 1], where=same_step)
+        if log_r_at_tau is not None:
+            np.copyto(log_r_at_tau[k], log_r_at_tau[k - 1], where=same_step)
+    for k in range(n_levels):
+        never = alive[next_level <= k]
+        tau[k, never] = horizon + 1
+        if log_r_at_tau is not None:
+            log_r_at_tau[k, never] = math.inf
+    return nu, tau.T, None if log_r_at_tau is None else log_r_at_tau.T
 
 
 def _sorted_levels(

@@ -70,6 +70,50 @@ def per_node_kernel(pre, post, rho, resolution):
     return out.reshape(M, M)
 
 
+def crossing_record_per_level(scenario, levels, n_paths, horizon, seed):
+    """(nu, tau, log_r_at_tau) of ``monte_carlo._simulate_stopping`` with
+    every level a path passes written at the step that passes it: the
+    passed (row, level) pairs of a step are expanded with ``repeat`` and
+    ``cumsum`` and written in one scatter.  A reference for the kernel's
+    crossing record; it shares the kernel's draws (``_change_points`` and
+    ``_step``) but none of its bookkeeping."""
+    from periodet import belief_to_log_odds
+    from periodet.monte_carlo import _change_points, _step
+
+    levels = np.asarray(levels, dtype=float)
+    n_levels = levels.shape[0]
+    stage_levels = belief_to_log_odds(levels.T)
+    rng = np.random.default_rng(seed)
+    nu = _change_points(rng, scenario.rho, n_paths, horizon)
+    tau = np.full((n_paths, n_levels), horizon + 1, dtype=np.int32)
+    log_r_at_tau = np.full((n_paths, n_levels), math.inf)
+    alive = np.arange(n_paths)
+    next_level = np.zeros(n_paths, dtype=np.intp)
+    nu_alive = nu
+    log_r = np.full(n_paths, -math.inf)
+    for n in range(1, horizon + 1):
+        _, log_r = _step(scenario, rng, n, nu_alive, log_r)
+        col = stage_levels[scenario.stage_index(n)]
+        crossed = log_r > col[next_level]
+        if crossed.any():
+            hit_log_r = log_r[crossed]
+            first = next_level[crossed]
+            passed = np.searchsorted(col, hit_log_r)
+            counts = passed - first
+            starts = np.cumsum(counts) - counts
+            rows = np.repeat(alive[crossed], counts)
+            cols = np.arange(counts.sum()) + np.repeat(first - starts, counts)
+            tau[rows, cols] = n
+            log_r_at_tau[rows, cols] = np.repeat(hit_log_r, counts)
+            next_level[crossed] = passed
+            running = next_level < n_levels
+            alive, nu_alive = alive[running], nu_alive[running]
+            log_r, next_level = log_r[running], next_level[running]
+            if alive.size == 0:
+                break
+    return nu, tau, log_r_at_tau
+
+
 @pytest.fixture(scope="session")
 def alternating_t2():
     """Two-stage scenario with strong/weak signal and alternating penalties."""

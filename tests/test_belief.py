@@ -76,10 +76,15 @@ def test_update_belief_matches_plain_domain(p, rho, y, theta):
     assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_update_belief_outside_both_supports():
-    scen = make_scenario([0.0], [2.0], rho=0.01)
-    with pytest.raises(BeliefUpdateError):
-        update_odds(OddsState(belief_to_log_odds(0.2)), scen, y=math.inf)
+@pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("post", [Gaussian(2.0), Gaussian(2.0, 3.0), Gaussian(0.0)],
+                         ids=["equal-variances", "unequal-variances", "identical"])
+def test_update_belief_outside_both_supports(y, post):
+    # the closed-form Gaussian LLR would give +-inf at y = +-inf; it gives
+    # NaN, as the log-density difference did, so the step is rejected
+    scen = IpidScenario(pre=(Gaussian(0.0),), post=(post,), rho=0.01)
+    with pytest.raises(BeliefUpdateError, match="outside both"):
+        update_odds(OddsState(belief_to_log_odds(0.2)), scen, y=y)
 
 
 @dataclass(frozen=True)

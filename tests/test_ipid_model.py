@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -98,13 +99,115 @@ def test_llr_periodic_in_time(n, y, theta):
     assert log_likelihood_ratio(scen, n, y) == log_likelihood_ratio(scen, n + 2, y)
 
 
-# ── geometric prior ────────────────────────────────────────────────────
+def logpdf_difference_bound(f, g, y):
+    """16 ulp of the size of the terms the two log-densities add up: the
+    squared standardized distance of y, the squared standardized means and
+    the log(2 pi variance) constants."""
+    constants = max(d.mean**2 / d.variance + abs(math.log(2.0 * math.pi * d.variance))
+                    for d in (f, g))
+    scale = np.asarray(y) ** 2 / min(f.variance, g.variance) + constants
+    return 16.0 * np.spacing(np.maximum(scale, 1.0))
+
+
+@given(
+    y=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20),
+    pre_mean=st.floats(-10, 10),
+    post_mean=st.floats(-10, 10),
+    pre_var=st.floats(0.01, 100),
+    post_var=st.floats(0.01, 100),
+    equal_variances=st.booleans(),
+)
+def test_llr_closed_form_matches_logpdf_difference(
+    y, pre_mean, post_mean, pre_var, post_var, equal_variances
+):
+    # the cached quadratic against the difference of the two Gaussian
+    # log-densities, on an array, on the array as a non-square 2-D and a
+    # square 2-D array, and on each entry as a scalar
+    f = Gaussian(pre_mean, pre_var)
+    g = Gaussian(post_mean, pre_var if equal_variances else post_var)
+    scen = IpidScenario(pre=(f,), post=(g,), rho=0.01)
+    y = np.array(y)
+    want = g.logpdf(y) - f.logpdf(y)
+    bound = logpdf_difference_bound(f, g, y)
+    got = log_likelihood_ratio(scen, 1, y)
+    got_scalar = np.array([log_likelihood_ratio(scen, 1, float(v)) for v in y])
+    assert isinstance(got_scalar[0], float) and got.shape == y.shape
+    for values in (got, got_scalar):
+        assert np.all(np.abs(values - want) <= bound)
+    for shape in ((1, y.size), (y.size, 1)):
+        np.testing.assert_array_equal(log_likelihood_ratio(scen, 1, y.reshape(shape)),
+                                      got.reshape(shape))
+    square = np.resize(y, (3, 3))
+    np.testing.assert_array_equal(log_likelihood_ratio(scen, 1, square),
+                                  log_likelihood_ratio(scen, 1, square.ravel()).reshape(3, 3))
+
+
+@pytest.mark.parametrize("post", [Gaussian(2.0), Gaussian(2.0, 3.0), Gaussian(0.0)])
+def test_llr_closed_form_nan_at_non_finite_observations(post):
+    scen = IpidScenario(pre=(Gaussian(0.0),), post=(post,), rho=0.01)
+    y = np.array([1.5, math.inf, -math.inf, math.nan, -0.5])
+    llr = log_likelihood_ratio(scen, 1, y)
+    finite = np.isfinite(y)
+    assert np.all(np.isnan(llr[~finite]))
+    np.testing.assert_array_equal(llr[finite], [log_likelihood_ratio(scen, 1, v) for v in y[finite]])
+    assert all(math.isnan(log_likelihood_ratio(scen, 1, v)) for v in y[~finite])
+    for shape in ((1, 5), (5, 1)):
+        np.testing.assert_array_equal(log_likelihood_ratio(scen, 1, y.reshape(shape)),
+                                      llr.reshape(shape))
+    square = np.resize(y, (2, 2))
+    np.testing.assert_array_equal(log_likelihood_ratio(scen, 1, square), llr[:4].reshape(2, 2))
+
+
+@dataclass(frozen=True)
+class CountingGaussian:
+    """A Gaussian that is not a ``Gaussian``, counting its ``logpdf`` calls."""
+
+    mean: float
+    variance: float = 1.0
+    calls: list = None
+
+    @property
+    def loc(self):
+        return self.mean
+
+    @property
+    def scale(self):
+        return math.sqrt(self.variance)
+
+    def logpdf(self, x):
+        self.calls.append(np.size(x))
+        return Gaussian(self.mean, self.variance).logpdf(x)
+
+    def sample(self, rng, size=None):
+        return rng.normal(self.mean, self.scale, size=size)
+
+
+def test_llr_other_densities_take_the_logpdf_difference():
+    # any pair with a non-Gaussian member keeps the difference of its
+    # log-densities, bit for bit
+    calls = []
+    other = CountingGaussian(2.0, 1.0, calls)
+    y = np.linspace(-3.0, 3.0, 7)
+    for pre, post in ((Gaussian(0.0), other), (other, Gaussian(0.0)), (other, other)):
+        scen = IpidScenario(pre=(pre,), post=(post,), rho=0.01)
+        calls.clear()
+        got = log_likelihood_ratio(scen, 1, y)
+        assert len(calls) == (pre is other) + (post is other)
+        np.testing.assert_array_equal(got, post.logpdf(y) - pre.logpdf(y))
+
+
+# ── change-point hazard ────────────────────────────────────────────────
 
 
 @pytest.mark.parametrize("rho", [0.0, 1.0, -0.1, 1.5, math.nan])
-def test_geometric_prior_rejects_rho_outside_unit_interval(rho):
-    with pytest.raises(ValueError, match="rho must lie in"):
+def test_scenario_rejects_rho_outside_unit_interval(rho):
+    # by the constructor, and by dataclasses.replace on a valid scenario,
+    # so neither the horizon default (rho = 0 divided by zero, rho = 1 took
+    # a log of zero) nor any draw can see it
+    with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\), got"):
         IpidScenario(pre=(Gaussian(0.0),), post=(Gaussian(1.0),), rho=rho)
+    with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\), got"):
+        replace(make_scenario([0.0, 0.0], [2.0, 1.0]), rho=rho)
 
 
 def test_post_change_llr_average_converges_to_information():

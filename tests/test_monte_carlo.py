@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from periodet import (
 )
 from periodet.monte_carlo import SweepPoint, _simulate_stopping, _step, default_horizon
 
-from conftest import make_scenario
+from conftest import crossing_record_per_level, make_scenario
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +122,40 @@ def test_kernel_levels_match_one_rule_runs(t2):
         assert np.all(log_r[~alarmed, k] == math.inf)
 
 
+CROSSING_LEVELS = {
+    1: np.array([[0.6, 0.6]]),
+    # level 1.0 is +inf log odds: the top rule alarms at stage 0 only
+    3: np.array([[0.1, 0.05], [0.5, 0.6], [0.9, 1.0]]),
+    # levels 0.18 apart in log odds, passed several at a time
+    33: np.repeat(np.linspace(0.05, 0.95, 33)[:, None], 2, axis=1),
+}
+
+
+@pytest.mark.parametrize("n_levels", sorted(CROSSING_LEVELS))
+@pytest.mark.parametrize("seed", [1, 7, 2024])
+def test_kernel_crossing_record_matches_per_level_writes(t2, n_levels, seed):
+    # the kernel writes a crossing path's first passed level only and
+    # fills the rest after the loop; the reference writes every passed
+    # level at its step.  Horizon 20 censors most paths, some part-way;
+    # by horizon 600 every path has passed every level it can.
+    scenario, _ = t2
+    levels = CROSSING_LEVELS[n_levels]
+    for horizon in (20, 600):
+        want = crossing_record_per_level(scenario, levels, 400, horizon, seed)
+        got = _simulate_stopping(scenario, levels, 400, horizon, seed, with_log_r=True)
+        for w, g in zip(want, got):
+            np.testing.assert_array_equal(g, w)
+        tau = _simulate_stopping(scenario, levels, 400, horizon, seed)[1]
+        np.testing.assert_array_equal(tau, want[1])
+        if n_levels > 1:
+            same_step = (np.diff(tau, axis=1) == 0) & (tau[:, 1:] <= horizon)
+            assert np.any(same_step)  # several levels passed in one step
+        if horizon == 20:
+            reached = (tau <= horizon).sum(axis=1)
+            assert np.any(reached == 0)  # never crossed a level
+            assert n_levels == 1 or np.any((reached > 0) & (reached < n_levels))
+
+
 def test_kernel_validation(t2):
     scenario, _ = t2
     with pytest.raises(ValueError, match="nondecreasing"):
@@ -146,15 +179,6 @@ def test_estimators_take_horizon_and_seed_by_keyword_only(t2):
     ):
         with pytest.raises(TypeError, match="positional argument"):
             call()
-
-
-@pytest.mark.parametrize("rho", [0.0, 1.0, -0.1, 1.5, math.nan])
-def test_raw_rho_outside_unit_interval_is_rejected_first(t2, rho):
-    # by the scenario, so neither the horizon default (rho = 0 divided by
-    # zero, rho = 1 took a log of zero) nor any draw can see it
-    scenario, _ = t2
-    with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\), got"):
-        replace(scenario, rho=rho)
 
 
 # ── the change points and observations the kernel draws ────────────────
