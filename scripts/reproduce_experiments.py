@@ -9,9 +9,8 @@ speed.
 import argparse
 import sys
 
+from periodet.cli import REPRODUCE_FIGURES, REPRODUCE_TABLES
 from periodet.cli import main as cli_main
-
-BATCHES = ("table1", "table2", "table3", "fig1", "fig2", "fig3")
 
 
 def main() -> int:
@@ -20,7 +19,7 @@ def main() -> int:
     parser.add_argument("--paths", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args()
-    for batch in BATCHES:
+    for batch in (*REPRODUCE_TABLES, *REPRODUCE_FIGURES):
         print(f"=== {batch} ===")
         argv = ["reproduce", batch, "--out-dir", args.out_dir]
         if args.paths is not None:

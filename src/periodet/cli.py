@@ -11,7 +11,8 @@ mdp-solve  solve a generic periodic MDP instance file
 
 Scenario configs are flat ``key = value`` text files (see ``parse_config``)
 and every bundled experiment ships as one.  All outputs are CSV files with
-header rows plus a human-readable summary on stdout.  ``reproduce fig1``
+header rows; stdout gets a summary and then one ``wrote <path>`` line per
+file, both from ``_emit``.  ``reproduce fig1``
 and ``fig2`` print their target value at p=0 and then write and print
 what ``solve`` and ``sweep`` do on the figure's config, ``fig3`` what
 ``tradeoff`` does, each with the figure id as the file stem.  Exit codes:
@@ -36,7 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from .belief import log_odds_to_belief
-from .detection_dp import DetectionCostSpec, DetectionSolution, solve_detection
+from .detection_dp import (DEFAULT_GRID_POINTS, DetectionCostSpec, DetectionSolution,
+                           solve_detection)
 from .ipid_model import Gaussian, IpidScenario, kl_information, prior_tail_exponent
 from .monte_carlo import (
     PeriodicThresholds,
@@ -195,7 +197,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
                 lines_of.get(key, lines_of["period"]),
                 f"field {key!r} has {len(seq)} entries, period is {period}",  # type: ignore[arg-type]
             )
-    values.setdefault("grid_points", 100)
+    values.setdefault("grid_points", DEFAULT_GRID_POINTS)
     values.setdefault("tolerance", 1e-6)
     values.setdefault("max_cycles", 100_000)
     values.setdefault("paths", 10_000)
@@ -260,74 +262,60 @@ FIGURE_TARGETS = {"fig1": 5.0, "fig2": 5.0}
 
 
 # ---------------------------------------------------------------------------
-# CSV helpers
+# output writer
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_plain(v) for v in row] for row in rows)
-
-
-def _plain(v):
-    """``v`` as ``csv.writer`` should get it: a NumPy scalar as the Python
-    number it holds.  The writer then writes a float's ``repr`` and ``str``
-    of anything else."""
-    return v.item() if isinstance(v, np.generic) else v
-
-
-def write_solution_artifacts(solution: DetectionSolution, out_dir: Path, stem: str) -> list[Path]:
-    T = solution.period
-    tables = {
-        "curves": (["p", *(f"stage_{s}_cost" for s in range(T)),
-                    *(f"stop_cost_{s}" for s in range(T))],
-                   np.column_stack((solution.grid.points, *solution.stage_curves,
-                                    *solution.stop_curves)).tolist()),
-        "history": (["cycle", "sup_distance", "l2_distance"],
-                    [[n, sup, l2] for n, (sup, l2) in
-                     enumerate(zip(solution.sup_history, solution.l2_history), start=1)]),
-        "thresholds": (["stage", "threshold"], list(enumerate(solution.thresholds))),
-    }
-    paths = [out_dir / f"{stem}_{name}.csv" for name in tables]
+def _emit(out_dir: Path, tables: dict, summary=()) -> list[Path]:
+    """Write each ``name: (header, rows)`` of ``tables`` to
+    ``out_dir/<name>.csv``, then print the ``summary`` lines and one
+    ``wrote <path>`` line per file; return the paths.  A NumPy scalar in a
+    row is written as the Python number it holds, so ``csv.writer`` writes
+    a float's ``repr`` and ``str`` of anything else."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [out_dir / f"{name}.csv" for name in tables]
     for path, (header, rows) in zip(paths, tables.values()):
-        _write_csv(path, header, rows)
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([v.item() if isinstance(v, np.generic) else v for v in row]
+                             for row in rows)
+    for line in [*summary, *(f"wrote {path}" for path in paths)]:
+        print(line)
     return paths
 
 
-def _write_solution(solution: DetectionSolution, out_dir: Path, stem: str) -> None:
-    files = write_solution_artifacts(solution, out_dir, stem)
-    print(f"value at p=0: {solution.value_at_zero:.4f}")
-    print(f"stage thresholds: ({', '.join(f'{a:.4f}' for a in solution.thresholds)})")
-    print(f"cycles: {solution.cycles} (converged: {solution.converged})")
-    for f in files:
-        print(f"wrote {f}")
+def _write_solution(solution: DetectionSolution, out_dir: Path, stem: str) -> list[Path]:
+    T = solution.period
+    return _emit(out_dir, {
+        f"{stem}_curves": (["p", *(f"stage_{s}_cost" for s in range(T)),
+                            *(f"stop_cost_{s}" for s in range(T))],
+                           np.column_stack((solution.grid.points, *solution.stage_curves,
+                                            *solution.stop_curves)).tolist()),
+        f"{stem}_history": (["cycle", "sup_distance", "l2_distance"],
+                            [[n, sup, l2] for n, (sup, l2) in
+                             enumerate(zip(solution.sup_history, solution.l2_history), start=1)]),
+        f"{stem}_thresholds": (["stage", "threshold"], list(enumerate(solution.thresholds))),
+    }, [f"value at p=0: {solution.value_at_zero:.4f}",
+        f"stage thresholds: ({', '.join(f'{a:.4f}' for a in solution.thresholds)})",
+        f"cycles: {solution.cycles} (converged: {solution.converged})"])
 
 
 def _write_sweep(sweep: SweepResult, out_dir: Path, stem: str) -> None:
-    out = out_dir / f"{stem}_sweep.csv"
-    _write_csv(
-        out,
-        ["threshold", "cost", "std_error", "censored_fraction"],
-        [[p.threshold, p.cost, p.std_error, p.censored_fraction] for p in sweep.points],
-    )
     best = sweep.best
-    print(f"best single threshold: cost {best.cost:.4f} +- {best.std_error:.4f} "
-          f"at A = {best.threshold}")
-    print(f"wrote {out}")
+    _emit(out_dir, {
+        f"{stem}_sweep": (["threshold", "cost", "std_error", "censored_fraction"],
+                          [[p.threshold, p.cost, p.std_error, p.censored_fraction]
+                           for p in sweep.points]),
+    }, [f"best single threshold: cost {best.cost:.4f} +- {best.std_error:.4f} "
+        f"at A = {best.threshold}"])
 
 
 # library calls, one call site each
 
-def _solve_from_config(cfg: ExperimentConfig) -> DetectionSolution:
-    return solve_detection(cfg.scenario(), cfg.cost_spec(), grid_resolution=cfg.grid_points,
-                           tol=cfg.tolerance, max_cycles=cfg.max_cycles)
-
-
 def _optimal_policy(cfg: ExperimentConfig) -> tuple[DetectionSolution, PeriodicThresholds, int]:
     """The solution, its threshold policy, and the exit code of the solve:
     ``EXIT_NO_CONVERGENCE`` if it did not converge."""
-    solution = _solve_from_config(cfg)
+    solution = solve_detection(cfg.scenario(), cfg.cost_spec(), grid_resolution=cfg.grid_points,
+                               tol=cfg.tolerance, max_cycles=cfg.max_cycles)
     exit_code = EXIT_OK if solution.converged else EXIT_NO_CONVERGENCE
     return solution, PeriodicThresholds(tuple(solution.thresholds)), exit_code
 
@@ -395,15 +383,14 @@ def cmd_simulate(args) -> int:
         except ValueError as exc:  # a periodic rule of the wrong length
             raise argparse.ArgumentError(None, f"argument --policy: {exc}") from None
     report = _bayes_cost(cfg, policy)
-    out = out_dir / f"{stem}_simulate.csv"
-    _write_csv(out, ["kind", "estimate", "std_error", "n_paths", "seed", "horizon",
-                     "censored_fraction"],
-               [[report.kind, report.estimate, report.std_error, report.n_paths,
-                 report.seed, report.horizon, report.censored_fraction]])
-    print(f"policy: {spec}")
-    print(f"bayes cost: {report.estimate:.4f} +- {report.std_error:.4f} "
-          f"({report.n_paths} paths, censored {report.censored_fraction:.4f})")
-    print(f"wrote {out}")
+    _emit(out_dir, {
+        f"{stem}_simulate": (["kind", "estimate", "std_error", "n_paths", "seed", "horizon",
+                              "censored_fraction"],
+                             [[report.kind, report.estimate, report.std_error, report.n_paths,
+                               report.seed, report.horizon, report.censored_fraction]]),
+    }, [f"policy: {spec}",
+        f"bayes cost: {report.estimate:.4f} +- {report.std_error:.4f} "
+        f"({report.n_paths} paths, censored {report.censored_fraction:.4f})"])
     return exit_code
 
 
@@ -434,22 +421,13 @@ def _tradeoff(cfg: ExperimentConfig, out_dir: Path, stem: str, alphas) -> int:
     rows = [[alpha, abs(math.log(alpha)), res.add.estimate, res.conditional_add.estimate,
              res.pfa.estimate, res.pfa_posterior, analytic_delay(alpha, info, tail)]
             for alpha, res in zip(alphas, sweep.points)]
-    out = out_dir / f"{stem}_tradeoff.csv"
-    _write_csv(
-        out,
-        ["alpha", "log_alpha_magnitude", "add_sim", "conditional_add_sim",
-         "pfa_sim", "pfa_posterior", "add_analytic"],
-        rows,
-    )
-    trace = out_dir / f"{stem}_trace.csv"
-    _write_csv(trace, ["n", "p", "change_active"],
-               _trace_rows(cfg, min(cfg.horizon, 600)))
-    print(f"information number: {info:.6f}, tail exponent: {tail:.6f}")
-    for row in rows:
-        print(f"alpha={row[0]:g}: ADD {row[2]:.2f}, analytic {row[6]:.2f}, "
-              f"PFA {row[4]:.5f} (posterior {row[5]:.6f})")
-    print(f"wrote {out}")
-    print(f"wrote {trace}")
+    _emit(out_dir, {
+        f"{stem}_tradeoff": (["alpha", "log_alpha_magnitude", "add_sim", "conditional_add_sim",
+                              "pfa_sim", "pfa_posterior", "add_analytic"], rows),
+        f"{stem}_trace": (["n", "p", "change_active"], _trace_rows(cfg, min(cfg.horizon, 600))),
+    }, [f"information number: {info:.6f}, tail exponent: {tail:.6f}",
+        *(f"alpha={row[0]:g}: ADD {row[2]:.2f}, analytic {row[6]:.2f}, "
+          f"PFA {row[4]:.5f} (posterior {row[5]:.6f})" for row in rows)])
     return EXIT_OK
 
 
@@ -467,15 +445,12 @@ def _reproduce_table(args) -> int:
         ])
         print(f"{row.label}: single {best.cost:.2f} (target {row.target_single}), "
               f"optimal {optimal.estimate:.2f} (target {row.target_optimal})")
-    out = Path(args.out_dir) / f"{args.id}.csv"
-    _write_csv(
-        out,
-        ["row", "single_threshold_cost", "single_threshold_se", "single_best_threshold",
-         "optimal_policy_cost", "optimal_policy_se", "solver_value_at_zero",
-         "target_single_threshold_cost", "target_optimal_cost"],
-        rows,
-    )
-    print(f"wrote {out}")
+    _emit(Path(args.out_dir), {
+        args.id: (["row", "single_threshold_cost", "single_threshold_se",
+                   "single_best_threshold", "optimal_policy_cost", "optimal_policy_se",
+                   "solver_value_at_zero", "target_single_threshold_cost",
+                   "target_optimal_cost"], rows),
+    })
     return exit_code
 
 
@@ -501,19 +476,16 @@ def cmd_mdp_solve(args) -> int:
     values = value_iterate(mdp, tol=args.tol, max_cycles=args.max_cycles)
     actions = values.actions
     residual = fixed_point_residual(values.values[0], mdp)
-    out_dir, stem = Path(args.out_dir), Path(args.instance).stem
+    stem = Path(args.instance).stem
     cells = [(l, s) for l in range(mdp.period) for s in range(mdp.num_states)]
-    files = []
-    for name, column, table in (("values", "value", values.values), ("policy", "action", actions)):
-        files.append(out_dir / f"{stem}_{name}.csv")
-        _write_csv(files[-1], ["stage", "state", column], [[l, s, table[l, s]] for l, s in cells])
-    print(f"cycles: {values.cycles} (converged: {values.converged})")
-    print(f"fixed-point residual: {residual:.3e}")
-    for l in range(mdp.period):
-        print(f"stage {l}: values {np.round(values.values[l], 6).tolist()} "
-              f"actions {actions[l].tolist()}")
-    for f in files:
-        print(f"wrote {f}")
+    _emit(Path(args.out_dir), {
+        f"{stem}_{name}": (["stage", "state", column], [[l, s, table[l, s]] for l, s in cells])
+        for name, column, table in (("values", "value", values.values),
+                                    ("policy", "action", actions))
+    }, [f"cycles: {values.cycles} (converged: {values.converged})",
+        f"fixed-point residual: {residual:.3e}",
+        *(f"stage {l}: values {np.round(values.values[l], 6).tolist()} "
+          f"actions {actions[l].tolist()}" for l in range(mdp.period))])
     return EXIT_OK if values.converged else EXIT_NO_CONVERGENCE
 
 

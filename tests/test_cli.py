@@ -17,10 +17,10 @@ from periodet.cli import (
     REPRODUCE_FIGURES,
     REPRODUCE_TABLES,
     _trace_rows,
+    _write_solution,
     bundled_config,
     main,
     parse_config,
-    write_solution_artifacts,
 )
 
 MINIMAL = """\
@@ -219,7 +219,7 @@ def test_cmd_solve_writes_artifacts(tmp_path, config_file, capsys):
 
 
 @pytest.mark.parametrize("solved", ["solved_t2", "solved_t4"])
-def test_solution_csvs_match_value_by_value_reference(tmp_path, request, solved):
+def test_solution_csvs_match_value_by_value_reference(tmp_path, request, capsys, solved):
     solution = request.getfixturevalue(solved)
     T = solution.period
 
@@ -235,11 +235,39 @@ def test_solution_csvs_match_value_by_value_reference(tmp_path, request, solved)
         for n, (sup, l2) in enumerate(zip(solution.sup_history, solution.l2_history), start=1)
     ]
     thresholds = ["stage,threshold"] + [line(str(s), a) for s, a in enumerate(solution.thresholds)]
-    paths = write_solution_artifacts(solution, tmp_path, "pin")
+    paths = _write_solution(solution, tmp_path, "pin")
     assert [path.name for path in paths] == ["pin_curves.csv", "pin_history.csv",
                                              "pin_thresholds.csv"]
     for path, lines in zip(paths, (curves, history, thresholds)):
         assert path.read_bytes() == "".join(f"{text}\r\n" for text in lines).encode()
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == f"value at p=0: {solution.value_at_zero:.4f}"
+    assert printed[-3:] == [f"wrote {path}" for path in paths]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "solve --config {cfg} --grid 30",
+        "simulate --config {cfg} --policy single:0.4",
+        "sweep --config {cfg} --thresholds 0.2,0.6",
+        "tradeoff --config {cfg} --alpha 0.05",
+        "mdp-solve {mdp}",
+        "reproduce table1 --grid 30 --paths 100",
+        "reproduce fig1 --grid 30 --paths 100",
+        "reproduce fig3 --paths 100",
+    ],
+)
+def test_every_file_written_is_announced_once(tmp_path, capsys, config_file, command):
+    mdp = tmp_path / "instance_three_state_t2.mdp"
+    mdp.write_text(resources.files("periodet.configs").joinpath(mdp.name).read_text())
+    out_dir = tmp_path / "out"
+    argv = shlex.split(command.format(cfg=config_file, mdp=mdp))
+    assert main([*argv, "--out-dir", str(out_dir)]) == 0
+    announced = [line.removeprefix("wrote ") for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("wrote ")]
+    assert len(announced) == len(set(announced))
+    assert sorted(announced) == sorted(str(path) for path in out_dir.iterdir())
 
 
 def test_cmd_solve_nonconvergence_exit_code(tmp_path, config_file):
@@ -479,13 +507,16 @@ def test_solve_example_mdp_script_writes_the_mdp_solve_policy(tmp_path, monkeypa
     assert (run_dir / "periodet-results" / name).read_bytes() == (direct / name).read_bytes()
 
 
-def test_reproduce_experiments_script_writes_every_batch(tmp_path, monkeypatch):
+def test_reproduce_experiments_script_writes_every_batch(tmp_path, monkeypatch, capsys):
     module = _load_script("reproduce_experiments")
     script_dir, direct = tmp_path / "script", tmp_path / "direct"
     monkeypatch.setattr(sys, "argv", ["reproduce_experiments.py", "--paths", "200",
                                       "--out-dir", str(script_dir)])
     assert module.main() == 0
-    for batch in module.BATCHES:
+    batches = [line.strip("= ") for line in capsys.readouterr().out.splitlines()
+               if line.startswith("===")]
+    assert batches == ["table1", "table2", "table3", "fig1", "fig2", "fig3"]
+    for batch in batches:
         assert main(["reproduce", batch, "--paths", "200", "--out-dir", str(direct)]) == 0
     solved = ("curves", "history", "thresholds", "sweep")
     names = sorted([f"{table}.csv" for table in REPRODUCE_TABLES]

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import periodet
 from periodet.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -25,6 +26,14 @@ def test_all_lists_exactly_the_public_definitions(name):
         and value.__module__ == module.__name__
     }
     assert sorted(defined - set(module.__all__)) == []
+
+
+def test_package_exports_exactly_the_modules_public_names():
+    exported = {n for n, value in vars(periodet).items()
+                if not n.startswith("_") and not inspect.ismodule(value)}
+    public = set().union(*(importlib.import_module(f"periodet.{n}").__all__ for n in MODULES))
+    assert sorted(exported - public) == []
+    assert sorted(public - exported) == []
 
 
 def synopsis_lines():
