@@ -53,6 +53,7 @@ from .monte_carlo import (
     sweep_single_threshold,
 )
 from .periodic_mdp import (
+    DEFAULT_MAX_CYCLES,
     InstanceFormatError,
     fixed_point_residual,
     load_instance,
@@ -99,7 +100,7 @@ class ExperimentConfig:
     false_alarm_penalties: tuple[float, ...]
     delay_penalties: tuple[float, ...]
     grid_points: int
-    tolerance: float
+    tolerance: float | None
     max_cycles: int
     paths: int
     horizon: int
@@ -198,8 +199,8 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
                 f"field {key!r} has {len(seq)} entries, period is {period}",  # type: ignore[arg-type]
             )
     values.setdefault("grid_points", DEFAULT_GRID_POINTS)
-    values.setdefault("tolerance", 1e-6)
-    values.setdefault("max_cycles", 100_000)
+    values.setdefault("tolerance", None)
+    values.setdefault("max_cycles", DEFAULT_MAX_CYCLES)
     values.setdefault("paths", 10_000)
     values.setdefault("seed", 0)
     try:
@@ -587,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="instance file (see periodic_mdp.load_instance)")
     p.add_argument("--out-dir", default="periodet-results")
     p.add_argument("--tol", type=_field_type("tolerance"), default=None)
-    p.add_argument("--max-cycles", type=_field_type("max_cycles"), default=100_000)
+    p.add_argument("--max-cycles", type=_field_type("max_cycles"), default=DEFAULT_MAX_CYCLES)
     p.set_defaults(func=cmd_mdp_solve)
 
     return parser

@@ -49,7 +49,7 @@ import numpy as np
 
 from .belief import belief_to_log_odds
 from .ipid_model import IpidScenario, simpson_window
-from .periodic_mdp import PeriodicMdp, policy_iterate
+from .periodic_mdp import DEFAULT_MAX_CYCLES, PeriodicMdp, policy_iterate
 
 __all__ = [
     "DetectionCostSpec",
@@ -243,13 +243,14 @@ def solve_detection(
     scenario: IpidScenario,
     costs: DetectionCostSpec,
     grid_resolution: int = DEFAULT_GRID_POINTS,
-    tol: float = 1e-6,
-    max_cycles: int = 100_000,
+    tol: float | None = None,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> DetectionSolution:
     """Solve ``detection_mdp`` by ``periodic_mdp.policy_iterate`` from the
     policy that stops everywhere, which is proper at discount 1.
     ``max_cycles`` caps the improvement steps, and ``converged`` means the
-    policy repeated with a fixed-point residual within ``tol``; ``cycles``
+    policy repeated with a fixed-point residual within ``tol`` (the
+    solvers' discount-1 default when None); ``cycles``
     and the histories count improvement steps.  The returned curves are
     read off the Q-tables that ``policy_iterate`` returns, those of one
     cycle applied to the final policy's stage-0 values."""

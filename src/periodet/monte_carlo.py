@@ -35,7 +35,8 @@ step (observation n of every running path, and its log odds);
 ``sample_path`` runs the step on one path to the horizon.  Paths run in
 ascending change-point order (they are exchangeable, so this only
 relabels them): at every step the post-change paths are a prefix of the
-running ones, found with one ``searchsorted`` and drawn first.
+running ones, so the step is told only how many there are and draws
+theirs first.
 """
 
 from __future__ import annotations
@@ -151,20 +152,18 @@ def _change_points(rng: np.random.Generator, rho: float, size: int, horizon: int
 
 
 def _step(scenario: IpidScenario, rng: np.random.Generator, n: int,
-          nu: np.ndarray, log_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Observation n of the paths whose change points are ``nu`` (ascending),
-    and the paths' log odds after it.  The post-change paths are the prefix
-    nu <= n and take the step's first draws; a side with no path draws
-    nothing."""
+          n_post: int, log_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Observation n of the paths with log odds ``log_r``, and their log odds
+    after it.  The first ``n_post`` paths are past their change point and
+    take the step's first draws; a side with no path draws nothing."""
     s = scenario.stage_index(n)
-    n_post = int(np.searchsorted(nu, n, side="right"))
-    if n_post == nu.size:
+    if n_post == log_r.size:
         y = scenario.post[s].sample(rng, n_post)
     elif n_post == 0:
-        y = scenario.pre[s].sample(rng, nu.size)
+        y = scenario.pre[s].sample(rng, log_r.size)
     else:
         y = np.concatenate((scenario.post[s].sample(rng, n_post),
-                            scenario.pre[s].sample(rng, nu.size - n_post)))
+                            scenario.pre[s].sample(rng, log_r.size - n_post)))
     return y, log_odds_step_geometric(log_r, scenario.rho, log_likelihood_ratio(scenario, n, y))
 
 
@@ -189,13 +188,13 @@ def sample_path(scenario: IpidScenario, horizon: int, seed: int) -> SamplePath:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     rng = np.random.default_rng(seed)
-    nu = _change_points(rng, scenario.rho, 1, horizon)
+    nu = int(_change_points(rng, scenario.rho, 1, horizon)[0])
     observations, log_odds = np.empty(horizon), np.empty(horizon)
     log_r = np.full(1, -math.inf)
     for n in range(1, horizon + 1):
-        y, log_r = _step(scenario, rng, n, nu, log_r)
+        y, log_r = _step(scenario, rng, n, int(nu <= n), log_r)
         observations[n - 1], log_odds[n - 1] = y[0], log_r[0]
-    return SamplePath(int(nu[0]) if nu[0] <= horizon else None, observations, log_odds)
+    return SamplePath(nu if nu <= horizon else None, observations, log_odds)
 
 
 def _simulate_stopping(
@@ -221,10 +220,10 @@ def _simulate_stopping(
     left unwritten takes the time of the level below (it was passed in
     the same step, as tau is nondecreasing in k), and the levels a
     censored path never reached get the sentinel.  Paths run in ascending
-    change-point order, and the running paths' change points are compacted
-    along with their log-odds, so the post-change paths are always a
-    prefix and take a step's first draws; one rule sees the same draws at
-    every K.
+    change-point order and compaction keeps that order, so the post-change
+    paths are always a prefix: their count is the number of running
+    indices below the number of change points <= n, and they take a
+    step's first draws; one rule sees the same draws at every K.
 
     Returns (nu, tau, log_r_at_tau), nu ascending and row i of tau
     holding the stopping times of the path with change point nu[i].  tau
@@ -254,10 +253,10 @@ def _simulate_stopping(
     log_r_at_tau = np.empty((n_levels, n_paths)) if with_log_r else None
     alive = np.arange(n_paths)
     next_level = np.zeros(n_paths, dtype=np.intp)
-    nu_alive = nu
     log_r = np.full(n_paths, -math.inf)
     for n in range(1, horizon + 1):
-        _, log_r = _step(scenario, rng, n, nu_alive, log_r)
+        n_post = int(np.searchsorted(alive, np.searchsorted(nu, n, side="right")))
+        _, log_r = _step(scenario, rng, n, n_post, log_r)
         col = stage_levels[scenario.stage_index(n)]
         hit = (log_r > col[next_level]).nonzero()[0]
         if hit.size:
@@ -270,8 +269,7 @@ def _simulate_stopping(
             next_level[hit] = passed
             if passed.max() == n_levels:
                 running = next_level < n_levels
-                alive, nu_alive = alive[running], nu_alive[running]
-                log_r, next_level = log_r[running], next_level[running]
+                alive, log_r, next_level = alive[running], log_r[running], next_level[running]
                 if alive.size == 0:
                     break
     # a 0 is a level passed in the same step as the one below; the paths

@@ -59,6 +59,7 @@ __all__ = [
     "dump_instance",
 ]
 
+DEFAULT_MAX_CYCLES = 100_000
 _ROW_SUM_TOL = 1e-12
 # policy improvement keeps the current action unless another is better by
 # this relative margin, so rounding cannot make the policy cycle
@@ -81,8 +82,9 @@ class PeriodicMdp:
     def __post_init__(self):
         P = np.asarray(self.transitions, dtype=float)
         c = np.asarray(self.costs, dtype=float)
-        if P.ndim != 4 or P.shape[1] != P.shape[3]:
-            raise ValueError(f"transitions must have shape (T, S, A, S), got {P.shape}")
+        if P.ndim != 4 or P.shape[1] != P.shape[3] or 0 in P.shape:
+            raise ValueError(
+                f"transitions must have shape (T, S, A, S) with T, S, A >= 1, got {P.shape}")
         if c.shape != P.shape[:3]:
             raise ValueError(f"costs shape {c.shape} does not match kernels {P.shape[:3]}")
         if np.any(P < 0.0):
@@ -190,7 +192,7 @@ def _checked_tol(mdp: PeriodicMdp, tol: float | None, max_cycles: int) -> float:
 def value_iterate(
     mdp: PeriodicMdp,
     tol: float | None = None,
-    max_cycles: int = 100_000,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> StageValues:
     """Iterate the cycle operator from the all-zero vector.
 
@@ -338,7 +340,7 @@ def policy_iterate(
     mdp: PeriodicMdp,
     actions: np.ndarray,
     tol: float | None = None,
-    max_cycles: int = 100_000,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> StageValues:
     """Policy iteration from the periodic policy ``actions`` (T, S).
 

@@ -76,7 +76,8 @@ def crossing_record_per_level(scenario, levels, n_paths, horizon, seed):
     passed (row, level) pairs of a step are expanded with ``repeat`` and
     ``cumsum`` and written in one scatter.  A reference for the kernel's
     crossing record; it shares the kernel's draws (``_change_points`` and
-    ``_step``) but none of its bookkeeping."""
+    ``_step``) but none of its bookkeeping: it compacts the running paths'
+    change points and counts the post-change ones itself."""
     from periodet import belief_to_log_odds
     from periodet.monte_carlo import _change_points, _step
 
@@ -92,7 +93,7 @@ def crossing_record_per_level(scenario, levels, n_paths, horizon, seed):
     nu_alive = nu
     log_r = np.full(n_paths, -math.inf)
     for n in range(1, horizon + 1):
-        _, log_r = _step(scenario, rng, n, nu_alive, log_r)
+        _, log_r = _step(scenario, rng, n, int(np.sum(nu_alive <= n)), log_r)
         col = stage_levels[scenario.stage_index(n)]
         crossed = log_r > col[next_level]
         if crossed.any():

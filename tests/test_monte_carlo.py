@@ -223,20 +223,19 @@ def test_step_observations_match_stage_laws(change_point, means):
     # compare first two moments at 1e5 draws per stage
     scen = make_scenario([1.0, -2.0], [5.0, 5.0], rho=1e-9)
     rng = np.random.default_rng(11)
-    nu = np.full(100_000, change_point)
-    log_r = np.full(nu.size, -math.inf)
+    log_r = np.full(100_000, -math.inf)
     for n, mean in zip((1, 2), means):
-        y, log_r = _step(scen, rng, n, nu, log_r)
+        y, log_r = _step(scen, rng, n, log_r.size if change_point <= n else 0, log_r)
         assert abs(y.mean() - mean) < 4.0 / math.sqrt(y.size)
         assert abs(y.var() - 1.0) < 6.0 / math.sqrt(y.size)
 
 
 def test_step_draws_post_change_before_pre_change(t2):
     # change points come ascending, so the post-change paths are a prefix
-    # and take the first draws of a step
+    # and take the first draws of a step: at n = 2 the change points
+    # 1, 2, 5, 9 leave two post-change paths
     scenario, _ = t2
-    nu = np.array([1, 2, 5, 9])
-    y, _ = _step(scenario, np.random.default_rng(3), 2, nu, np.zeros(4))
+    y, _ = _step(scenario, np.random.default_rng(3), 2, 2, np.zeros(4))
     rng = np.random.default_rng(3)
     post = scenario.post[1].sample(rng, 2)
     pre = scenario.pre[1].sample(rng, 2)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -85,6 +86,14 @@ def test_mdp_rejects_nan_transition():
     P[0, 0, 0, 1] = np.nan  # the row sum is NaN, which no "> tol" test catches
     with pytest.raises(ValueError, match="row"):
         PeriodicMdp(transitions=P, costs=HAND_C, discount=0.5)
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 1, 2), (1, 0, 1, 0), (1, 2, 0, 2)])
+def test_mdp_rejects_an_empty_axis(shape):
+    # an empty stage, state or action axis would pass the row-sum check
+    # vacuously and fail later, deep inside a solver or at reload
+    with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+        PeriodicMdp(transitions=np.zeros(shape), costs=np.zeros(shape[:3]), discount=0.9)
 
 
 def test_row_sum_error_names_plain_numbers():
