@@ -9,8 +9,10 @@ tradeoff   delay vs false-alarm curve with the matching analytic column
 reproduce  run a bundled experiment batch and diff against target values
 mdp-solve  solve a generic periodic MDP instance file
 
-Scenario configs are flat ``key = value`` text files (see ``parse_config``)
-and every bundled experiment ships as one.  All outputs are CSV files with
+Scenario configs are flat ``key = value`` text files read by
+``parse_config``, each key declared once as an ``ExperimentConfig`` field;
+lists are comma separated, in configs and flags alike.  Every bundled
+experiment ships as a config.  All outputs are CSV files with
 header rows; stdout gets a summary and then one ``wrote <path>`` line per
 file, both from ``_emit``.  ``reproduce fig1``
 and ``fig2`` print their target value at p=0 and then write and print
@@ -30,7 +32,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -87,24 +89,46 @@ class ConfigError(ValueError):
         self.line_no = line_no
 
 
+def _numbers(text: str) -> tuple[float, ...]:
+    """A comma-separated list of numbers, the one list grammar of configs
+    and flags; an empty entry is a ValueError."""
+    return tuple(float(v) for v in text.split(","))
+
+
+def _positive(v: float) -> bool:
+    return 0.0 < v < math.inf
+
+
+def _field(parse, in_range, what: str, default=MISSING):
+    """A config field read by ``parse`` (``_numbers`` for a list, one entry
+    per stage) whose every number passes ``in_range``, the range ``what``;
+    a field with no ``default`` is required."""
+    return field(default=default, metadata={"spec": (parse, in_range, what)})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One detection experiment: scenario, penalties, and run sizes."""
+    """One detection experiment: scenario, penalties, and run sizes.
 
-    period: int
-    rho: float
-    pre_means: tuple[float, ...]
-    pre_vars: tuple[float, ...]
-    post_means: tuple[float, ...]
-    post_vars: tuple[float, ...]
-    false_alarm_penalties: tuple[float, ...]
-    delay_penalties: tuple[float, ...]
-    grid_points: int
-    tolerance: float | None
-    max_cycles: int
-    paths: int
-    horizon: int
-    seed: int
+    Each config key is declared here once, with its parser, range and
+    default.  ``parse_config`` fills in the variances (1.0 per stage) and
+    the ``horizon`` (``default_horizon``) that a config leaves out."""
+
+    period: int = _field(int, lambda v: v >= 1, ">= 1")
+    rho: float = _field(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+    pre_means: tuple[float, ...] = _field(_numbers, math.isfinite, "finite")
+    post_means: tuple[float, ...] = _field(_numbers, math.isfinite, "finite")
+    false_alarm_penalties: tuple[float, ...] = _field(_numbers, _positive, "finite and > 0")
+    delay_penalties: tuple[float, ...] = _field(_numbers, lambda v: 0.0 <= v < math.inf,
+                                                "finite and >= 0")
+    pre_vars: tuple[float, ...] | None = _field(_numbers, _positive, "finite and > 0", None)
+    post_vars: tuple[float, ...] | None = _field(_numbers, _positive, "finite and > 0", None)
+    grid_points: int = _field(int, lambda v: v >= 2, ">= 2", DEFAULT_GRID_POINTS)
+    tolerance: float | None = _field(float, _positive, "finite and > 0", None)
+    max_cycles: int = _field(int, lambda v: v >= 1, ">= 1", DEFAULT_MAX_CYCLES)
+    paths: int = _field(int, lambda v: v >= 1, ">= 1", 10_000)
+    horizon: int | None = _field(int, lambda v: v >= 1, ">= 1", None)
+    seed: int = _field(int, lambda v: v >= 0, ">= 0", 0)
 
     def scenario(self) -> IpidScenario:
         pre = tuple(Gaussian(m, v) for m, v in zip(self.pre_means, self.pre_vars))
@@ -116,41 +140,19 @@ class ExperimentConfig:
                                  delay=self.delay_penalties)
 
 
-def _positive(v: float) -> bool:
-    return 0.0 < v < math.inf
-
-
-# scalar field: (parser, range test, the range it stands for)
-_SCALAR_FIELDS = {
-    "period": (int, lambda v: v >= 1, ">= 1"),
-    "rho": (float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    "grid_points": (int, lambda v: v >= 2, ">= 2"),
-    "tolerance": (float, _positive, "finite and > 0"),
-    "max_cycles": (int, lambda v: v >= 1, ">= 1"),
-    "paths": (int, lambda v: v >= 1, ">= 1"),
-    "horizon": (int, lambda v: v >= 1, ">= 1"),
-    "seed": (int, lambda v: v >= 0, ">= 0"),
-}
-# list field: (range test for every entry, the range it stands for)
-_LIST_FIELDS = {
-    "pre_means": (math.isfinite, "finite"),
-    "pre_vars": (_positive, "finite and > 0"),
-    "post_means": (math.isfinite, "finite"),
-    "post_vars": (_positive, "finite and > 0"),
-    "false_alarm_penalties": (_positive, "finite and > 0"),
-    "delay_penalties": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-}
-_REQUIRED = ("period", "rho", "pre_means", "post_means",
-             "false_alarm_penalties", "delay_penalties")
+# config key -> (parser, range test, the range it stands for)
+_FIELDS = {f.name: f.metadata["spec"] for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
-    """Parse a flat ``key = value`` config.
+    """Parse a flat ``key = value`` config into the ``ExperimentConfig``
+    fields it declares.
 
-    Lists are comma separated; '#' starts a comment.  Every violation,
-    an out-of-range value included, is reported with the source name and
-    line number of the offending field; a fault of the whole file (a
-    missing field, a check of the model types) with the source name only.
+    List entries are separated by commas, and an empty one is an error;
+    '#' starts a comment.  Every violation, an out-of-range value included,
+    is reported with the source name and line number of the offending
+    field; a fault of the whole file (a missing field, a check of the model
+    types) with the source name only.
     """
     values: dict[str, object] = {}
     lines_of: dict[str, int] = {}
@@ -165,52 +167,35 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         value = value.strip()
         if key in values:
             raise ConfigError(source, line_no, f"duplicate field {key!r} (first at line {lines_of[key]})")
-        if key in _SCALAR_FIELDS:
-            parse, in_range, what = _SCALAR_FIELDS[key]
-            try:
-                values[key] = parse(value)
-            except ValueError:
-                raise ConfigError(source, line_no, f"field {key!r}: bad value {value!r}") from None
-            items = (values[key],)
-        elif key in _LIST_FIELDS:
-            in_range, what = _LIST_FIELDS[key]
-            try:
-                values[key] = items = tuple(float(v) for v in value.replace(",", " ").split())
-            except ValueError:
-                raise ConfigError(source, line_no, f"field {key!r}: bad list {value!r}") from None
-        else:
+        if key not in _FIELDS:
             raise ConfigError(source, line_no, f"unknown field {key!r}")
-        if not all(in_range(v) for v in items):
+        parse, in_range, what = _FIELDS[key]
+        try:
+            values[key] = parse(value)
+        except ValueError:
+            kind = "list" if parse is _numbers else "value"
+            raise ConfigError(source, line_no, f"field {key!r}: bad {kind} {value!r}") from None
+        if not all(map(in_range, values[key] if parse is _numbers else (values[key],))):
             raise ConfigError(source, line_no, f"field {key!r} must be {what}, got {value!r}")
         lines_of[key] = line_no
 
-    for key in _REQUIRED:
-        if key not in values:
-            raise ConfigError(source, None, f"missing required field {key!r}")
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.name not in values:
+            raise ConfigError(source, None, f"missing required field {f.name!r}")
     period = int(values["period"])  # type: ignore[arg-type]
     values.setdefault("pre_vars", (1.0,) * period)
     values.setdefault("post_vars", (1.0,) * period)
-    for key in _LIST_FIELDS:
-        seq = values[key]
-        if len(seq) != period:  # type: ignore[arg-type]
-            raise ConfigError(
-                source,
-                lines_of.get(key, lines_of["period"]),
-                f"field {key!r} has {len(seq)} entries, period is {period}",  # type: ignore[arg-type]
-            )
-    values.setdefault("grid_points", DEFAULT_GRID_POINTS)
-    values.setdefault("tolerance", None)
-    values.setdefault("max_cycles", DEFAULT_MAX_CYCLES)
-    values.setdefault("paths", 10_000)
-    values.setdefault("seed", 0)
+    for key, seq in values.items():
+        if _FIELDS[key][0] is _numbers and len(seq) != period:  # type: ignore[arg-type]
+            raise ConfigError(source, lines_of[key],
+                              f"field {key!r} has {len(seq)} entries, period is {period}")  # type: ignore[arg-type]
     try:
-        # horizon 1 stands in for a missing one until the scenario sets it
-        cfg = ExperimentConfig(**{"horizon": 1, **values})  # type: ignore[arg-type]
+        cfg = ExperimentConfig(**values)  # type: ignore[arg-type]
         # the model types own their checks; any the ranges above miss fail here
         scenario, _ = cfg.scenario(), cfg.cost_spec()
     except (TypeError, ValueError) as exc:
         raise ConfigError(source, None, str(exc)) from exc
-    return cfg if "horizon" in values else replace(cfg, horizon=default_horizon(scenario))
+    return cfg if cfg.horizon is not None else replace(cfg, horizon=default_horizon(scenario))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -492,35 +477,18 @@ def cmd_mdp_solve(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _field_type(key: str):
-    """argparse ``type=`` for a flag that sets config field ``key``: the
-    field's parser and range test, so a bad value exits 2 naming the flag."""
-    parse, in_range, what = _SCALAR_FIELDS[key]
+def _flag_type(name: str, parse, in_range, what: str):
+    """argparse ``type=`` for a flag read by ``parse`` whose every number
+    passes ``in_range`` (a config field's spec, for a flag that overrides
+    it), so a bad value exits 2 naming the flag."""
 
     def convert(text: str):
-        value = parse(text)  # a ValueError reads "invalid <key> value"
-        if not in_range(value):
+        value = parse(text)  # a ValueError reads "invalid <name> value"
+        if not all(map(in_range, value if parse is _numbers else (value,))):
             raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
 
-    convert.__name__ = key
-    return convert
-
-
-def _float_list(in_range, what: str):
-    """argparse ``type=`` for a comma-separated list of numbers, each
-    passing ``in_range`` (the range ``what``), so a bad entry exits 2
-    naming the flag."""
-
-    def convert(text: str) -> tuple[float, ...]:
-        try:
-            values = tuple(float(v) for v in text.split(","))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad list {text!r}") from None
-        if not all(in_range(v) for v in values):
-            raise argparse.ArgumentTypeError(f"each entry must be {what}, got {text!r}")
-        return values
-
+    convert.__name__ = name
     return convert
 
 
@@ -535,7 +503,7 @@ def _policy_spec(text: str) -> tuple[str, SingleThreshold | PeriodicThresholds |
         if kind == "single":
             return text, SingleThreshold(float(rest))
         if kind == "periodic":
-            return text, PeriodicThresholds(tuple(float(v) for v in rest.split(",")))
+            return text, PeriodicThresholds(_numbers(rest))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad policy spec {text!r}: {exc}") from None
     raise argparse.ArgumentTypeError(
@@ -561,8 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out-dir", default="periodet-results", help="output directory")
         for flag in overrides:
-            p.add_argument(f"--{flag}", type=_field_type(_OVERRIDES[flag]), default=None,
-                           help=f"override config field {_OVERRIDES[flag]!r}")
+            key = _OVERRIDES[flag]
+            p.add_argument(f"--{flag}", type=_flag_type(key, *_FIELDS[key]), default=None,
+                           help=f"override config field {key!r}")
         return p
 
     experiment("solve", cmd_solve, "solve a detection scenario by policy iteration",
@@ -572,13 +541,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'optimal', 'single:A', or 'periodic:a0,a1,...'")
     p = experiment("sweep", cmd_sweep, "single-threshold cost over a threshold grid",
                    _SIMULATION_FLAGS)
-    p.add_argument("--thresholds", type=_float_list(lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    p.add_argument("--thresholds", type=_flag_type("thresholds", _numbers,
+                                                   lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
                    default=None, help="comma-separated thresholds, each in [0, 1)")
     p = experiment("tradeoff", cmd_tradeoff, "delay vs false-alarm tradeoff curve",
                    _SIMULATION_FLAGS)
     # an alpha below half the spacing of floats under 1 would make 1 - alpha round to 1
-    p.add_argument("--alpha", type=_float_list(lambda v: 0.0 < v < 1.0 and 1.0 - v < 1.0,
-                                               "in (0, 1) with 1 - alpha < 1"),
+    p.add_argument("--alpha", type=_flag_type("alpha", _numbers,
+                                              lambda v: 0.0 < v < 1.0 and 1.0 - v < 1.0,
+                                              "in (0, 1) with 1 - alpha < 1"),
                    default=None, help="comma-separated false-alarm levels, each in (0, 1)")
     p = experiment("reproduce", cmd_reproduce, "run a bundled experiment batch",
                    config_required=False)
@@ -587,8 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mdp-solve", help="solve a periodic MDP instance file")
     p.add_argument("instance", help="instance file (see periodic_mdp.load_instance)")
     p.add_argument("--out-dir", default="periodet-results")
-    p.add_argument("--tol", type=_field_type("tolerance"), default=None)
-    p.add_argument("--max-cycles", type=_field_type("max_cycles"), default=DEFAULT_MAX_CYCLES)
+    p.add_argument("--tol", type=_flag_type("tolerance", *_FIELDS["tolerance"]), default=None)
+    p.add_argument("--max-cycles", type=_flag_type("max_cycles", *_FIELDS["max_cycles"]),
+                   default=DEFAULT_MAX_CYCLES)
     p.set_defaults(func=cmd_mdp_solve)
 
     return parser

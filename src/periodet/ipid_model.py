@@ -21,8 +21,11 @@ rho makes the posterior change probability a Markov state, which the
 detection DP and the Monte-Carlo engine both rely on.
 
 Indexing: observation n >= 1 has 0-based stage (n - 1) % T, so the density
-lists are addressed as pre[stage], post[stage].  ``IpidScenario.stage_index``
-is the only place the off-by-one lives.
+lists are addressed as pre[stage], post[stage].  The off-by-one lives in
+three places: ``IpidScenario.stage_index``; ``monte_carlo._bayes_cost_reports``,
+which reads the penalty charged at time t as entry t - 1 of the per-stage
+penalties repeated by ``np.resize``; and ``detection_dp.detection_mdp``,
+which continues from stage s over the next observation's stage (s + 1) % T.
 """
 
 from __future__ import annotations

@@ -94,6 +94,19 @@ def test_out_of_range_value_is_a_parse_error(tmp_path, capsys, line):
     assert not list(tmp_path.glob("*.csv"))
 
 
+# entries are separated by commas, and an empty entry is an error
+@pytest.mark.parametrize("value", ["20,,5", "20,5,", "20 5"])
+def test_malformed_list_is_a_parse_error(tmp_path, capsys, value):
+    text = MINIMAL.replace("false_alarm_penalties = 20, 5", f"false_alarm_penalties = {value}")
+    with pytest.raises(ConfigError, match="^exp.cfg:5: field 'false_alarm_penalties': bad list"):
+        parse_config(text, source="exp.cfg")
+    path = tmp_path / "list.cfg"
+    path.write_text(text)
+    assert main(["solve", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert f"{path}:5:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize(
     "command",
     [

@@ -40,12 +40,22 @@ def classical_shiryaev_solver(mean_shift, lam, d, rho, grid_points, tol=1e-6):
     w = w * h / 3.0
     f = np.exp(-0.5 * x**2) / math.sqrt(2 * math.pi)
     g = np.exp(-0.5 * (x - mean_shift) ** 2) / math.sqrt(2 * math.pi)
+    pt = grid + (1 - grid) * rho
+    mix = pt[:, None] * g[None, :] + (1 - pt)[:, None] * f[None, :]
+    nxt = pt[:, None] * g[None, :] / mix
+    # np.interp(nxt, grid, J) is linear in J: each node puts weight 1 - t on
+    # the grid point below it and t on the one above, so the continuation
+    # integral is one fixed (M, M) matrix applied to J
+    j = np.clip(np.searchsorted(grid, nxt, side="right") - 1, 0, grid_points - 2)
+    t = (nxt - grid[j]) / (grid[j + 1] - grid[j])
+    flat = (np.arange(grid_points)[:, None] * grid_points + j).ravel()
+    weight = mix * w
+    kernel = (np.bincount(flat, (weight * (1 - t)).ravel(), grid_points**2)
+              + np.bincount(flat + 1, (weight * t).ravel(), grid_points**2))
+    kernel = kernel.reshape(grid_points, grid_points)
     J = np.zeros(grid_points)
     for _ in range(100_000):
-        pt = grid + (1 - grid) * rho
-        mix = pt[:, None] * g[None, :] + (1 - pt)[:, None] * f[None, :]
-        nxt = pt[:, None] * g[None, :] / mix
-        cont = d * grid + (np.interp(nxt.ravel(), grid, J).reshape(nxt.shape) * mix) @ w
+        cont = d * grid + kernel @ J
         new = np.minimum(lam * (1 - grid), cont)
         if np.max(np.abs(new - J)) <= tol:
             return new

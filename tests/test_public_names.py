@@ -1,6 +1,8 @@
-"""Public names and the README's CLI synopsis stay in step with the code."""
+"""Public names, the README's CLI synopsis and its config example stay in
+step with the code."""
 
 import argparse
+import dataclasses
 import importlib
 import inspect
 import re
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import periodet
-from periodet.cli import build_parser
+from periodet.cli import ExperimentConfig, build_parser, parse_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = ["belief", "detection_dp", "ipid_model", "monte_carlo", "periodic_mdp"]
@@ -55,3 +57,12 @@ def test_readme_synopsis_flags_exist():
         flags = {m for word in words[2:] for m in re.findall(r"--[a-z][a-z-]*", word)}
         assert sorted(flags - accepted) == [], words[1]
         assert sorted(accepted - flags) == [], words[1]
+
+
+def test_readme_config_example_is_the_schema():
+    """The README's config example parses and sets every config field."""
+    section = README.read_text().split("## Scenario config format", 1)[1]
+    block = section.split("```", 2)[1]
+    parse_config(block, source="README.md")
+    keys = [line.split("#", 1)[0].partition("=")[0].strip() for line in block.splitlines()]
+    assert sorted(filter(None, keys)) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
