@@ -111,8 +111,8 @@ class ExperimentConfig:
     """One detection experiment: scenario, penalties, and run sizes.
 
     Each config key is declared here once, with its parser, range and
-    default.  ``parse_config`` fills in the variances (1.0 per stage) and
-    the ``horizon`` (``default_horizon``) that a config leaves out."""
+    default; variances left out are 1.0 per stage.  ``parse_config`` fills
+    in the ``horizon`` (``default_horizon``) that a config leaves out."""
 
     period: int = _field(int, lambda v: v >= 1, ">= 1")
     rho: float = _field(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
@@ -129,6 +129,11 @@ class ExperimentConfig:
     paths: int = _field(int, lambda v: v >= 1, ">= 1", 10_000)
     horizon: int | None = _field(int, lambda v: v >= 1, ">= 1", None)
     seed: int = _field(int, lambda v: v >= 0, ">= 0", 0)
+
+    def __post_init__(self):
+        for name in ("pre_vars", "post_vars"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, (1.0,) * self.period)
 
     def scenario(self) -> IpidScenario:
         pre = tuple(Gaussian(m, v) for m, v in zip(self.pre_means, self.pre_vars))
@@ -183,8 +188,6 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         if f.default is MISSING and f.name not in values:
             raise ConfigError(source, None, f"missing required field {f.name!r}")
     period = int(values["period"])  # type: ignore[arg-type]
-    values.setdefault("pre_vars", (1.0,) * period)
-    values.setdefault("post_vars", (1.0,) * period)
     for key, seq in values.items():
         if _FIELDS[key][0] is _numbers and len(seq) != period:  # type: ignore[arg-type]
             raise ConfigError(source, lines_of[key],

@@ -25,7 +25,8 @@ a row summing above one (a window too coarse for the stage's densities)
 fails the row-sum check of ``PeriodicMdp``.  ``solve_detection`` solves
 it exactly with ``periodic_mdp.policy_iterate`` from the proper policy
 "stop everywhere" and reads the stage, continue and stop curves off the
-Q-tables it returns, those of its last ``apply_cycle_operator`` sweep.
+Q-tables it returns, those of its last ``apply_cycle_operator`` sweep, and
+the thresholds off the policy it returns.
 
 Timing convention (applied identically here and in the Monte-Carlo
 harness): observations are numbered n = 1, 2, ..., and observation n has
@@ -57,7 +58,6 @@ __all__ = [
     "DetectionSolution",
     "detection_mdp",
     "solve_detection",
-    "extract_thresholds",
 ]
 
 DEFAULT_GRID_POINTS = 100
@@ -213,8 +213,10 @@ class DetectionSolution:
 
     ``stage_curves[s]`` is the optimal cost entering the decision after a
     stage-s observation; ``continue_curves`` / ``stop_curves`` are its two
-    branches.  ``thresholds[s]`` is the smallest grid belief at which
-    stopping is weakly preferred, reported at grid precision.
+    branches.  ``thresholds[s]`` is the smallest grid belief at which the
+    solved policy stops after a stage-s observation, 1.0 if none: the
+    improvement step keeps the current action on a tie within a relative
+    1e-12, so from "stop everywhere" a tie stops.
     ``value_at_zero`` is the stage-0 entry curve at p = 0.  ``cycles``
     counts policy-improvement steps and the histories hold one row per
     step (see ``periodic_mdp.policy_iterate``).
@@ -253,19 +255,22 @@ def solve_detection(
     solvers' discount-1 default when None); ``cycles``
     and the histories count improvement steps.  The returned curves are
     read off the Q-tables that ``policy_iterate`` returns, those of one
-    cycle applied to the final policy's stage-0 values."""
+    cycle applied to the last evaluated policy's stage-0 values, and the
+    thresholds off the policy it returns, the first grid belief where it
+    stops at each stage."""
     mdp = detection_mdp(scenario, costs, grid_resolution)
     stop_everywhere = np.ones((mdp.period, mdp.num_states), dtype=int)
     result = policy_iterate(mdp, stop_everywhere, tol=tol, max_cycles=max_cycles)
     grid = BeliefGrid(grid_resolution)
     M = grid.resolution
     cont, stop, entry = result.q[:, :M, 0], result.q[:, :M, 1], result.q[:, :M].min(axis=2)
+    stops = result.actions[:, :M] == 1
     return DetectionSolution(
         grid=grid,
         stage_curves=entry,
         continue_curves=cont,
         stop_curves=stop,
-        thresholds=extract_thresholds(cont, stop, grid),
+        thresholds=np.where(stops.any(axis=1), grid.points[stops.argmax(axis=1)], 1.0),
         value_at_zero=float(entry[0, 0]),
         converged=result.converged,
         cycles=result.cycles,
@@ -273,20 +278,3 @@ def solve_detection(
         sup_history=result.sup_history,
         l2_history=result.l2_history,
     )
-
-
-def extract_thresholds(
-    continue_curves: np.ndarray, stop_curves: np.ndarray, grid: BeliefGrid
-) -> np.ndarray:
-    """Smallest grid belief per stage at which stopping is weakly preferred.
-
-    Ties resolve to stopping.  A stage whose stopping region is empty below
-    p = 1 gets threshold 1.0 (alarm only at certainty).
-    """
-    continue_curves = np.atleast_2d(continue_curves)
-    stop_curves = np.atleast_2d(stop_curves)
-    out = np.empty(continue_curves.shape[0])
-    for s in range(continue_curves.shape[0]):
-        hit = np.nonzero(stop_curves[s] <= continue_curves[s] + 1e-12)[0]
-        out[s] = grid.points[hit[0]] if hit.size else 1.0
-    return out

@@ -14,8 +14,8 @@ so a fixed point of Psi is the optimal cost seen at entry to stage 0.
 their minima, the T intermediate stage compositions.
 
 Two solvers share that sweep, and both return the Q-tables of their last
-one with the stage values.  The optimal policy is periodic:
-``StageValues.actions`` reads it off those Q-tables greedily.
+one with the stage values and the periodic policy greedy on them,
+``StageValues.actions``; each solver breaks ties by its own rule.
 
 * ``value_iterate`` iterates Psi from the all-zero vector, a pointwise
   nondecreasing sequence.  Psi shifts constants by beta = alpha^T, so for
@@ -129,7 +129,9 @@ class StageValues:
     l-th intermediate composition of the stage operators applied to the
     cycle fixed point.  ``q`` (T, S, A) holds the stage Q-tables of one
     ``apply_cycle_operator`` sweep applied to ``values[0]``, the solver's
-    last.  ``cycles`` counts value-iteration cycles or
+    last, and ``actions`` (T, S) the solver's periodic policy greedy on
+    them: ``actions[l, s]`` minimizes ``q[l, s]`` under the solver's tie
+    rule.  ``cycles`` counts value-iteration cycles or
     policy-improvement steps.  ``sup_history``/``l2_history`` record, per
     cycle or step, the distance between a stage-0 vector and its image
     under the cycle operator.  ``error_bound`` is a certified bound on the
@@ -139,17 +141,12 @@ class StageValues:
 
     values: np.ndarray  # (T, S)
     q: np.ndarray = field(repr=False)  # (T, S, A)
+    actions: np.ndarray = field(repr=False)  # (T, S)
     converged: bool
     cycles: int
     sup_history: np.ndarray = field(repr=False)
     l2_history: np.ndarray = field(repr=False)
     error_bound: float = math.inf
-
-    @property
-    def actions(self) -> np.ndarray:
-        """The greedy periodic policy (T, S): ``actions[l, s]`` minimizes
-        ``q[l, s]``, ties going to the lowest action index."""
-        return self.q.argmin(axis=2)
 
 
 def apply_cycle_operator(
@@ -209,7 +206,8 @@ def value_iterate(
     and ``error_bound`` is ``inf``.
 
     Either way ``values[l]``, l >= 1, and ``q`` come from one final sweep
-    applied to the returned ``values[0]``, and the iteration ends after
+    applied to the returned ``values[0]``, ``actions`` is greedy on ``q``
+    with ties going to the lowest action index, and the iteration ends after
     ``max_cycles`` cycles at the latest.  Non-convergence is reported
     through the ``converged`` flag, never raised: at alpha = 1 monotone
     convergence can be arbitrarily slow.
@@ -247,6 +245,7 @@ def value_iterate(
     return StageValues(
         values=values,
         q=q,
+        actions=q.argmin(axis=2),
         converged=converged,
         cycles=cycles,
         sup_history=np.asarray(sup_hist),
@@ -352,8 +351,10 @@ def policy_iterate(
     ``converged`` means the policy repeated and the fixed-point residual,
     the last ``sup_history`` entry, is within ``tol`` (default 1e-8 for
     alpha < 1, 1e-6 at alpha = 1).  ``values`` are the exact values of the
-    last evaluated policy and ``q`` the Q-tables of its sweep.  At
-    alpha < 1, ``error_bound`` is the residual divided by 1 - alpha^T.
+    last evaluated policy, ``q`` the Q-tables of its sweep and ``actions``
+    the policy its improvement step chose: once the policy repeated, the
+    one ``values`` belongs to.  At alpha < 1, ``error_bound`` is the
+    residual divided by 1 - alpha^T.
 
     At alpha = 1 the starting policy must be proper (see
     ``evaluate_policy``); greedy steps from a proper policy stay proper.
@@ -380,6 +381,7 @@ def policy_iterate(
     return StageValues(
         values=values,
         q=q,
+        actions=actions,
         converged=converged,
         cycles=cycles,
         sup_history=np.asarray(sup_hist),

@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from periodet import OddsState, log_odds_to_belief, update_odds
+from periodet import OddsState, log_odds_to_belief, solve_detection, update_odds
 from periodet.cli import (
     ConfigError,
     DEFAULT_THRESHOLD_GRID,
+    ExperimentConfig,
     REPRODUCE_FIGURES,
     REPRODUCE_TABLES,
     _trace_rows,
@@ -52,6 +53,14 @@ def test_parse_minimal_config_defaults():
     scenario = cfg.scenario()
     assert scenario.period == 2
     assert cfg.cost_spec().false_alarm == (20.0, 5.0)
+
+
+def test_config_built_directly_has_unit_variances_and_solves():
+    cfg = ExperimentConfig(period=2, rho=0.01, pre_means=(0.0, 0.0), post_means=(2.0, 1.0),
+                           false_alarm_penalties=(20.0, 5.0), delay_penalties=(10.0, 1.0))
+    assert solve_detection(cfg.scenario(), cfg.cost_spec(), grid_resolution=50).converged
+    assert cfg.pre_vars == cfg.post_vars == (1.0, 1.0)
+    assert cfg.scenario() == parse_config(MINIMAL).scenario()
 
 
 def test_parse_config_reports_field_and_line():

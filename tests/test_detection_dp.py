@@ -22,8 +22,9 @@ from periodet import (
     update_odds,
     value_iterate,
 )
+from periodet import detection_dp, policy_iterate
 from periodet.cli import REPRODUCE_FIGURES, REPRODUCE_TABLES, bundled_config
-from periodet.detection_dp import QUADRATURE_NODES, WINDOW_SCALES, extract_thresholds
+from periodet.detection_dp import QUADRATURE_NODES, WINDOW_SCALES
 
 from conftest import make_scenario, per_node_kernel, stage_sweep
 
@@ -460,46 +461,72 @@ def test_nonconvergence_is_flagged_not_raised(alternating_t2):
     assert values.cycles == 2
 
 
-def test_solve_matches_tight_value_iteration_on_bundled_configs():
+def solved_policy(monkeypatch, *args, **kwargs):
+    """``solve_detection(*args, **kwargs)`` and the policy (T, M + 1) that
+    its ``policy_iterate`` call returned."""
+    results = []
+
+    def recording(*a, **kw):
+        results.append(policy_iterate(*a, **kw))
+        return results[-1]
+
+    monkeypatch.setattr(detection_dp, "policy_iterate", recording)
+    return solve_detection(*args, **kwargs), results[-1].actions
+
+
+def test_solve_matches_tight_value_iteration_on_bundled_configs(monkeypatch):
     # policy iteration is exact on the grid: same thresholds as value
     # iteration run to tol 1e-12, and values within that run's own error
     names = {row.config for rows in REPRODUCE_TABLES.values() for row in rows}
     for name in sorted(names | set(REPRODUCE_FIGURES.values())):
         cfg = bundled_config(name)
-        sol = solve_detection(cfg.scenario(), cfg.cost_spec(), grid_resolution=100)
+        sol, actions = solved_policy(monkeypatch, cfg.scenario(), cfg.cost_spec(),
+                                     grid_resolution=100)
         assert sol.converged and sol.cycles <= 10, name
+        # a threshold is read as the first belief where the policy stops,
+        # which takes each stage to continue below it and stop from it on
+        upper = sol.grid.points >= sol.thresholds[:, None]
+        np.testing.assert_array_equal(actions[:, :100], upper.astype(int), err_msg=name)
         mdp = detection_mdp(cfg.scenario(), cfg.cost_spec(), 100)
         tight = value_iterate(mdp, tol=1e-12)
-        q = tight.q[:, :100]
-        expected = extract_thresholds(q[..., 0], q[..., 1], sol.grid)
+        # the first belief where value iteration's greedy policy stops
+        stops = tight.actions[:, :100] == 1
+        expected = np.where(stops.any(axis=1), sol.grid.points[stops.argmax(axis=1)], 1.0)
         np.testing.assert_array_equal(sol.thresholds, expected, err_msg=name)
-        np.testing.assert_allclose(sol.stage_curves, q.min(axis=2), rtol=0, atol=1e-10,
-                                   err_msg=name)
+        np.testing.assert_allclose(sol.stage_curves, tight.q[:, :100].min(axis=2), rtol=0,
+                                   atol=1e-10, err_msg=name)
 
 
-# ── threshold extraction ───────────────────────────────────────────────
+# ── thresholds read off the solved policy ──────────────────────────────
 
 
-def test_extract_thresholds_free_stopping():
-    grid = BeliefGrid(11)
-    cont = np.full((1, 11), 3.0)
-    stop = np.zeros((1, 11))  # stopping costs nothing anywhere
-    assert extract_thresholds(cont, stop, grid)[0] == 0.0
+def test_solve_stops_at_the_first_positive_belief_when_delay_dominates():
+    # no rule stops at p = 0, where continuing costs nothing now and less
+    # than the false alarm later; when one delay at the first positive grid
+    # belief outweighs every false alarm, each stage stops from there on
+    scenario = make_scenario([0.0, 0.0], [2.0, 1.0])
+    costs = DetectionCostSpec(false_alarm=(1.0, 1.0), delay=(1000.0, 1000.0))
+    sol = solve_detection(scenario, costs, grid_resolution=11)
+    np.testing.assert_array_equal(sol.thresholds, sol.grid.points[[1, 1]])
 
 
-def test_extract_thresholds_never_stop():
-    grid = BeliefGrid(11)
-    cont = np.zeros((1, 11))
-    stop = cont + 1.0
-    stop[0, -1] = 1.0  # strictly worse everywhere, even at p = 1
-    assert extract_thresholds(cont, stop, grid)[0] == 1.0
+FREE_DELAY = (make_scenario([0.0, 0.0], [2.0, 1.0]),
+              DetectionCostSpec(false_alarm=(5.0, 5.0), delay=(0.0, 0.0)))
 
 
-def test_extract_thresholds_tie_resolves_to_stop():
-    grid = BeliefGrid(11)
-    cont = np.ones((1, 11))
-    stop = np.ones((1, 11))
-    assert extract_thresholds(cont, stop, grid)[0] == 0.0
+def test_solve_never_stops_below_certainty_when_delay_is_free():
+    # waiting costs nothing, so below p = 1 continuing beats the false alarm
+    sol = solve_detection(*FREE_DELAY, grid_resolution=11)
+    assert np.all(sol.continue_curves[:, :-1] < sol.stop_curves[:, :-1])
+    np.testing.assert_array_equal(sol.thresholds, [1.0, 1.0])
+
+
+def test_solve_tie_resolves_to_stop(monkeypatch):
+    # at p = 1 both branches cost exactly 0, and the solved policy stops
+    sol, actions = solved_policy(monkeypatch, *FREE_DELAY, grid_resolution=11)
+    np.testing.assert_array_equal(sol.continue_curves[:, -1], 0.0)
+    np.testing.assert_array_equal(sol.stop_curves[:, -1], 0.0)
+    np.testing.assert_array_equal(actions[:, 10], 1)
 
 
 def test_threshold_consistency_with_curves(solved_t2, solved_t4):

@@ -601,6 +601,20 @@ def test_tie_break_prefers_lowest_action():
     assert value_iterate(mdp).actions[0, 0] == 0
 
 
+def test_policy_iterate_keeps_its_action_on_a_tie():
+    # both actions of the hand instance are its action 0, so every Q-table
+    # ties exactly; started from action 1, the returned policy is that start
+    # and ``values`` are its exact values
+    P = np.repeat(HAND_P[:, :, :1], 2, axis=2)
+    c = np.repeat(HAND_C[:, :, :1], 2, axis=2)
+    mdp = PeriodicMdp(transitions=P, costs=c, discount=0.5)
+    start = np.ones((2, 2), dtype=int)
+    result = policy_iterate(mdp, start, tol=1e-12)
+    assert result.converged
+    np.testing.assert_array_equal(result.actions, start)
+    np.testing.assert_array_equal(evaluate_policy(mdp, result.actions), result.values)
+
+
 # ── rollout estimator ──────────────────────────────────────────────────
 
 
