@@ -73,6 +73,9 @@ class PeriodicMdp:
     transitions : array (T, S, A, S), row-stochastic in the last axis
     costs       : array (T, S, A), nonnegative expected stage costs
     discount    : alpha in [0, 1]
+
+    Float64 arrays are held without a copy, which would double a caller's
+    kernel memory, and made read-only, the caller's own array included.
     """
 
     transitions: np.ndarray
@@ -438,11 +441,12 @@ def simulate_policy(
     #{j : cum[j] < u}, where cum is the cumulative sum of its kernel row
     under the policy (inverse-CDF sampling).  The search starts from a
     guide table (Chen & Asau, 1974; Devroye, *Non-Uniform Random Variate
-    Generation*, 1986, sec. III.2): for each row and each of the S buckets
-    [k/S, (k+1)/S), the number of cum entries below k/S.  From there it
-    steps back while cum[j-1] >= u and forward while cum[j] < u, so the
-    state is exactly that count whatever the rounding of u*S, and a step
-    costs about one comparison per kernel entry in the path's bucket.
+    Generation*, 1986, sec. III.2): u falls in bucket
+    k = min(trunc(fl(u*S)), S-1), and the guide holds, for each row and
+    bucket k, the number of cum entries x with fl(x*S) < k.  As x -> fl(x*S)
+    is monotone, each counted entry is below u, so the start never passes
+    the state; the search steps forward while cum[j] < u, and a step costs
+    about one comparison per kernel entry in the path's bucket.
     """
     stage_maps = _checked_actions(mdp, stage_maps, "stage_maps")
     if n_paths < 1:
@@ -452,19 +456,18 @@ def simulate_policy(
     T, S = mdp.period, mdp.num_states
     stage, state = np.ogrid[:T, :S]
     costs = mdp.costs[stage, state, stage_maps]  # (T, S)
-    rows = mdp.transitions[stage, state, stage_maps]  # (T, S, S)
-    # row r = l*S + s of the table is -inf, cum[0], ..., cum[S-1], +inf:
-    # entry j is cum[j-1], and both searches stop at the padding
-    width = S + 2
+    # row r = l*S + s of the table is cum[0], ..., cum[S-1], +inf, where the
+    # search stops; the int32 guide holds counts of at most S, not offsets
+    width = S + 1
     table = np.empty((T * S, width))
-    table[:, 0] = -np.inf
     table[:, -1] = np.inf
-    np.cumsum(rows.reshape(T * S, S), axis=-1, out=table[:, 1:-1])
-    bounds = np.arange(S) / S
-    guide = np.stack([np.searchsorted(cum, bounds) for cum in table[:, 1:-1]])
-    # flat table position of each (row, bucket) start
-    start = (guide + width * np.arange(T * S)[:, None]).ravel()
-    flat = table.ravel()
+    guide = np.empty((T * S, S), dtype=np.int32)
+    buckets = np.arange(S)
+    for r, (l, s) in enumerate(np.ndindex(T, S)):
+        cum = table[r, :-1]
+        np.cumsum(mdp.transitions[l, s, stage_maps[l, s]], out=cum)
+        guide[r] = np.searchsorted(cum * S, buckets)
+    flat, flat_guide = table.ravel(), guide.ravel()
 
     rng = np.random.default_rng(seed)
     states = np.zeros(n_paths, dtype=np.intp)
@@ -475,15 +478,12 @@ def simulate_policy(
         total += disc * costs[l][states]
         u = rng.random(n_paths)
         rows_at = l * S + states
-        pos = start[rows_at * S + np.minimum((u * S).astype(np.intp), S - 1)]
-        back = np.flatnonzero(flat[pos] >= u)
-        while back.size:
-            pos[back] -= 1
-            back = back[flat[pos[back]] >= u[back]]
-        fwd = np.flatnonzero(flat[pos + 1] < u)
+        bucket = np.minimum((u * S).astype(np.intp), S - 1)
+        pos = width * rows_at + flat_guide[rows_at * S + bucket]
+        fwd = np.flatnonzero(flat[pos] < u)
         while fwd.size:
             pos[fwd] += 1
-            fwd = fwd[flat[pos[fwd] + 1] < u[fwd]]
+            fwd = fwd[flat[pos[fwd]] < u[fwd]]
         states = pos - width * rows_at
         disc *= mdp.discount
     se = float(total.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else math.nan

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -101,6 +102,21 @@ def test_row_sum_error_names_plain_numbers():
     with pytest.raises(ValueError) as exc:
         PeriodicMdp(transitions=P, costs=np.zeros((1, 2, 1)), discount=0.5)
     assert str(exc.value) == "transition row (0, 0, 0) sums to 1.1"
+
+
+def test_mdp_holds_float64_arrays_without_a_copy():
+    # a copy would add the whole kernel to every caller's peak memory
+    P, c = HAND_P.copy(), HAND_C.copy()
+    mdp = PeriodicMdp(transitions=P, costs=c, discount=0.5)
+    assert np.shares_memory(mdp.transitions, P) and np.shares_memory(mdp.costs, c)
+    assert not P.flags.writeable and not c.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        P[0, 0, 0, 0] = 0.5
+    # other inputs are converted, and the caller's array is left alone
+    ints = np.ones((2, 2, 2), dtype=int)
+    mdp = PeriodicMdp(transitions=HAND_P, costs=ints, discount=0.5)
+    assert mdp.costs.dtype == np.float64 and not np.shares_memory(mdp.costs, ints)
+    assert ints.flags.writeable
 
 
 # ── stage and cycle operators ──────────────────────────────────────────
@@ -667,12 +683,23 @@ def sparse_mdp(rng, n_states, n_actions, period, discount):
     return PeriodicMdp(transitions=P, costs=c, discount=discount)
 
 
+def edge_mdp(rng, n_states, n_actions, period, discount):
+    """Random MDP whose kernel entries are multiples of 1/S, about a fifth
+    of the nonzero ones nudged by one ulp either way, so that cumulative
+    sums sit on or next to the bucket edges k/S of a guide table."""
+    shape = (period, n_states, n_actions)
+    P = rng.multinomial(n_states, np.full(n_states, 1 / n_states), size=shape) / n_states
+    nudge = (P > 0) & (rng.random(P.shape) < 0.2)
+    P[nudge] = np.nextafter(P[nudge], rng.choice([-np.inf, np.inf], size=nudge.sum()))
+    return PeriodicMdp(transitions=P, costs=rng.random(shape), discount=discount)
+
+
 @pytest.mark.parametrize("period", [1, 3])
-@pytest.mark.parametrize("sparse", [False, True])
-def test_simulate_policy_matches_reference_sampler(period, sparse):
-    rng = np.random.default_rng(61 + period + 10 * sparse)
+@pytest.mark.parametrize(
+    "make", [random_mdp, sparse_mdp, edge_mdp], ids=["dense", "sparse", "edges"])
+def test_simulate_policy_matches_reference_sampler(period, make):
+    rng = np.random.default_rng(61 + period + 10 * (make is sparse_mdp))
     for n_states in (1, 2, 7, 40):
-        make = sparse_mdp if sparse else random_mdp
         mdp = make(rng, n_states, 3, period, 0.97)
         actions = rng.integers(3, size=(period, n_states))
         for seed in (1, 2):
@@ -702,6 +729,23 @@ def test_simulate_policy_single_path_has_nan_error_and_no_warning():
         mean, se = simulate_policy(hand_mdp(), np.zeros((2, 2), dtype=int), 1, 5, seed=0)
     assert np.isfinite(mean)
     assert np.isnan(se)
+
+
+def test_simulate_policy_working_set_stays_below_three_kernels():
+    # the cumulative table and the int32 guide take about 1.5 times the
+    # policy's T*S*S float64 kernel: the bound leaves room for one more
+    # kernel-sized array, not two
+    T, S = 3, 150
+    rng = np.random.default_rng(3)
+    mdp = random_mdp(rng, S, 2, T, 0.9)
+    actions = rng.integers(2, size=(T, S))
+    tracemalloc.start()
+    try:
+        simulate_policy(mdp, actions, 20, 30, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * T * S * S * 8
 
 
 def test_simulate_policy_zero_horizon_costs_nothing():
