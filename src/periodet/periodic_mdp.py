@@ -90,7 +90,7 @@ class PeriodicMdp:
                 f"transitions must have shape (T, S, A, S) with T, S, A >= 1, got {P.shape}")
         if c.shape != P.shape[:3]:
             raise ValueError(f"costs shape {c.shape} does not match kernels {P.shape[:3]}")
-        if np.any(P < 0.0):
+        if np.fmin.reduce(P, axis=None) < 0.0:  # no kernel-sized mask; skips NaN
             raise ValueError("transition probabilities must be nonnegative")
         row_sums = P.sum(axis=-1)
         # written so that a NaN row sum fails too
@@ -273,22 +273,28 @@ def evaluate_policy(mdp: PeriodicMdp, actions: np.ndarray) -> np.ndarray:
     included; stages T-1, ..., 1 follow by one backward sweep from V_0.
     Without dead states, as on a dense random MDP, every state runs.
 
+    K_l is read in place, as rows s*A + a_l(s) of stage l's (S*A, S) view:
+    only the running blocks K_l[R_l, R_{l+1}] that build M are copied.
+
     At alpha = 1 the system is nonsingular exactly when every state of R_0
     reaches an exit along the positive entries of the kernels (the policy
     is proper); otherwise ``ValueError`` names the first that does not.
     """
     actions = _checked_actions(mdp, actions, "actions")
-    T, S = mdp.period, mdp.num_states
-    idx = np.arange(S)
-    kernels = [mdp.transitions[l][idx, actions[l]] for l in range(T)]  # (S, S) each
-    costs = [mdp.costs[l][idx, actions[l]] for l in range(T)]
+    T, S, A = mdp.period, mdp.num_states, mdp.num_actions
+    stage, state = np.ogrid[:T, :S]
+    flat = mdp.transitions.reshape(T, S * A, S)
+    rows = state * A + actions  # K_l[s] is row rows[l, s] of flat[l]
+    costs = mdp.costs[stage, state, actions]  # (T, S)
     alpha = mdp.discount
-    dead = np.ones(S, dtype=bool)
-    for K, c in zip(kernels, costs):
-        dead &= (K[idx, idx] == 1.0) & (c == 0.0)
+
+    def step(l, v):  # K_l @ v
+        return (flat[l] @ v)[rows[l]]
+
+    dead = np.all((flat[stage, rows, state] == 1.0) & (costs == 0.0), axis=0)
     # the entries are nonnegative, so a row sum over some states is 0
     # exactly when the row has no positive entry on them
-    exits = [dead | (K @ ~dead == 0.0) for K in kernels]
+    exits = [dead | (step(l, ~dead) == 0.0) for l in range(T)]
     running = [np.flatnonzero(~e) for e in exits]
     # backward over one cycle: ``base`` holds the stage values when the
     # running states of the next cycle's stage 0 are worth 0, ``cycle`` the
@@ -296,10 +302,11 @@ def evaluate_policy(mdp: PeriodicMdp, actions: np.ndarray) -> np.ndarray:
     # which states meet an exit before then along positive entries
     base, reach, cycle = np.where(exits[0], costs[0], 0.0), exits[0], None
     for l in range(T - 1, -1, -1):
-        block = kernels[l][np.ix_(running[l], running[(l + 1) % T])]
-        cycle = alpha * (block if cycle is None else block @ cycle)
-        base = np.where(exits[l], costs[l], costs[l] + alpha * (kernels[l] @ base))
-        reach = exits[l] | (kernels[l] @ reach > 0.0)
+        block = flat[l][np.ix_(rows[l][running[l]], running[(l + 1) % T])]
+        cycle = block if cycle is None else block @ cycle
+        cycle *= alpha
+        base = np.where(exits[l], costs[l], costs[l] + alpha * step(l, base))
+        reach = exits[l] | (step(l, reach) > 0.0)
     if alpha == 1.0:
         reach, support = reach[running[0]], cycle > 0.0
         while not reach.all():
@@ -311,16 +318,19 @@ def evaluate_policy(mdp: PeriodicMdp, actions: np.ndarray) -> np.ndarray:
                     "reach a zero-cost absorbing state"
                 )
             reach = grown
+    # I - M in place, off the diagonal 0 - m as in np.eye(n) - M (not -0.0)
+    np.subtract(0.0, cycle, out=cycle)
+    cycle.flat[:: running[0].size + 1] += 1.0
     v0 = base
     try:
-        v0[running[0]] = np.linalg.solve(np.eye(running[0].size) - cycle, base[running[0]])
+        v0[running[0]] = np.linalg.solve(cycle, base[running[0]])
     except np.linalg.LinAlgError:
         raise ValueError("policy is improper: its cycle system is singular") from None
     values = np.empty((T, S))
     values[0] = v0
     nxt = v0
     for l in range(T - 1, 0, -1):
-        nxt = values[l] = costs[l] + alpha * (kernels[l] @ nxt)
+        nxt = values[l] = costs[l] + alpha * step(l, nxt)
     return values
 
 

@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -57,6 +58,16 @@ def exact_periodic_policy_value(mdp, stage_maps, zero=()):
     return np.linalg.solve(A, b).reshape(T, S)
 
 
+def traced_peak(call):
+    """Peak bytes that ``call()`` allocates, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # hand instance: S=2, A=2, T=2, used for frozen-by-hand oracles
 HAND_P = np.array(
     [
@@ -87,6 +98,28 @@ def test_mdp_rejects_nan_transition():
     P[0, 0, 0, 1] = np.nan  # the row sum is NaN, which no "> tol" test catches
     with pytest.raises(ValueError, match="row"):
         PeriodicMdp(transitions=P, costs=HAND_C, discount=0.5)
+
+
+def test_mdp_nonnegativity_check_sees_past_nan():
+    # the check skips NaN: a NaN ahead of a negative entry does not hide
+    # it, and a kernel of NaN only is left to fail on its row sums
+    P = np.array(HAND_P, dtype=float)
+    P[0, 0, 0, 0] = np.nan
+    P[1, 1, 1] = [1.25, -0.25]
+    with pytest.raises(ValueError, match="transition probabilities must be nonnegative"):
+        PeriodicMdp(transitions=P, costs=HAND_C, discount=0.5)
+    with pytest.raises(ValueError, match=r"transition row \(0, 0, 0\) sums to nan"):
+        PeriodicMdp(transitions=np.full_like(P, np.nan), costs=HAND_C, discount=0.5)
+
+
+def test_mdp_checks_allocate_no_kernel_sized_array():
+    # a boolean mask of the kernel alone would take P.nbytes / 8
+    rng = np.random.default_rng(7)
+    P = rng.random((6, 150, 2, 150))
+    P /= P.sum(axis=-1, keepdims=True)
+    c = rng.random((6, 150, 2))
+    peak = traced_peak(lambda: PeriodicMdp(transitions=P, costs=c, discount=0.9))
+    assert peak < P.nbytes / 20
 
 
 @pytest.mark.parametrize("shape", [(0, 2, 1, 2), (1, 0, 1, 0), (1, 2, 0, 2)])
@@ -374,10 +407,11 @@ def test_improper_policy_raises():
         evaluate_policy(mdp, np.zeros((2, 5), dtype=int))
 
 
-def test_improper_policy_names_the_stuck_state():
-    # state 3 is absorbing at zero cost and action 1 jumps there; under
-    # action 0 states 0 and 1 get there too, state 2 stays put at cost 1.
-    # State 0 exits at stage 0, so state 2 is the second running one there
+def stuck_state_mdp():
+    """State 3 is absorbing at zero cost and action 1 jumps there; under
+    action 0 states 0 and 1 get there too, state 2 stays put at cost 1.
+    The policy returned exits state 0 at stage 0, so state 2 is the second
+    running one there, and it never reaches state 3."""
     P = np.zeros((2, 4, 2, 4))
     P[:, :, 1, 3] = 1.0
     P[:, 0, 0, [0, 3]] = 0.5
@@ -387,7 +421,11 @@ def test_improper_policy_names_the_stuck_state():
     c = np.ones((2, 4, 2))
     c[:, 3] = 0.0
     mdp = PeriodicMdp(transitions=P, costs=c, discount=1.0)
-    actions = np.array([[1, 0, 0, 0], [0, 0, 0, 0]])
+    return mdp, np.array([[1, 0, 0, 0], [0, 0, 0, 0]])
+
+
+def test_improper_policy_names_the_stuck_state():
+    mdp, actions = stuck_state_mdp()
     with pytest.raises(ValueError, match=r"improper: 1 state\(s\), first 2,"):
         evaluate_policy(mdp, actions)
     actions[:, 2] = 1
@@ -439,10 +477,11 @@ def test_evaluate_policy_on_detection_mdp_matches_brute_force_system(period, mon
         )
 
 
-def test_evaluate_policy_discounted_with_dead_states_and_exits():
-    # dead states 2 and 5; action 1 splits its jump between them; state 3
-    # is absorbing at zero cost at stage 0 only, so it is not dead
-    rng = np.random.default_rng(53)
+def dead_and_exit_mdp(rng, discount):
+    """Six states, three stages, two actions: states 2 and 5 are dead,
+    action 1 splits its jump between them, and state 3 is absorbing at
+    zero cost at stage 0 only, so it is not dead.  Action 0 moves at
+    random and reaches state 2, so every policy is proper."""
     base = absorbing_mdp(rng, n_states=6, period=3)
     P, c = np.array(base.transitions), np.array(base.costs)
     P[:, :, 1] = 0.0
@@ -453,7 +492,12 @@ def test_evaluate_policy_discounted_with_dead_states_and_exits():
     P[0, 3, 0] = 0.0
     P[0, 3, 0, 3] = 1.0
     c[0, 3, 0] = 0.0
-    mdp = PeriodicMdp(transitions=P, costs=c, discount=0.9)
+    return PeriodicMdp(transitions=P, costs=c, discount=discount)
+
+
+def test_evaluate_policy_discounted_with_dead_states_and_exits():
+    rng = np.random.default_rng(53)
+    mdp = dead_and_exit_mdp(rng, 0.9)
     policies = [np.zeros((3, 6), dtype=int), np.ones((3, 6), dtype=int)]
     policies += [rng.integers(0, 2, size=(3, 6)) for _ in range(10)]
     for actions in policies:
@@ -462,6 +506,113 @@ def test_evaluate_policy_discounted_with_dead_states_and_exits():
             values, exact_periodic_policy_value(mdp, actions), rtol=0, atol=1e-12
         )
         assert np.all(values[:, [2, 5]] == 0.0)
+
+
+def gathered_evaluate_policy(mdp, actions):
+    """``evaluate_policy``'s eliminations and cycle system on gathered
+    copies of the T policy kernels K_l (S, S), a reference for its reads
+    of the kernel in place."""
+    T, S = mdp.period, mdp.num_states
+    idx = np.arange(S)
+    kernels = [mdp.transitions[l][idx, actions[l]] for l in range(T)]
+    costs = [mdp.costs[l][idx, actions[l]] for l in range(T)]
+    alpha = mdp.discount
+    dead = np.ones(S, dtype=bool)
+    for K, c in zip(kernels, costs):
+        dead &= (K[idx, idx] == 1.0) & (c == 0.0)
+    exits = [dead | (K @ ~dead == 0.0) for K in kernels]
+    running = [np.flatnonzero(~e) for e in exits]
+    base, reach, cycle = np.where(exits[0], costs[0], 0.0), exits[0], None
+    for l in range(T - 1, -1, -1):
+        block = kernels[l][np.ix_(running[l], running[(l + 1) % T])]
+        cycle = alpha * (block if cycle is None else block @ cycle)
+        base = np.where(exits[l], costs[l], costs[l] + alpha * (kernels[l] @ base))
+        reach = exits[l] | (kernels[l] @ reach > 0.0)
+    if alpha == 1.0:
+        reach, support = reach[running[0]], cycle > 0.0
+        while not reach.all():
+            grown = reach | support[:, reach].any(axis=1)
+            if np.array_equal(grown, reach):
+                stuck = running[0][~reach]
+                raise ValueError(
+                    f"policy is improper: {stuck.size} state(s), first {stuck[0]}, never "
+                    "reach a zero-cost absorbing state"
+                )
+            reach = grown
+    v0 = base
+    try:
+        v0[running[0]] = np.linalg.solve(np.eye(running[0].size) - cycle, base[running[0]])
+    except np.linalg.LinAlgError:
+        raise ValueError("policy is improper: its cycle system is singular") from None
+    values = np.empty((T, S))
+    values[0] = v0
+    nxt = v0
+    for l in range(T - 1, 0, -1):
+        nxt = values[l] = costs[l] + alpha * (kernels[l] @ nxt)
+    return values
+
+
+@pytest.mark.parametrize("discount", [0.9, 1.0])
+def test_evaluate_policy_matches_gathered_kernel_reference(discount):
+    # dead, exiting and running states (the small instance), every state
+    # running (dense random), and detection policies that stop on part of
+    # the grid, whose stopped state is dead
+    rng = np.random.default_rng(67)
+    cases = [(dead_and_exit_mdp(rng, discount), rng.integers(0, 2, size=(20, 3, 6)))]
+    if discount < 1.0:
+        dense = random_mdp(rng, 60, 3, 2, discount)
+        cases.append((dense, rng.integers(0, 3, size=(5, 2, 60))))
+    else:
+        M = 50
+        detection = detection_mdp(*DETECTION_CASES[4], grid_resolution=M)
+        points = np.linspace(0.0, 1.0, M)
+        single = [
+            np.tile(np.append(points >= a, True), (4, 1)).astype(int)
+            for a in (0.05, 0.3, 0.5, 0.95)
+        ]
+        cases.append((detection, single))
+    for mdp, policies in cases:
+        for actions in policies:
+            got, want = evaluate_policy(mdp, actions), gathered_evaluate_policy(mdp, actions)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def singular_cycle_mdp():
+    """State 1 is dead; state 0 leaves for it with probability 1e-20, which
+    its row sum 1 + 1e-20 == 1 does not show: the policy reaches an exit,
+    but its one-state cycle system 1 - 1 is singular."""
+    P = np.array([[[[1.0, 1e-20]], [[0.0, 1.0]]]])
+    c = np.array([[[1.0], [0.0]]])
+    return PeriodicMdp(transitions=P, costs=c, discount=1.0), np.zeros((1, 2), dtype=int)
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: (hand_mdp(discount=1.0), np.zeros((2, 2), dtype=int)),
+         "policy is improper: 2 state(s), first 0, never reach a zero-cost absorbing state"),
+        (stuck_state_mdp,
+         "policy is improper: 1 state(s), first 2, never reach a zero-cost absorbing state"),
+        (singular_cycle_mdp, "policy is improper: its cycle system is singular"),
+    ],
+    ids=["no-exit", "stuck", "singular"],
+)
+def test_improper_policy_messages_match_gathered_kernel_reference(make, message):
+    mdp, actions = make()
+    for evaluate in (gathered_evaluate_policy, evaluate_policy):
+        with pytest.raises(ValueError) as exc:
+            evaluate(mdp, actions)
+        assert str(exc.value) == message
+
+
+def test_evaluate_policy_copies_only_the_running_blocks():
+    # every state of a dense random MDP runs, so the cycle system is
+    # (S, S); the T gathered (S, S) policy kernels would add T more
+    T, S = 6, 150
+    rng = np.random.default_rng(3)
+    mdp = random_mdp(rng, S, 2, T, 0.9)
+    actions = rng.integers(2, size=(T, S))
+    assert traced_peak(lambda: evaluate_policy(mdp, actions)) < 5 * S * S * 8
 
 
 def test_evaluate_policy_rejects_bad_actions():
@@ -707,6 +858,43 @@ def test_simulate_policy_matches_reference_sampler(period, make):
             assert got == reference_simulate_policy(mdp, actions, 300, 90, seed)
 
 
+@pytest.mark.parametrize("n_states", [8, 10])
+def test_simulate_policy_steps_on_bucket_edges(n_states, monkeypatch):
+    # rng.random all but never lands on a guide bucket edge k/S, so the
+    # draws here are every k/S and the uniforms one ulp either side.  Each
+    # step's state must be the plain count #{j : cum[j] < u} of its row.
+    # Stage-0 state 0 moves to each state with probability 1/S, and costs
+    # c_0(s) = S*s, c_1(s) = s at discount 1 make one path's total over
+    # three steps s_1 + S*s_2, so every call shows both states it stepped to
+    S = n_states
+    P = np.array(edge_mdp(np.random.default_rng(71), S, 1, 2, 1.0).transitions)
+    P[0, 0, 0] = 1.0 / S
+    c = np.zeros((2, S, 1))
+    c[0, :, 0], c[1, :, 0] = S * np.arange(S), np.arange(S)
+    mdp = PeriodicMdp(transitions=P, costs=c, discount=1.0)
+    cum = np.cumsum(P[:, :, 0], axis=-1)
+    edges = np.arange(S + 1) / S
+    draws = np.concatenate([np.nextafter(edges, -1.0), edges, np.nextafter(edges, 2.0)])
+    draws = draws[(draws >= 0.0) & (draws < 1.0)]
+
+    def states_after(u0, u1):
+        sequence = iter((u0, u1, 0.5))
+        fake = SimpleNamespace(random=lambda n: np.full(n, next(sequence)))
+        monkeypatch.setattr(periodic_mdp.np.random, "default_rng", lambda seed: fake)
+        total, _ = simulate_policy(mdp, np.zeros((2, S), dtype=int), 1, 3, seed=0)
+        s2, s1 = divmod(int(total), S)
+        return s1, s2
+
+    def count(l, s, u):
+        return int(np.count_nonzero(cum[l, s] < u))
+
+    for u in draws:  # stage-0 row of state 0
+        assert states_after(u, 0.5) == (count(0, 0, u), count(1, count(0, 0, u), 0.5))
+    for s in range(S):  # every stage-1 row
+        for u in draws:
+            assert states_after((s + 0.5) / S, u) == (s, count(1, s, u))
+
+
 @pytest.mark.parametrize(
     "stage_maps,n_paths,horizon,fragment",
     [
@@ -739,12 +927,7 @@ def test_simulate_policy_working_set_stays_below_three_kernels():
     rng = np.random.default_rng(3)
     mdp = random_mdp(rng, S, 2, T, 0.9)
     actions = rng.integers(2, size=(T, S))
-    tracemalloc.start()
-    try:
-        simulate_policy(mdp, actions, 20, 30, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: simulate_policy(mdp, actions, 20, 30, seed=0))
     assert peak < 3 * T * S * S * 8
 
 
