@@ -43,9 +43,7 @@ from .detection_dp import (DEFAULT_GRID_POINTS, DetectionCostSpec, DetectionSolu
                            solve_detection)
 from .ipid_model import Gaussian, IpidScenario, kl_information, prior_tail_exponent
 from .monte_carlo import (
-    PeriodicThresholds,
     SimulationReport,
-    SingleThreshold,
     SweepResult,
     analytic_delay,
     default_horizon,
@@ -111,8 +109,8 @@ class ExperimentConfig:
     """One detection experiment: scenario, penalties, and run sizes.
 
     Each config key is declared here once, with its parser, range and
-    default; variances left out are 1.0 per stage.  ``parse_config`` fills
-    in the ``horizon`` (``default_horizon``) that a config leaves out."""
+    default; variances left out are 1.0 per stage, and a horizon left out
+    is the scenario's ``default_horizon``."""
 
     period: int = _field(int, lambda v: v >= 1, ">= 1")
     rho: float = _field(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
@@ -134,6 +132,8 @@ class ExperimentConfig:
         for name in ("pre_vars", "post_vars"):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, (1.0,) * self.period)
+        if self.horizon is None:
+            object.__setattr__(self, "horizon", default_horizon(self.scenario()))
 
     def scenario(self) -> IpidScenario:
         pre = tuple(Gaussian(m, v) for m, v in zip(self.pre_means, self.pre_vars))
@@ -195,10 +195,10 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     try:
         cfg = ExperimentConfig(**values)  # type: ignore[arg-type]
         # the model types own their checks; any the ranges above miss fail here
-        scenario, _ = cfg.scenario(), cfg.cost_spec()
+        cfg.scenario(), cfg.cost_spec()
     except (TypeError, ValueError) as exc:
         raise ConfigError(source, None, str(exc)) from exc
-    return cfg if cfg.horizon is not None else replace(cfg, horizon=default_horizon(scenario))
+    return cfg
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -207,7 +207,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def bundled_config(name: str) -> ExperimentConfig:
-    text = resources.files("periodet.configs").joinpath(f"{name}.cfg").read_text()
+    text = (resources.files(__package__) / "configs" / f"{name}.cfg").read_text()
     return parse_config(text, source=f"bundled:{name}")
 
 
@@ -298,20 +298,20 @@ def _write_sweep(sweep: SweepResult, out_dir: Path, stem: str) -> None:
         f"at A = {best.threshold}"])
 
 
-# library calls, one call site each
+# library calls on a config's own settings, shared by the subcommands
 
-def _optimal_policy(cfg: ExperimentConfig) -> tuple[DetectionSolution, PeriodicThresholds, int]:
-    """The solution, its threshold policy, and the exit code of the solve:
-    ``EXIT_NO_CONVERGENCE`` if it did not converge."""
+def _optimal_policy(cfg: ExperimentConfig) -> tuple[DetectionSolution, int]:
+    """The solution and the exit code of the solve: ``EXIT_NO_CONVERGENCE``
+    if it did not converge."""
     solution = solve_detection(cfg.scenario(), cfg.cost_spec(), grid_resolution=cfg.grid_points,
                                tol=cfg.tolerance, max_cycles=cfg.max_cycles)
     exit_code = EXIT_OK if solution.converged else EXIT_NO_CONVERGENCE
-    return solution, PeriodicThresholds(tuple(solution.thresholds)), exit_code
+    return solution, exit_code
 
 
-def _bayes_cost(cfg: ExperimentConfig, policy) -> SimulationReport:
+def _bayes_cost(cfg: ExperimentConfig, thresholds) -> SimulationReport:
     return estimate_bayes_cost(
-        cfg.scenario(), cfg.cost_spec(), policy, cfg.paths, horizon=cfg.horizon, seed=cfg.seed
+        cfg.scenario(), cfg.cost_spec(), thresholds, cfg.paths, horizon=cfg.horizon, seed=cfg.seed
     )
 
 
@@ -354,24 +354,26 @@ def _reject_solver_flags(args, mode: str) -> None:
 
 def cmd_solve(args) -> int:
     cfg, out_dir, stem = _inputs(args)
-    solution, _, exit_code = _optimal_policy(cfg)
+    solution, exit_code = _optimal_policy(cfg)
     _write_solution(solution, out_dir, stem)
     return exit_code
 
 
 def cmd_simulate(args) -> int:
     cfg, out_dir, stem = _inputs(args)
-    spec, policy = args.policy
+    spec, thresholds = args.policy
     exit_code = EXIT_OK
-    if policy is None:
-        _, policy, exit_code = _optimal_policy(cfg)
+    if thresholds is None:
+        solution, exit_code = _optimal_policy(cfg)
+        thresholds = solution.thresholds
     else:
         _reject_solver_flags(args, f"--policy {spec}")
-        try:
-            policy.stage_thresholds(cfg.period)
-        except ValueError as exc:  # a periodic rule of the wrong length
-            raise argparse.ArgumentError(None, f"argument --policy: {exc}") from None
-    report = _bayes_cost(cfg, policy)
+        if spec.startswith("single:"):
+            thresholds *= cfg.period
+        elif len(thresholds) != cfg.period:
+            raise argparse.ArgumentError(None, f"argument --policy: policy has {len(thresholds)} "
+                                               f"thresholds but the period is {cfg.period}")
+    report = _bayes_cost(cfg, thresholds)
     _emit(out_dir, {
         f"{stem}_simulate": (["kind", "estimate", "std_error", "n_paths", "seed", "horizon",
                               "censored_fraction"],
@@ -424,9 +426,9 @@ def _reproduce_table(args) -> int:
     exit_code, rows = EXIT_OK, []
     for row in REPRODUCE_TABLES[args.id]:
         cfg = _inputs(args, row.config)[0]
-        solution, policy, code = _optimal_policy(cfg)
+        solution, code = _optimal_policy(cfg)
         exit_code = max(exit_code, code)
-        optimal, best = _bayes_cost(cfg, policy), _sweep(cfg).best
+        optimal, best = _bayes_cost(cfg, solution.thresholds), _sweep(cfg).best
         rows.append([
             row.label, best.cost, best.std_error, best.threshold,
             optimal.estimate, optimal.std_error, solution.value_at_zero,
@@ -454,7 +456,7 @@ def cmd_reproduce(args) -> int:
         _reject_solver_flags(args, "reproduce fig3")
         return _tradeoff(cfg, out_dir, stem, DEFAULT_TRADEOFF_ALPHAS)
     print(f"target value at p=0: {FIGURE_TARGETS[args.id]}")
-    solution, _, exit_code = _optimal_policy(cfg)
+    solution, exit_code = _optimal_policy(cfg)
     _write_solution(solution, out_dir, stem)
     _write_sweep(_sweep(cfg), out_dir, stem)
     return exit_code
@@ -495,18 +497,25 @@ def _flag_type(name: str, parse, in_range, what: str):
     return convert
 
 
-def _policy_spec(text: str) -> tuple[str, SingleThreshold | PeriodicThresholds | None]:
-    """argparse ``type=`` for ``--policy``: the spec as given, with the rule
-    of 'single:A' or 'periodic:a0,a1,...' or None for 'optimal', so a bad
-    spec exits 2 naming the flag."""
+def _policy_spec(text: str) -> tuple[str, tuple[float, ...] | None]:
+    """argparse ``type=`` for ``--policy``: the spec as given, with the
+    stage thresholds of 'periodic:a0,a1,...', the one threshold of
+    'single:A' (``cmd_simulate`` repeats it to the period) or None for
+    'optimal', so a bad spec exits 2 naming the flag."""
     if text == "optimal":
         return text, None
     kind, _, rest = text.partition(":")
     try:
         if kind == "single":
-            return text, SingleThreshold(float(rest))
+            threshold = float(rest)
+            if not 0.0 <= threshold < 1.0:
+                raise ValueError(f"threshold must lie in [0, 1), got {threshold}")
+            return text, (threshold,)
         if kind == "periodic":
-            return text, PeriodicThresholds(_numbers(rest))
+            thresholds = _numbers(rest)
+            if not all(0.0 <= a <= 1.0 for a in thresholds):
+                raise ValueError("stage thresholds must lie in [0, 1]")
+            return text, thresholds
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad policy spec {text!r}: {exc}") from None
     raise argparse.ArgumentTypeError(

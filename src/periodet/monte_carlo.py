@@ -52,8 +52,6 @@ from .ipid_model import IpidScenario, log_likelihood_ratio
 from .detection_dp import DetectionCostSpec
 
 __all__ = [
-    "SingleThreshold",
-    "PeriodicThresholds",
     "SimulationReport",
     "SamplePath",
     "AddPfaResult",
@@ -67,45 +65,6 @@ __all__ = [
     "analytic_delay",
     "default_horizon",
 ]
-
-
-@dataclass(frozen=True)
-class SingleThreshold:
-    """Stop the first time p exceeds one fixed threshold."""
-
-    threshold: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.threshold < 1.0:
-            raise ValueError(f"threshold must lie in [0, 1), got {self.threshold}")
-
-    def stage_thresholds(self, period: int) -> np.ndarray:
-        return np.full(period, self.threshold)
-
-
-@dataclass(frozen=True)
-class PeriodicThresholds:
-    """Stop the first time p exceeds the threshold of the current stage.
-
-    A stage threshold of 1.0 means "never stop at this stage".  Equal
-    entries behave exactly like a ``SingleThreshold``.
-    """
-
-    thresholds: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "thresholds", tuple(float(a) for a in self.thresholds))
-        if not self.thresholds:
-            raise ValueError("need at least one threshold")
-        if any(not 0.0 <= a <= 1.0 for a in self.thresholds):
-            raise ValueError("stage thresholds must lie in [0, 1]")
-
-    def stage_thresholds(self, period: int) -> np.ndarray:
-        if len(self.thresholds) != period:
-            raise ValueError(
-                f"policy has {len(self.thresholds)} thresholds but the period is {period}"
-            )
-        return np.asarray(self.thresholds)
 
 
 @dataclass(frozen=True)
@@ -296,13 +255,14 @@ def _sorted_levels(
     order, the row of ``levels`` that holds each of them, and the (K, T)
     stage levels of the sorted rules.
     """
-    rules = [SingleThreshold(float(a)) for a in thresholds]
-    if not rules:
+    grid = np.fromiter(thresholds, dtype=float)
+    if grid.size == 0:
         raise ValueError("threshold grid is empty")
-    grid = [rule.threshold for rule in rules]
+    outside = ~((grid >= 0.0) & (grid < 1.0))
+    if outside.any():
+        raise ValueError(f"threshold must lie in [0, 1), got {grid[outside][0]}")
     order = np.argsort(grid, kind="stable")
-    levels = np.array([rules[i].stage_thresholds(period) for i in order])
-    return grid, np.argsort(order), levels
+    return grid.tolist(), np.argsort(order), np.repeat(grid[order, None], period, axis=1)
 
 
 def _delay_cost_table(delay: Sequence[float], horizon: int) -> np.ndarray:
@@ -343,13 +303,19 @@ def _bayes_cost_reports(
 def estimate_bayes_cost(
     scenario: IpidScenario,
     costs: DetectionCostSpec,
-    policy: SingleThreshold | PeriodicThresholds,
+    thresholds: Sequence[float],
     n_paths: int,
     *,
     horizon: int | None = None,
     seed: int = 0,
 ) -> SimulationReport:
-    """Average realized cost of a policy over fresh paths.
+    """Average realized cost of a threshold rule over fresh paths.
+
+    The rule is its T stage thresholds: it stops the first time p exceeds
+    ``thresholds[s]`` after a stage-s observation, and a threshold of 1.0
+    never stops at its stage.  A single threshold A is A at every stage.
+    An empty or wrong-length sequence, or an entry outside [0, 1] or NaN,
+    raises ``ValueError``.
 
     Per path: sum of delay[(n-1) % T] over post-change times n < tau when
     the rule kept sampling, or false_alarm[(tau-1) % T] when it alarmed
@@ -358,8 +324,7 @@ def estimate_bayes_cost(
     if scenario.period != costs.period:
         raise ValueError("scenario and cost spec periods differ")
     horizon = default_horizon(scenario) if horizon is None else horizon
-    levels = policy.stage_thresholds(scenario.period)[None]
-    nu, tau, _ = _simulate_stopping(scenario, levels, n_paths, horizon, seed)
+    nu, tau, _ = _simulate_stopping(scenario, [thresholds], n_paths, horizon, seed)
     return _bayes_cost_reports(costs, nu, tau, seed, horizon)[0]
 
 

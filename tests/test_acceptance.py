@@ -19,7 +19,6 @@ import pytest
 
 from periodet import (
     OddsState,
-    PeriodicThresholds,
     analytic_delay,
     estimate_add_pfa,
     estimate_bayes_cost,
@@ -65,10 +64,8 @@ def solved(config_name: str):
 @lru_cache(maxsize=None)
 def simulated_optimal(config_name: str):
     cfg, solution = solved(config_name)
-    policy = PeriodicThresholds(tuple(solution.thresholds))
-    return estimate_bayes_cost(
-        cfg.scenario(), cfg.cost_spec(), policy, SWEEP_PATHS, horizon=cfg.horizon, seed=SEED
-    )
+    return estimate_bayes_cost(cfg.scenario(), cfg.cost_spec(), solution.thresholds,
+                               SWEEP_PATHS, horizon=cfg.horizon, seed=SEED)
 
 
 @lru_cache(maxsize=None)

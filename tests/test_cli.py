@@ -2,6 +2,8 @@ import csv
 import importlib.util
 import math
 import shlex
+import shutil
+import subprocess
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -10,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from periodet import OddsState, log_odds_to_belief, solve_detection, update_odds
+import periodet
+from periodet import OddsState, default_horizon, log_odds_to_belief, solve_detection, update_odds
 from periodet.cli import (
     ConfigError,
     DEFAULT_THRESHOLD_GRID,
@@ -18,6 +21,7 @@ from periodet.cli import (
     REPRODUCE_FIGURES,
     REPRODUCE_TABLES,
     _trace_rows,
+    _tradeoff,
     _write_solution,
     bundled_config,
     main,
@@ -55,12 +59,15 @@ def test_parse_minimal_config_defaults():
     assert cfg.cost_spec().false_alarm == (20.0, 5.0)
 
 
-def test_config_built_directly_has_unit_variances_and_solves():
+def test_config_built_directly_has_unit_variances_and_solves(tmp_path):
     cfg = ExperimentConfig(period=2, rho=0.01, pre_means=(0.0, 0.0), post_means=(2.0, 1.0),
-                           false_alarm_penalties=(20.0, 5.0), delay_penalties=(10.0, 1.0))
+                           false_alarm_penalties=(20.0, 5.0), delay_penalties=(10.0, 1.0),
+                           paths=50)
     assert solve_detection(cfg.scenario(), cfg.cost_spec(), grid_resolution=50).converged
     assert cfg.pre_vars == cfg.post_vars == (1.0, 1.0)
     assert cfg.scenario() == parse_config(MINIMAL).scenario()
+    assert cfg.horizon == default_horizon(cfg.scenario()) == parse_config(MINIMAL).horizon
+    assert _tradeoff(cfg, tmp_path, "direct", (1e-2,)) == 0
 
 
 def test_parse_config_reports_field_and_line():
@@ -131,6 +138,9 @@ def test_malformed_list_is_a_parse_error(tmp_path, capsys, value):
         "sweep --config {cfg} --thresholds 0.5,1.0",
         "simulate --config {cfg} --policy single:x",
         "simulate --config {cfg} --policy single:1.5",
+        "simulate --config {cfg} --policy single:1.0",
+        "simulate --config {cfg} --policy periodic:0.5,1.2",
+        "simulate --config {cfg} --policy periodic:",
         "simulate --config {cfg} --policy bogus",
         # one threshold for a period-2 config: only the config refutes it
         "simulate --config {cfg} --policy periodic:0.5",
@@ -150,6 +160,28 @@ def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, command):
     assert exit_info.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "spec,stderr",
+    [
+        ("single:1.0", "periodet simulate: error: argument --policy: bad policy spec "
+                       "'single:1.0': threshold must lie in [0, 1), got 1.0"),
+        ("single:1.5", "periodet simulate: error: argument --policy: bad policy spec "
+                       "'single:1.5': threshold must lie in [0, 1), got 1.5"),
+        ("periodic:0.5,1.2", "periodet simulate: error: argument --policy: bad policy spec "
+                             "'periodic:0.5,1.2': stage thresholds must lie in [0, 1]"),
+        ("periodic:0.5", "periodet: error: argument --policy: "
+                         "policy has 1 thresholds but the period is 2"),
+    ],
+)
+def test_policy_refusal_message(tmp_path, capsys, spec, stderr):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(MINIMAL)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "--config", str(cfg), "--policy", spec, "--out-dir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == stderr
 
 
 @pytest.mark.parametrize(
@@ -216,6 +248,20 @@ def test_bundled_configs_all_parse():
             assert cfg.period in (2, 4)
     for name in REPRODUCE_FIGURES.values():
         bundled_config(name)
+
+
+def test_bundled_config_reads_the_configs_of_its_own_package(tmp_path):
+    # a copy of the package under another name finds its configs with no
+    # package named periodet importable
+    shutil.copytree(Path(periodet.__file__).parent, tmp_path / "periodet_copy",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    code = ("import sys; sys.modules['periodet'] = None; sys.path.insert(0, sys.argv[1]); "
+            "from periodet_copy.cli import bundled_config; "
+            "print(bundled_config('alternating_t2').period)")
+    run = subprocess.run([sys.executable, "-I", "-c", code, str(tmp_path)],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "2\n"
 
 
 # ── subcommands ────────────────────────────────────────────────────────
@@ -308,6 +354,16 @@ def test_cmd_simulate_identical_bytes_for_same_seed(tmp_path, config_file):
         ])
         assert code == 0
     assert (out1 / "exp_simulate.csv").read_bytes() == (out2 / "exp_simulate.csv").read_bytes()
+
+
+def test_periodic_equal_entries_equivalent_to_single(tmp_path, config_file):
+    csvs = []
+    for spec in ("single:0.3", "periodic:0.3,0.3"):
+        out = tmp_path / spec.partition(":")[0]
+        assert main(["simulate", "--config", str(config_file), "--out-dir", str(out),
+                     "--policy", spec, "--paths", "2000", "--seed", "5"]) == 0
+        csvs.append((out / "exp_simulate.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 @pytest.mark.parametrize("spec", ["optimal", "single:0.4", "periodic:0.4,0.2"])

@@ -8,8 +8,6 @@ from periodet import (
     Gaussian,
     IpidScenario,
     OddsState,
-    PeriodicThresholds,
-    SingleThreshold,
     analytic_delay,
     belief_to_log_odds,
     estimate_add_pfa,
@@ -32,37 +30,22 @@ def t2():
     return scenario, costs
 
 
-# ── policy types ───────────────────────────────────────────────────────
+# ── threshold rules ────────────────────────────────────────────────────
 
 
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        SingleThreshold(1.0)
-    with pytest.raises(ValueError):
-        SingleThreshold(-0.1)
-    with pytest.raises(ValueError):
-        PeriodicThresholds(())
-    with pytest.raises(ValueError):
-        PeriodicThresholds((0.5, 1.2))
-    with pytest.raises(ValueError):
-        PeriodicThresholds((0.5,)).stage_thresholds(2)
-
-
-def test_periodic_equal_entries_equivalent_to_single(t2):
+@pytest.mark.parametrize("thresholds", [(), (0.5, 1.2), (-0.1, 0.5), (0.5,), (0.5, math.nan)])
+def test_policy_validation(t2, thresholds):
+    # a rule is its T = 2 stage thresholds, each in [0, 1]
     scenario, costs = t2
-    single = estimate_bayes_cost(scenario, costs, SingleThreshold(0.3), 2000, seed=5)
-    periodic = estimate_bayes_cost(
-        scenario, costs, PeriodicThresholds((0.3, 0.3)), 2000, seed=5
-    )
-    assert single == periodic  # bitwise identical reports
+    with pytest.raises(ValueError):
+        estimate_bayes_cost(scenario, costs, thresholds, 10)
 
 
 # ── the simulation kernel on a few paths ───────────────────────────────
 
 
 def stopping_times(scenario, thresholds, horizon, seed, n_paths=8):
-    levels = PeriodicThresholds(thresholds).stage_thresholds(scenario.period)[None]
-    return _simulate_stopping(scenario, levels, n_paths, horizon, seed)[1]
+    return _simulate_stopping(scenario, [thresholds], n_paths, horizon, seed)[1]
 
 
 def test_run_policy_zero_threshold_stops_immediately(t2):
@@ -77,7 +60,7 @@ def test_run_policy_threshold_one_never_stops(t2):
 
 def test_run_policy_deterministic_replay(t2):
     scenario, _ = t2
-    levels = SingleThreshold(0.5).stage_thresholds(scenario.period)[None]
+    levels = np.full((1, scenario.period), 0.5)
     a = _simulate_stopping(scenario, levels, 8, 2000, seed=3)
     b = _simulate_stopping(scenario, levels, 8, 2000, seed=3)
     for x, y in zip(a, b):
@@ -173,7 +156,7 @@ def test_estimators_take_horizon_and_seed_by_keyword_only(t2):
     # other two (horizon, seed), so a swapped call ran silently
     scenario, costs = t2
     for call in (
-        lambda: estimate_bayes_cost(scenario, costs, SingleThreshold(0.5), 10, 50, 1),
+        lambda: estimate_bayes_cost(scenario, costs, (0.5, 0.5), 10, 50, 1),
         lambda: sweep_single_threshold(scenario, costs, (0.5,), 10, 1, 50),
         lambda: estimate_add_pfa(scenario, 0.5, 10, 50, 1),
     ):
@@ -341,22 +324,22 @@ def test_bayes_cost_immediate_stop_enumeration(t2):
     """A = 0 stops at n = 1 always: cost enumerates to
     P(nu >= 2) * false_alarm[0] exactly (zero delay when nu = 1)."""
     scenario, costs = t2
-    report = estimate_bayes_cost(scenario, costs, SingleThreshold(0.0), 40_000, seed=11)
+    report = estimate_bayes_cost(scenario, costs, (0.0, 0.0), 40_000, seed=11)
     expected = 0.99 * costs.false_alarm[0]
     assert report.estimate == pytest.approx(expected, abs=3 * report.std_error)
 
 
 def test_bayes_cost_deterministic(t2):
     scenario, costs = t2
-    a = estimate_bayes_cost(scenario, costs, SingleThreshold(0.4), 3000, seed=7)
-    b = estimate_bayes_cost(scenario, costs, SingleThreshold(0.4), 3000, seed=7)
+    a = estimate_bayes_cost(scenario, costs, (0.4, 0.4), 3000, seed=7)
+    b = estimate_bayes_cost(scenario, costs, (0.4, 0.4), 3000, seed=7)
     assert a == b
 
 
 def test_bayes_cost_censoring_flagged(t2):
     scenario, costs = t2
     report = estimate_bayes_cost(
-        scenario, costs, PeriodicThresholds((1.0, 1.0)), 500, horizon=64, seed=9
+        scenario, costs, (1.0, 1.0), 500, horizon=64, seed=9
     )
     assert report.censored_fraction == 1.0
     # no alarm is ever raised: only delay accrues, and only on changed paths
@@ -408,7 +391,7 @@ def test_sweep_end_points_match_bayes_cost(t2):
     for grid in ((0.4,), (0.05, 0.4), (0.4, 0.0, 0.2, 0.1)):
         point = max(sweep_single_threshold(scenario, costs, grid, 1500, seed=12).points,
                     key=lambda p: p.threshold)
-        report = estimate_bayes_cost(scenario, costs, SingleThreshold(0.4), 1500, seed=12)
+        report = estimate_bayes_cost(scenario, costs, (0.4, 0.4), 1500, seed=12)
         assert point == SweepPoint(0.4, report.estimate, report.std_error,
                                    report.censored_fraction)
 
@@ -547,8 +530,7 @@ def test_classical_single_stage_costs_match_solver():
     scenario = make_scenario([0.0], [2.0], rho=0.01)
     costs = DetectionCostSpec(false_alarm=(5.0,), delay=(1.0,))
     sol = solve_detection(scenario, costs, grid_resolution=100)
-    policy = PeriodicThresholds(tuple(sol.thresholds))
-    optimal = estimate_bayes_cost(scenario, costs, policy, 10_000, seed=37)
+    optimal = estimate_bayes_cost(scenario, costs, sol.thresholds, 10_000, seed=37)
     sweep = sweep_single_threshold(
         scenario, costs, np.round(np.arange(0.05, 1.0, 0.05), 2), 10_000, seed=37
     )
