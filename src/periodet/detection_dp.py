@@ -6,8 +6,10 @@ stage s costs lam_s * (1 - p) (false alarm risk); continuing costs
 d_s * p (expected one-step delay) plus the averaged cost-to-go over the
 next observation.  ``detection_mdp`` builds it as a ``PeriodicMdp`` with
 discount 1 on the M points of a uniform belief grid plus one absorbing
-"stopped" state of cost 0, which stopping jumps to.  Continuing from grid
-belief p_i at stage s moves by the kernel
+state M of cost 0.  Its kernel holds the continue action alone: stopping
+is the MDP's terminal stop action, given by its stop costs, so action 0
+continues and action 1 stops.  Continuing from grid belief p_i at stage s
+moves by the kernel
 
     K_s[i, j] = sum_k w_k mix_ik hat_j(p'_ik):
 
@@ -20,8 +22,8 @@ pair: p'_ik increases with node k's log-likelihood ratio, so with the
 nodes sorted by it the nodes that land in one cell are one run, and
 prefix sums of w f and w g give each cell's mass and first moment, which
 fix the cell's share for its two grid points.  The mass the window
-misses goes to the stopped state, so it adds nothing to the cost-to-go;
-a row summing above one (a window too coarse for the stage's densities)
+misses goes to state M, so it adds nothing to the cost-to-go; a row
+summing above one (a window too coarse for the stage's densities)
 fails the row-sum check of ``PeriodicMdp``.  ``solve_detection`` solves
 it exactly with ``periodic_mdp.policy_iterate`` from the proper policy
 "stop everywhere" and reads the stage, continue and stop curves off the
@@ -122,15 +124,16 @@ def detection_mdp(
     grid_resolution: int = DEFAULT_GRID_POINTS,
 ) -> PeriodicMdp:
     """The detection problem as a periodic MDP: states 0..M-1 are the grid
-    beliefs and state M is the stopped state; action 0 continues (row K_s
-    plus the window's lost mass to state M) and action 1 stops."""
+    beliefs and state M, absorbing at cost 0, takes the window's lost mass;
+    the kernel's one action 0 continues (row K_s plus the lost mass to
+    state M), and the stop action 1 pays the stop costs, 0 at state M."""
     if scenario.period != costs.period:
         raise ValueError(f"scenario period {scenario.period} != cost spec period {costs.period}")
     grid = BeliefGrid(grid_resolution)
     T, M, p = scenario.period, grid.resolution, grid.points
-    P = np.zeros((T, M + 1, 2, M + 1))
-    c = np.zeros((T, M + 1, 2))
-    P[:, :, 1, M] = 1.0  # stop, and stay stopped
+    P = np.zeros((T, M + 1, 1, M + 1))
+    c = np.zeros((T, M + 1, 1))
+    stop = np.zeros((T, M + 1))
     P[:, M, 0, M] = 1.0
     predicted = p + (1.0 - p) * scenario.rho  # the belief before the next observation
     for s in range(T):
@@ -141,8 +144,8 @@ def detection_mdp(
         _fill_kernel(kernel, p, predicted, f.logpdf(nodes), g.logpdf(nodes), weights)
         P[s, :M, 0, M] = np.maximum(1.0 - kernel.sum(axis=1), 0.0)
         c[s, :M, 0] = costs.delay[s] * p
-        c[s, :M, 1] = costs.false_alarm[s] * (1.0 - p)
-    return PeriodicMdp(transitions=P, costs=c, discount=1.0)
+        stop[s, :M] = costs.false_alarm[s] * (1.0 - p)
+    return PeriodicMdp(transitions=P, costs=c, discount=1.0, stop_costs=stop)
 
 
 def _fill_kernel(out, points, predicted, log_f, log_g, weights):

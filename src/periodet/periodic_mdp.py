@@ -13,22 +13,29 @@ so a fixed point of Psi is the optimal cost seen at entry to stage 0.
 ``apply_cycle_operator`` returns the T stage Q-tables of one sweep and
 their minima, the T intermediate stage compositions.
 
+An MDP may also have a terminal stop action, given by its stop costs
+c_l(s, stop) alone: it pays that cost and ends the problem, so it has no
+kernel row (Puterman, *Markov Decision Processes*, 1994, sec. 3.4).  It
+comes after the kernel's actions, and the sweep scores it like any other
+action; ``evaluate_policy`` takes a stopping state as an exit.
+
 Two solvers share that sweep, and both return the Q-tables of their last
 one with the stage values and the periodic policy greedy on them,
 ``StageValues.actions``; each solver breaks ties by its own rule.
 
 * ``value_iterate`` iterates Psi from the all-zero vector, a pointwise
-  nondecreasing sequence.  Psi shifts constants by beta = alpha^T, so for
-  alpha < 1 the last step bounds the error (MacQueen, 1966; Porteus,
-  1971) and the stop is certified.  At alpha = 1 it stops on a small step,
-  which certifies nothing.
+  nondecreasing sequence.  Adding a constant c to V moves Psi(V) by
+  beta * c, beta = alpha^T, or, with a stop action, by an amount between
+  0 and beta * c, so for alpha < 1 the last step bounds the error
+  (MacQueen, 1966; Porteus, 1971) and the stop is certified.  At alpha = 1
+  it stops on a small step, which certifies nothing.
 * ``policy_iterate`` alternates ``evaluate_policy`` (one dense linear
   solve of the cycle system on the states the policy keeps running) with
   greedy improvement on the sweep's Q-tables, and stops when the policy
   repeats (Howard, 1960; Puterman, *Markov Decision Processes*, 1994,
   ch. 6-7).  At alpha = 1 every
   evaluated policy must be proper: from every state it reaches the
-  zero-cost absorbing states (Bertsekas & Tsitsiklis, 1991).
+  zero-cost absorbing states or stops (Bertsekas & Tsitsiklis, 1991).
 
 alpha = 1 is allowed for optimal-stopping style problems.  Nonnegative
 costs keep every value-iteration iterate well defined, but at alpha = 1
@@ -73,14 +80,20 @@ class PeriodicMdp:
     transitions : array (T, S, A, S), row-stochastic in the last axis
     costs       : array (T, S, A), nonnegative expected stage costs
     discount    : alpha in [0, 1]
+    stop_costs  : optional array (T, S), nonnegative costs of a terminal
+                  stop action, which pays its cost and ends the problem
 
-    Float64 arrays are held without a copy, which would double a caller's
-    kernel memory, and made read-only, the caller's own array included.
+    The stop action has index A, after the kernel's actions, and no kernel
+    row; ``num_actions`` counts it, so Q-tables and policies range over
+    A + 1 actions when the MDP has one.  Float64 arrays are held without a
+    copy, which would double a caller's kernel memory, and made read-only,
+    the caller's own array included.
     """
 
     transitions: np.ndarray
     costs: np.ndarray
     discount: float
+    stop_costs: np.ndarray | None = None
 
     def __post_init__(self):
         P = np.asarray(self.transitions, dtype=float)
@@ -100,6 +113,15 @@ class PeriodicMdp:
             raise ValueError(f"transition row {bad} sums to {float(row_sums[bad])!r}")
         if np.any(c < 0.0) or not np.all(np.isfinite(c)):
             raise ValueError("stage costs must be finite and nonnegative")
+        if self.stop_costs is not None:
+            stop = np.asarray(self.stop_costs, dtype=float)
+            if stop.shape != P.shape[:2]:
+                raise ValueError(
+                    f"stop_costs shape {stop.shape} does not match (T, S) = {P.shape[:2]}")
+            if np.any(stop < 0.0) or not np.all(np.isfinite(stop)):
+                raise ValueError("stop_costs must be finite and nonnegative")
+            stop.setflags(write=False)
+            object.__setattr__(self, "stop_costs", stop)
         if not 0.0 <= self.discount <= 1.0:
             raise ValueError(f"discount must lie in [0, 1], got {self.discount}")
         if isinstance(self.discount, np.generic):
@@ -121,7 +143,8 @@ class PeriodicMdp:
 
     @property
     def num_actions(self) -> int:
-        return self.transitions.shape[2]
+        """The kernel's actions, and the stop action when there is one."""
+        return self.transitions.shape[2] + (self.stop_costs is not None)
 
 
 @dataclass(frozen=True)
@@ -130,20 +153,20 @@ class StageValues:
 
     ``values[l]`` is the expected cost-to-go entering stage l, i.e. the
     l-th intermediate composition of the stage operators applied to the
-    cycle fixed point.  ``q`` (T, S, A) holds the stage Q-tables of one
-    ``apply_cycle_operator`` sweep applied to ``values[0]``, the solver's
-    last, and ``actions`` (T, S) the solver's periodic policy greedy on
-    them: ``actions[l, s]`` minimizes ``q[l, s]`` under the solver's tie
-    rule.  ``cycles`` counts value-iteration cycles or
-    policy-improvement steps.  ``sup_history``/``l2_history`` record, per
-    cycle or step, the distance between a stage-0 vector and its image
-    under the cycle operator.  ``error_bound`` is a certified bound on the
-    sup-norm error of ``values[0]``; ``inf`` when the solver has none
-    (discount 1).
+    cycle fixed point.  ``q`` (T, S, ``num_actions``) holds the stage
+    Q-tables of one ``apply_cycle_operator`` sweep applied to
+    ``values[0]``, the solver's last, and ``actions`` (T, S) the solver's
+    periodic policy greedy on them: ``actions[l, s]`` minimizes
+    ``q[l, s]`` under the solver's tie rule.  ``cycles`` counts
+    value-iteration cycles or policy-improvement steps.
+    ``sup_history``/``l2_history`` record, per cycle or step, the distance
+    between a stage-0 vector and its image under the cycle operator.
+    ``error_bound`` is a certified bound on the sup-norm error of
+    ``values[0]``; ``inf`` when the solver has none (discount 1).
     """
 
     values: np.ndarray  # (T, S)
-    q: np.ndarray = field(repr=False)  # (T, S, A)
+    q: np.ndarray = field(repr=False)  # (T, S, num_actions)
     actions: np.ndarray = field(repr=False)  # (T, S)
     converged: bool
     cycles: int
@@ -157,22 +180,27 @@ def apply_cycle_operator(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply the T stage operators innermost-last.
 
-    Returns the stage Q-tables ``q`` (T, S, A), where
+    Returns the stage Q-tables ``q`` (T, S, ``num_actions``), where
     q[l](s, a) = c_l(s, a) + alpha * sum_s' P_l(s'|s, a) V_{l+1}(s') scores
-    each action against the stage-(l+1) entry values V_{l+1} (``values``
-    for the last stage), and the entry values ``entries`` (T, S) with
+    each kernel action against the stage-(l+1) entry values V_{l+1}
+    (``values`` for the last stage) and the stop column, if any, holds the
+    stop costs; and the entry values ``entries`` (T, S) with
     ``entries[l] = q[l].min(axis=1)``; ``entries[0]`` is the new stage-0
-    iterate.
+    iterate.  Each stage is one matrix-vector product with its kernel
+    viewed as an (S*A, S) matrix.
     """
     values = np.asarray(values, dtype=float)
-    if values.shape != (mdp.num_states,):
-        raise ValueError(f"value vector must have shape ({mdp.num_states},)")
-    q = np.empty(mdp.costs.shape)
-    entries = np.empty((mdp.period, mdp.num_states))
+    T, S, A = mdp.costs.shape
+    if values.shape != (S,):
+        raise ValueError(f"value vector must have shape ({S},)")
+    kernels = mdp.transitions.reshape(T, S * A, S)
+    q = np.empty((T, S, mdp.num_actions))
+    if mdp.stop_costs is not None:
+        q[:, :, A] = mdp.stop_costs
+    entries = np.empty((T, S))
     cur = values
-    for l in range(mdp.period - 1, -1, -1):
-        # (S, A, S) @ (S,) -> (S, A)
-        q[l] = mdp.costs[l] + mdp.discount * (mdp.transitions[l] @ cur)
+    for l in range(T - 1, -1, -1):
+        q[l, :, :A] = mdp.costs[l] + mdp.discount * (kernels[l] @ cur).reshape(S, A)
         cur = entries[l] = q[l].min(axis=1)
     return q, entries
 
@@ -198,10 +226,12 @@ def value_iterate(
 
     With beta = alpha^T < 1, a step D = v_n - v_{n-1} brackets the fixed
     point: v_n + beta/(1-beta) min D <= V* <= v_n + beta/(1-beta) max D
-    (MacQueen-Porteus bounds).  The midpoint of that bracket is therefore
-    within ``error_bound`` = beta/(1-beta) * span(D)/2 of V*, and the
-    iteration stops once that bound drops to ``tol`` (default 1e-8).  The
-    returned ``values[0]`` is that midpoint.
+    (MacQueen-Porteus bounds).  A stop pays its cost however the values
+    move, a step of 0, so with stop costs min D and max D take 0 in, as
+    one more zero-cost absorbing state would.  The midpoint of that
+    bracket is therefore within ``error_bound`` = beta/(1-beta) * span/2
+    of V*, and the iteration stops once that bound drops to ``tol``
+    (default 1e-8).  The returned ``values[0]`` is that midpoint.
 
     At alpha = 1 (beta = 1) there is no such bound: the iteration stops
     when the sup-norm step drops to ``tol`` (default 1e-6), which
@@ -234,6 +264,8 @@ def value_iterate(
         v = new
         if certified:
             lo, hi = float(diff.min()), float(diff.max())
+            if mdp.stop_costs is not None:
+                lo, hi = min(lo, 0.0), max(hi, 0.0)
             error_bound = beta / (1.0 - beta) * (hi - lo) / 2.0
             if error_bound <= tol:
                 converged = True
@@ -261,39 +293,46 @@ def evaluate_policy(mdp: PeriodicMdp, actions: np.ndarray) -> np.ndarray:
     """Exact stage-entry values (T, S) of the periodic policy ``actions``.
 
     ``actions[l, s]`` is the stage-l action in state s, and K_l, c_l are
-    the stage-l kernel and costs under the policy.  States of known value
-    are eliminated first (Puterman, *Markov Decision Processes*, 1994,
-    ch. 6): a state is dead when every stage holds it absorbing at zero
-    cost, and worth 0; it exits at stage l when its K_l row lies on dead
-    states only, and is then worth c_l there.  The other states of stage
-    l run, R_l.  Stage 0 comes from one dense solve of the cycle system
-    (I - M) V_0 = b on R_0, where M = alpha^T K_0[R_0, R_1] ...
+    the stage-l kernel and costs under the policy; a state that stops has
+    a zero K_l row and its stop cost.  States of known value are
+    eliminated first (Puterman, *Markov Decision Processes*, 1994, ch. 6):
+    a state is dead when every stage holds it absorbing at zero cost, and
+    worth 0; it exits at stage l when it stops there or its K_l row lies
+    on dead states only, and is then worth c_l there.  The other states
+    of stage l run, R_l.  Stage 0 comes from one dense solve of the cycle
+    system (I - M) V_0 = b on R_0, where M = alpha^T K_0[R_0, R_1] ...
     K_{T-1}[R_{T-1}, R_0] is the discounted one-cycle kernel among running
     states and b the expected discounted cost of one cycle, exit costs
     included; stages T-1, ..., 1 follow by one backward sweep from V_0.
     Without dead states, as on a dense random MDP, every state runs.
 
-    K_l is read in place, as rows s*A + a_l(s) of stage l's (S*A, S) view:
-    only the running blocks K_l[R_l, R_{l+1}] that build M are copied.
+    K_l is read in place, as rows s*A + a_l(s) of stage l's (S*A, S) view
+    for the states that do not stop: only the running blocks
+    K_l[R_l, R_{l+1}] that build M are copied.
 
     At alpha = 1 the system is nonsingular exactly when every state of R_0
     reaches an exit along the positive entries of the kernels (the policy
     is proper); otherwise ``ValueError`` names the first that does not.
     """
     actions = _checked_actions(mdp, actions, "actions")
-    T, S, A = mdp.period, mdp.num_states, mdp.num_actions
+    T, S, A = mdp.costs.shape
     stage, state = np.ogrid[:T, :S]
+    stops = actions == A  # the stop action, if the MDP has one
+    kept = np.where(stops, 0, actions)  # a kernel action in every state
     flat = mdp.transitions.reshape(T, S * A, S)
-    rows = state * A + actions  # K_l[s] is row rows[l, s] of flat[l]
-    costs = mdp.costs[stage, state, actions]  # (T, S)
+    rows = state * A + kept  # K_l[s] is row rows[l, s] of flat[l] unless s stops
+    costs = mdp.costs[stage, state, kept]  # (T, S)
+    if mdp.stop_costs is not None:
+        costs = np.where(stops, mdp.stop_costs, costs)
     alpha = mdp.discount
 
     def step(l, v):  # K_l @ v
-        return (flat[l] @ v)[rows[l]]
+        return np.where(stops[l], 0.0, (flat[l] @ v)[rows[l]])
 
-    dead = np.all((flat[stage, rows, state] == 1.0) & (costs == 0.0), axis=0)
+    dead = np.all(~stops & (flat[stage, rows, state] == 1.0) & (costs == 0.0), axis=0)
     # the entries are nonnegative, so a row sum over some states is 0
-    # exactly when the row has no positive entry on them
+    # exactly when the row has no positive entry on them; a stopping
+    # state's zero row makes it exit
     exits = [dead | (step(l, ~dead) == 0.0) for l in range(T)]
     running = [np.flatnonzero(~e) for e in exits]
     # backward over one cycle: ``base`` holds the stage values when the
@@ -417,17 +456,19 @@ def finite_horizon_oracle(mdp: PeriodicMdp, horizon: int) -> np.ndarray:
     Deliberately a standalone backward induction (no reuse of the cycle
     machinery) so it can serve as an independent oracle in tests.  Each
     step is one matrix-vector product with the stage kernel viewed as an
-    (S*A, S) matrix.
+    (S*A, S) matrix, and the stop costs, if any, are one more column.
     """
     if horizon < 0 or horizon % mdp.period != 0:
         raise ValueError("horizon must be a nonnegative multiple of the period")
-    T, S, A = mdp.period, mdp.num_states, mdp.num_actions
+    T, S, A = mdp.costs.shape
     kernels = mdp.transitions.reshape(T, S * A, S)
     c = mdp.costs
     v = np.zeros(S)
     for k in range(horizon - 1, -1, -1):
         l = k % T
         q = c[l] + mdp.discount * (kernels[l] @ v).reshape(S, A)
+        if mdp.stop_costs is not None:
+            q = np.concatenate((q, mdp.stop_costs[l][:, None]), axis=1)
         v = q.min(axis=1)
     return v
 
@@ -445,7 +486,7 @@ def simulate_policy(
     repeated.  Returns (mean cost, standard error) over ``n_paths`` >= 1
     paths of ``horizon`` >= 0 steps; the standard error of a single path
     is NaN.  The truncation bias is at most alpha^horizon * max_cost /
-    (1 - alpha) for alpha < 1.
+    (1 - alpha) for alpha < 1.  An MDP with stop costs is refused.
 
     Each step draws one uniform u per path and moves the path to the state
     #{j : cum[j] < u}, where cum is the cumulative sum of its kernel row
@@ -458,6 +499,7 @@ def simulate_policy(
     the state; the search steps forward while cum[j] < u, and a step costs
     about one comparison per kernel entry in the path's bucket.
     """
+    _refuse_stop_costs(mdp, "simulate_policy")
     stage_maps = _checked_actions(mdp, stage_maps, "stage_maps")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -498,6 +540,11 @@ def simulate_policy(
         disc *= mdp.discount
     se = float(total.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else math.nan
     return float(total.mean()), se
+
+
+def _refuse_stop_costs(mdp: PeriodicMdp, name: str) -> None:
+    if mdp.stop_costs is not None:
+        raise ValueError(f"{name} takes no MDP with stop_costs (a terminal stop action)")
 
 
 class InstanceFormatError(ValueError):
@@ -627,7 +674,8 @@ def load_instance(path: str | Path) -> PeriodicMdp:
 def dump_instance(mdp: PeriodicMdp, path: str | Path) -> None:
     """Write an instance in the format accepted by ``load_instance``, line
     by line; floats are written as their ``repr``, which reads back
-    exactly."""
+    exactly.  The format has no stop action."""
+    _refuse_stop_costs(mdp, "dump_instance")
     with Path(path).open("w") as fh:
         fh.write(
             f"states {mdp.num_states}\nactions {mdp.num_actions}\n"

@@ -163,10 +163,11 @@ def random_mdp(rng, n_states, n_actions, period, discount, cost_scale=1.0):
 def stage_sweep(values, mdp, stage):
     """Stage-``stage`` Q-table (S, A) of ``mdp`` against ``values`` and its
     minimum (S,): the cycle of the MDP's one-stage slice, whose only stage
-    reads ``values``."""
+    reads ``values``; the slice keeps the stage's stop costs, if any."""
     from periodet import PeriodicMdp, apply_cycle_operator
 
     keep = slice(stage, stage + 1)
-    one = PeriodicMdp(mdp.transitions[keep], mdp.costs[keep], mdp.discount)
+    stop = None if mdp.stop_costs is None else mdp.stop_costs[keep]
+    one = PeriodicMdp(mdp.transitions[keep], mdp.costs[keep], mdp.discount, stop)
     q, entries = apply_cycle_operator(values, one)
     return q[0], entries[0]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,6 +323,21 @@ def test_bundled_configs_lose_no_quadrature_mass():
         assert sol.quadrature_mass_lost < 1e-12, name
 
 
+def test_detection_mdp_working_set_stays_below_the_dense_stop_layout(decaying_t4):
+    # the kernel holds the continue action alone, T*(M + 1)^2 floats; a
+    # stop action stored as kernel rows would double it
+    scenario, costs = decaying_t4
+    M = 400
+    tracemalloc.start()
+    try:
+        mdp = detection_mdp(scenario, costs, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (M + 1) ** 2 * 2 * 8
+    assert mdp.transitions.shape == (4, M + 1, 1, M + 1) and mdp.num_actions == 2
+
+
 def test_unresolvable_stage_raises():
     # a window 160 wide cannot resolve a pre-change spike of width 1e-3:
     # Simpson overshoots and continuation rows sum to about 26
@@ -337,10 +353,11 @@ def test_unresolvable_stage_raises():
 def test_stage_bellman_boundary_values(alternating_t2):
     scenario, costs = alternating_t2
     mdp = detection_mdp(scenario, costs, 100)
-    _, out = stage_sweep(np.zeros(101), mdp, 0)
+    q, out = stage_sweep(np.zeros(101), mdp, 0)
+    np.testing.assert_array_equal(q[:, 1], mdp.stop_costs[0])  # the stop column
     assert out[99] == pytest.approx(0.0, abs=1e-12)  # p = 1: stop is free
     assert out[0] == pytest.approx(0.0, abs=1e-12)  # zero tail: continue is free
-    assert out[100] == 0.0  # the stopped state costs nothing
+    assert out[100] == 0.0  # state M costs nothing, continued or stopped
 
 
 def test_first_sweep_shape(alternating_t2):
@@ -418,7 +435,7 @@ def test_fixed_point_residual_at_convergence(alternating_t2, solved_t2):
     scenario, costs = alternating_t2
     sol = solved_t2
     mdp = detection_mdp(scenario, costs, sol.grid.resolution)
-    v0 = np.append(sol.stage_curves[0], 0.0)  # the stopped state costs 0
+    v0 = np.append(sol.stage_curves[0], 0.0)  # state M costs 0
     assert fixed_point_residual(v0, mdp) <= 1e-6
 
 

@@ -42,8 +42,9 @@ def classical_value_iteration(P, c, discount, tol=1e-14, max_iters=200_000):
 def exact_periodic_policy_value(mdp, stage_maps, zero=()):
     """Stage-entry values of a fixed periodic policy by linear solve.  The
     states in ``zero`` are pinned to 0 at every stage: at discount 1 the
-    equations of a state absorbing at zero cost are singular."""
-    T, S = mdp.period, mdp.num_states
+    equations of a state absorbing at zero cost are singular.  A state that
+    takes the stop action is worth its stop cost."""
+    T, S, n_kernel = mdp.costs.shape
     idx = lambda l, s: l * S + s
     A = np.eye(T * S)
     b = np.zeros(T * S)
@@ -52,6 +53,9 @@ def exact_periodic_policy_value(mdp, stage_maps, zero=()):
             if s in zero:
                 continue
             a = stage_maps[l][s]
+            if a == n_kernel:
+                b[idx(l, s)] = mdp.stop_costs[l, s]
+                continue
             b[idx(l, s)] = mdp.costs[l, s, a]
             for s2 in range(S):
                 A[idx(l, s), idx((l + 1) % T, s2)] -= mdp.discount * mdp.transitions[l, s, a, s2]
@@ -450,7 +454,7 @@ DETECTION_CASES = {
 
 @pytest.mark.parametrize("period", sorted(DETECTION_CASES))
 def test_evaluate_policy_on_detection_mdp_matches_brute_force_system(period, monkeypatch):
-    # stop rows exit to the stopped state M, which is dead: the policies
+    # a stopping state exits with its stop cost, state M too: the policies
     # policy iteration visits, and single thresholds, keep few states running
     M = 50
     mdp = detection_mdp(*DETECTION_CASES[period], grid_resolution=M)
@@ -465,14 +469,15 @@ def test_evaluate_policy_on_detection_mdp_matches_brute_force_system(period, mon
     policy_iterate(mdp, stop_everywhere)
     assert len(visited) >= 2 and np.array_equal(visited[0], stop_everywhere)
     # nothing runs: every value is the stopping cost, exactly
-    np.testing.assert_array_equal(evaluate_policy(mdp, stop_everywhere), mdp.costs[:, :, 1])
+    np.testing.assert_array_equal(evaluate_policy(mdp, stop_everywhere), mdp.stop_costs)
     points = np.linspace(0.0, 1.0, M)
     single = [
         np.tile(np.append(points >= a, True), (period, 1)).astype(int) for a in (0.05, 0.5, 0.95)
     ]
     for actions in visited + single:
+        assert np.all(actions[:, M] == 1)
         np.testing.assert_allclose(
-            evaluate_policy(mdp, actions), exact_periodic_policy_value(mdp, actions, zero=(M,)),
+            evaluate_policy(mdp, actions), exact_periodic_policy_value(mdp, actions),
             rtol=0, atol=1e-12,
         )
 
@@ -511,11 +516,14 @@ def test_evaluate_policy_discounted_with_dead_states_and_exits():
 def gathered_evaluate_policy(mdp, actions):
     """``evaluate_policy``'s eliminations and cycle system on gathered
     copies of the T policy kernels K_l (S, S), a reference for its reads
-    of the kernel in place."""
+    of the kernel in place; a state that stops has a zero row and its stop
+    cost."""
     T, S = mdp.period, mdp.num_states
     idx = np.arange(S)
-    kernels = [mdp.transitions[l][idx, actions[l]] for l in range(T)]
-    costs = [mdp.costs[l][idx, actions[l]] for l in range(T)]
+    P = np.concatenate((mdp.transitions, np.zeros((T, S, 1, S))), axis=2)
+    C = mdp.costs if mdp.stop_costs is None else np.dstack((mdp.costs, mdp.stop_costs))
+    kernels = [P[l][idx, actions[l]] for l in range(T)]
+    costs = [C[l][idx, actions[l]] for l in range(T)]
     alpha = mdp.discount
     dead = np.ones(S, dtype=bool)
     for K, c in zip(kernels, costs):
@@ -556,7 +564,7 @@ def gathered_evaluate_policy(mdp, actions):
 def test_evaluate_policy_matches_gathered_kernel_reference(discount):
     # dead, exiting and running states (the small instance), every state
     # running (dense random), and detection policies that stop on part of
-    # the grid, whose stopped state is dead
+    # the grid, whose stopping states exit
     rng = np.random.default_rng(67)
     cases = [(dead_and_exit_mdp(rng, discount), rng.integers(0, 2, size=(20, 3, 6)))]
     if discount < 1.0:
@@ -780,6 +788,130 @@ def test_policy_iterate_keeps_its_action_on_a_tie():
     assert result.converged
     np.testing.assert_array_equal(result.actions, start)
     np.testing.assert_array_equal(evaluate_policy(mdp, result.actions), result.values)
+
+
+# ── terminal stop action ───────────────────────────────────────────────
+
+
+def stopping_mdp(rng, n_states, n_actions, period, discount):
+    """Dense random periodic MDP with random stop costs on [0, 5)."""
+    base = random_mdp(rng, n_states, n_actions, period, discount)
+    stop = 5.0 * rng.random((period, n_states))
+    return PeriodicMdp(base.transitions, base.costs, discount, stop_costs=stop)
+
+
+def dense_equivalent(mdp):
+    """``mdp`` with its stop action as kernel rows: one more state, S,
+    absorbing at zero cost under every action, and a stop row into it from
+    every other state."""
+    T, S, A = mdp.costs.shape
+    P = np.zeros((T, S + 1, A + 1, S + 1))
+    P[:, :S, :A, :S] = mdp.transitions
+    P[:, :S, A, S] = 1.0
+    P[:, S, :, S] = 1.0
+    c = np.zeros((T, S + 1, A + 1))
+    c[:, :S, :A] = mdp.costs
+    c[:, :S, A] = mdp.stop_costs
+    return PeriodicMdp(transitions=P, costs=c, discount=mdp.discount)
+
+
+@pytest.mark.parametrize("discount", [0.9, 1.0])
+@pytest.mark.parametrize("period", [1, 2, 3])
+def test_stop_costs_match_dense_stop_rows(period, discount):
+    # every solver, on the stop action and on its dense equivalent, agrees
+    # on the original states: the same values, policies and step counts
+    rng = np.random.default_rng(83 + period + 10 * (discount == 1.0))
+    S, A = 7, 2
+    for _ in range(5):
+        mdp = stopping_mdp(rng, S, A, period, discount)
+        dense = dense_equivalent(mdp)
+        assert mdp.num_actions == dense.num_actions == A + 1
+
+        def agree(got, want, slack=0.0):
+            np.testing.assert_allclose(got.values, want.values[:, :S], rtol=0, atol=1e-12 + slack)
+            np.testing.assert_allclose(got.q, want.q[:, :S], rtol=0, atol=1e-12 + slack)
+            np.testing.assert_array_equal(got.actions, want.actions[:, :S])
+            assert got.converged and want.converged
+            assert got.cycles == want.cycles
+
+        got, want = value_iterate(mdp), value_iterate(dense)
+        # the same iterates, bounds and midpoint; but the dense midpoint
+        # also lifts the absorbing state off its value 0, within the bound,
+        # and the dense stop column reads that, where the stop column holds
+        # the stop costs exactly
+        lift = want.values[0, S]
+        assert 0.0 <= lift <= want.error_bound
+        agree(got, want, slack=lift)
+        np.testing.assert_allclose(got.values[0], want.values[0, :S], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(got.q[:, :, A], mdp.stop_costs)
+        assert got.error_bound == pytest.approx(want.error_bound, rel=0, abs=1e-12)
+        # the extra state stops too; at discount 1 one stop makes a dense
+        # random policy proper
+        start = np.full((period, S + 1), A)
+        if discount < 1.0:
+            start[:, :S] = rng.integers(0, A + 1, size=(period, S))
+        agree(policy_iterate(mdp, start[:, :S], tol=1e-12),
+              policy_iterate(dense, start, tol=1e-12))
+        for _ in range(4):
+            actions = rng.integers(0, A + 1, size=(period, S + 1))
+            actions[0, 0] = actions[:, S] = A
+            np.testing.assert_allclose(
+                evaluate_policy(mdp, actions[:, :S]), evaluate_policy(dense, actions)[:, :S],
+                rtol=0, atol=1e-12,
+            )
+        for horizon in (0, period, 30 * period):
+            np.testing.assert_allclose(
+                finite_horizon_oracle(mdp, horizon), finite_horizon_oracle(dense, horizon)[:S],
+                rtol=0, atol=1e-12,
+            )
+
+
+def test_value_iterate_bounds_take_the_stop_step_of_zero():
+    # continuing forever costs 1 / (1 - 0.9) = 10, stopping 5: after one
+    # cycle the step is 1 everywhere, but a stop does not rise with the
+    # values, so the bracket is [1, 10], not the point 10
+    mdp = PeriodicMdp(np.ones((1, 1, 1, 1)), np.ones((1, 1, 1)), 0.9,
+                      stop_costs=np.full((1, 1), 5.0))
+    result = value_iterate(mdp)
+    assert result.converged and result.cycles > 1
+    assert result.values[0, 0] == pytest.approx(5.0, abs=1e-8)
+    assert result.error_bound <= 1e-8
+    np.testing.assert_array_equal(result.actions, [[1]])
+    np.testing.assert_array_equal(finite_horizon_oracle(mdp, 100), [5.0])
+
+
+@pytest.mark.parametrize(
+    "stop,fragment",
+    [
+        (np.zeros((2, 3)), r"stop_costs shape \(2, 3\) does not match \(T, S\) = \(2, 2\)"),
+        (np.zeros(2), r"stop_costs shape \(2,\)"),
+        (np.array([[1.0, -1.0], [0.0, 0.0]]), "stop_costs must be finite and nonnegative"),
+        (np.array([[1.0, np.nan], [0.0, 0.0]]), "stop_costs must be finite and nonnegative"),
+        (np.array([[1.0, np.inf], [0.0, 0.0]]), "stop_costs must be finite and nonnegative"),
+    ],
+    ids=["states", "stages", "negative", "nan", "inf"],
+)
+def test_mdp_rejects_bad_stop_costs(stop, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        PeriodicMdp(transitions=HAND_P, costs=HAND_C, discount=0.5, stop_costs=stop)
+
+
+def test_stop_costs_are_held_read_only():
+    stop = np.ones((2, 2))
+    mdp = PeriodicMdp(transitions=HAND_P, costs=HAND_C, discount=0.5, stop_costs=stop)
+    assert np.shares_memory(mdp.stop_costs, stop) and not stop.flags.writeable
+    assert mdp.num_actions == 3 and hand_mdp().num_actions == 2
+
+
+def test_rollouts_and_instance_files_refuse_stop_costs(tmp_path):
+    # neither the sampler nor the instance format knows a terminal action
+    mdp = PeriodicMdp(HAND_P, HAND_C, 0.5, stop_costs=np.ones((2, 2)))
+    with pytest.raises(ValueError, match="simulate_policy takes no MDP with stop_costs"):
+        simulate_policy(mdp, np.zeros((2, 2), dtype=int), 10, 5, seed=0)
+    path = tmp_path / "stop.mdp"
+    with pytest.raises(ValueError, match="dump_instance takes no MDP with stop_costs"):
+        dump_instance(mdp, path)
+    assert not path.exists()
 
 
 # ── rollout estimator ──────────────────────────────────────────────────
