@@ -39,9 +39,9 @@ from pathlib import Path
 import numpy as np
 
 from .belief import log_odds_to_belief
-from .detection_dp import (DEFAULT_GRID_POINTS, DetectionCostSpec, DetectionSolution,
-                           solve_detection)
-from .ipid_model import Gaussian, IpidScenario, kl_information, prior_tail_exponent
+from .detection_dp import DEFAULT_GRID_POINTS, DetectionSolution, solve_detection
+from .ipid_model import (DetectionCostSpec, Gaussian, IpidScenario, kl_information,
+                         prior_tail_exponent)
 from .monte_carlo import (
     SimulationReport,
     SweepResult,
@@ -110,7 +110,8 @@ class ExperimentConfig:
 
     Each config key is declared here once, with its parser, range and
     default; variances left out are 1.0 per stage, and a horizon left out
-    is the scenario's ``default_horizon``."""
+    is the scenario's ``default_horizon``.  Construction runs the checks of
+    the scenario and the cost spec, which raise ``ValueError``."""
 
     period: int = _field(int, lambda v: v >= 1, ">= 1")
     rho: float = _field(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
@@ -132,8 +133,9 @@ class ExperimentConfig:
         for name in ("pre_vars", "post_vars"):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, (1.0,) * self.period)
+        scenario, _ = self.scenario(), self.cost_spec()
         if self.horizon is None:
-            object.__setattr__(self, "horizon", default_horizon(self.scenario()))
+            object.__setattr__(self, "horizon", default_horizon(scenario))
 
     def scenario(self) -> IpidScenario:
         pre = tuple(Gaussian(m, v) for m, v in zip(self.pre_means, self.pre_vars))
@@ -194,8 +196,6 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
                               f"field {key!r} has {len(seq)} entries, period is {period}")  # type: ignore[arg-type]
     try:
         cfg = ExperimentConfig(**values)  # type: ignore[arg-type]
-        # the model types own their checks; any the ranges above miss fail here
-        cfg.scenario(), cfg.cost_spec()
     except (TypeError, ValueError) as exc:
         raise ConfigError(source, None, str(exc)) from exc
     return cfg

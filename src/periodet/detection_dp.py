@@ -4,12 +4,13 @@ The posterior change probability p is a sufficient statistic, so the
 detection problem becomes an MDP on [0, 1] with two actions.  Stopping at
 stage s costs lam_s * (1 - p) (false alarm risk); continuing costs
 d_s * p (expected one-step delay) plus the averaged cost-to-go over the
-next observation.  ``detection_mdp`` builds it as a ``PeriodicMdp`` with
-discount 1 on the M points of a uniform belief grid plus one absorbing
-state M of cost 0.  Its kernel holds the continue action alone: stopping
-is the MDP's terminal stop action, given by its stop costs, so action 0
-continues and action 1 stops.  Continuing from grid belief p_i at stage s
-moves by the kernel
+next observation, with the scenario and the penalties lam_s, d_s
+(``DetectionCostSpec``) taken from ``ipid_model``.  ``detection_mdp``
+builds it as a ``PeriodicMdp`` with discount 1 on the M points of a
+uniform belief grid plus one absorbing state M of cost 0.  Its kernel
+holds the continue action alone: stopping is the MDP's terminal stop
+action, given by its stop costs, so action 0 continues and action 1
+stops.  Continuing from grid belief p_i at stage s moves by the kernel
 
     K_s[i, j] = sum_k w_k mix_ik hat_j(p'_ik):
 
@@ -45,17 +46,15 @@ optimal rule is a per-stage threshold on p reported at grid precision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .belief import belief_to_log_odds
-from .ipid_model import IpidScenario, simpson_window
+from .ipid_model import DetectionCostSpec, IpidScenario, simpson_window
 from .periodic_mdp import DEFAULT_MAX_CYCLES, PeriodicMdp, policy_iterate
 
 __all__ = [
-    "DetectionCostSpec",
     "BeliefGrid",
     "DetectionSolution",
     "detection_mdp",
@@ -70,33 +69,6 @@ _KERNEL_BLOCK_CELLS = 1 << 13
 # stands in for an infinite or undefined (0/0) log-likelihood ratio when
 # searching; it lies beyond every finite cut
 _FAR = 1e300
-
-
-@dataclass(frozen=True)
-class DetectionCostSpec:
-    """Per-stage penalties; the change point's hazard is the scenario's.
-
-    ``false_alarm[s]`` and ``delay[s]`` apply to the decision made after a
-    stage-s observation.  Constant false_alarm and unit delay recover the
-    classical single-penalty formulation.
-    """
-
-    false_alarm: tuple[float, ...]
-    delay: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "false_alarm", tuple(float(x) for x in self.false_alarm))
-        object.__setattr__(self, "delay", tuple(float(x) for x in self.delay))
-        if len(self.false_alarm) != len(self.delay) or not self.false_alarm:
-            raise ValueError("false_alarm and delay need equal, positive length")
-        if any(not (x > 0.0 and math.isfinite(x)) for x in self.false_alarm):
-            raise ValueError("false-alarm penalties must be finite and positive")
-        if any(not (x >= 0.0 and math.isfinite(x)) for x in self.delay):
-            raise ValueError("delay penalties must be finite and nonnegative")
-
-    @property
-    def period(self) -> int:
-        return len(self.false_alarm)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,15 @@
 An i.p.i.d. process emits independent observations whose marginal density
 repeats with period T.  A monitored stream follows the pre-change law
 (f_1, ..., f_T) up to some random change point nu and the post-change law
-(g_1, ..., g_T) from nu on.  This module holds the density types, the
-scenario (both laws and the change point's hazard rho, the whole
-observation model), the Simpson window that both the divergence and the
-detection DP integrate over, and the two information quantities that
-control asymptotic detection delay: the period-averaged Kullback-Leibler
-divergence and the change point's tail exponent.  Paths are drawn by the
-Monte-Carlo kernel (``monte_carlo.sample_path``).
+(g_1, ..., g_T) from nu on.  This module holds the detection problem's
+inputs, which the grid solver and the Monte-Carlo harness both read: the
+density types, the scenario (both laws and the change point's hazard
+rho, the whole observation model) and the per-stage penalties
+(``DetectionCostSpec``).  It also holds the Simpson window that both the
+divergence and the detection DP integrate over, and the two information
+quantities that control asymptotic detection delay: the period-averaged
+Kullback-Leibler divergence and the change point's tail exponent.  Paths
+are drawn by the Monte-Carlo kernel (``monte_carlo.sample_path``).
 
 The log likelihood ratio of a Gaussian stage pair is the quadratic
 (a y + b) y + c in the observation, with (a, b, c) cached per stage by the
@@ -22,7 +24,7 @@ detection DP and the Monte-Carlo engine both rely on.
 
 Indexing: observation n >= 1 has 0-based stage (n - 1) % T, so the density
 lists are addressed as pre[stage], post[stage].  The off-by-one lives in
-three places: ``IpidScenario.stage_index``; ``monte_carlo._bayes_cost_reports``,
+three places: ``IpidScenario.stage_index``; ``monte_carlo._bayes_costs``,
 which reads the penalty charged at time t as entry t - 1 of the per-stage
 penalties repeated by ``np.resize``; and ``detection_dp.detection_mdp``,
 which continues from stage s over the next observation's stage (s + 1) % T.
@@ -40,6 +42,7 @@ __all__ = [
     "Density",
     "Gaussian",
     "IpidScenario",
+    "DetectionCostSpec",
     "log_likelihood_ratio",
     "simpson_window",
     "kl_information",
@@ -133,6 +136,33 @@ class IpidScenario:
         if n < 1:
             raise ValueError(f"observation index must be >= 1, got {n}")
         return (n - 1) % self.period
+
+
+@dataclass(frozen=True)
+class DetectionCostSpec:
+    """Per-stage penalties; the change point's hazard is the scenario's.
+
+    ``false_alarm[s]`` and ``delay[s]`` apply to the decision made after a
+    stage-s observation.  Constant false_alarm and unit delay recover the
+    classical single-penalty formulation.
+    """
+
+    false_alarm: tuple[float, ...]
+    delay: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "false_alarm", tuple(float(x) for x in self.false_alarm))
+        object.__setattr__(self, "delay", tuple(float(x) for x in self.delay))
+        if len(self.false_alarm) != len(self.delay) or not self.false_alarm:
+            raise ValueError("false_alarm and delay need equal, positive length")
+        if any(not (x > 0.0 and math.isfinite(x)) for x in self.false_alarm):
+            raise ValueError("false-alarm penalties must be finite and positive")
+        if any(not (x >= 0.0 and math.isfinite(x)) for x in self.delay):
+            raise ValueError("delay penalties must be finite and nonnegative")
+
+    @property
+    def period(self) -> int:
+        return len(self.false_alarm)
 
 
 def _gaussian_llr_coefficients(f: Density, g: Density) -> tuple[float, float, float] | None:

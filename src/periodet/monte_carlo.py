@@ -7,11 +7,12 @@ after the change plus a false-alarm penalty when stopping early), the
 average detection delay, and the false-alarm probability, and provides
 the closed-form asymptotic delay for comparison.
 
-Conventions shared with the dynamic-programming solver: observation n
-has stage s(n) = ``IpidScenario.stage_index(n)``; the decision after
-observation n uses the stage-s(n) threshold; a false alarm at time tau
-costs false_alarm[s(tau)]; each post-change observation n < tau that was
-answered with "continue" costs delay[s(n)].
+The harness imports its inputs from ``ipid_model``, never from the
+dynamic-programming solver it checks.  Conventions shared with that
+solver: observation n has stage s(n) = ``IpidScenario.stage_index(n)``;
+the decision after observation n uses the stage-s(n) threshold; a false
+alarm at time tau costs false_alarm[s(tau)]; each post-change
+observation n < tau that was answered with "continue" costs delay[s(n)].
 
 Paths that never alarm within the horizon are treated as stopping just
 after it (pessimistic for delay metrics, no false-alarm term) and the
@@ -48,8 +49,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .belief import belief_to_log_odds, log_odds_step_geometric, log_odds_to_belief
-from .ipid_model import IpidScenario, log_likelihood_ratio
-from .detection_dp import DetectionCostSpec
+from .ipid_model import DetectionCostSpec, IpidScenario, log_likelihood_ratio
 
 __all__ = [
     "SimulationReport",
@@ -100,8 +100,12 @@ class AddPfaResult:
 
 
 def default_horizon(scenario: IpidScenario) -> int:
-    """50 expected change times; long enough that censoring is rare."""
-    return int(math.ceil(50.0 / scenario.rho))
+    """50 expected change times; long enough that censoring is rare.
+    Raises ``ValueError`` when 50 / rho overflows."""
+    horizon = 50.0 / scenario.rho
+    if horizon == math.inf:
+        raise ValueError(f"rho {scenario.rho} is too small for a default horizon; set one")
+    return int(math.ceil(horizon))
 
 
 def _change_points(rng: np.random.Generator, rho: float, size: int, horizon: int) -> np.ndarray:
@@ -284,10 +288,14 @@ def _report(kind, values, seed, horizon, censored) -> SimulationReport:
     )
 
 
-def _bayes_cost_reports(
-    costs: DetectionCostSpec, nu: np.ndarray, tau: np.ndarray, seed: int, horizon: int
-) -> list[SimulationReport]:
-    """Realized Bayes cost of each rule, one report per column of tau."""
+def _bayes_costs(scenario: IpidScenario, costs: DetectionCostSpec, levels, n_paths: int,
+                 horizon: int | None, seed: int) -> list[SimulationReport]:
+    """One report per threshold rule, a row of ``levels`` (K, T), all read
+    off one set of paths; a horizon of None is the ``default_horizon``."""
+    if scenario.period != costs.period:
+        raise ValueError(f"scenario period {scenario.period} != cost spec period {costs.period}")
+    horizon = default_horizon(scenario) if horizon is None else horizon
+    nu, tau, _ = _simulate_stopping(scenario, levels, n_paths, horizon, seed)
     dcum = _delay_cost_table(costs.delay, horizon)
     lam = np.resize(costs.false_alarm, horizon + 1)  # lam[t - 1]: a false alarm at time t
     reports = []
@@ -321,11 +329,7 @@ def estimate_bayes_cost(
     the rule kept sampling, or false_alarm[(tau-1) % T] when it alarmed
     before the change.  Censored paths accrue delay through the horizon.
     """
-    if scenario.period != costs.period:
-        raise ValueError("scenario and cost spec periods differ")
-    horizon = default_horizon(scenario) if horizon is None else horizon
-    nu, tau, _ = _simulate_stopping(scenario, [thresholds], n_paths, horizon, seed)
-    return _bayes_cost_reports(costs, nu, tau, seed, horizon)[0]
+    return _bayes_costs(scenario, costs, [thresholds], n_paths, horizon, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -364,12 +368,8 @@ def sweep_single_threshold(
     from a one-threshold run, which stops drawing a path at its own alarm.
     Points come back in the grid's order, duplicates included.
     """
-    if scenario.period != costs.period:
-        raise ValueError("scenario and cost spec periods differ")
     grid, rank, levels = _sorted_levels(threshold_grid, scenario.period)
-    horizon = default_horizon(scenario) if horizon is None else horizon
-    nu, tau, _ = _simulate_stopping(scenario, levels, n_paths, horizon, seed)
-    reports = _bayes_cost_reports(costs, nu, tau, seed, horizon)
+    reports = _bayes_costs(scenario, costs, levels, n_paths, horizon, seed)
     return SweepResult(points=tuple(
         SweepPoint(a, reports[k].estimate, reports[k].std_error, reports[k].censored_fraction)
         for a, k in zip(grid, rank)

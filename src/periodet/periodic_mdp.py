@@ -297,14 +297,14 @@ def evaluate_policy(mdp: PeriodicMdp, actions: np.ndarray) -> np.ndarray:
     a zero K_l row and its stop cost.  States of known value are
     eliminated first (Puterman, *Markov Decision Processes*, 1994, ch. 6):
     a state is dead when every stage holds it absorbing at zero cost, and
-    worth 0; it exits at stage l when it stops there or its K_l row lies
-    on dead states only, and is then worth c_l there.  The other states
-    of stage l run, R_l.  Stage 0 comes from one dense solve of the cycle
-    system (I - M) V_0 = b on R_0, where M = alpha^T K_0[R_0, R_1] ...
-    K_{T-1}[R_{T-1}, R_0] is the discounted one-cycle kernel among running
-    states and b the expected discounted cost of one cycle, exit costs
-    included; stages T-1, ..., 1 follow by one backward sweep from V_0.
-    Without dead states, as on a dense random MDP, every state runs.
+    worth 0; it exits at stage l when it stops there or is dead, and is
+    then worth c_l there.  The other states of stage l run, R_l.  Stage 0
+    comes from one dense solve of the cycle system (I - M) V_0 = b on R_0,
+    where M = alpha^T K_0[R_0, R_1] ... K_{T-1}[R_{T-1}, R_0] is the
+    discounted one-cycle kernel among running states and b the expected
+    discounted cost of one cycle, exit costs included; stages T-1, ..., 1
+    follow by one backward sweep from V_0.  Without dead states, as on a
+    dense random MDP, every state runs.
 
     K_l is read in place, as rows s*A + a_l(s) of stage l's (S*A, S) view
     for the states that do not stop: only the running blocks
@@ -326,14 +326,11 @@ def evaluate_policy(mdp: PeriodicMdp, actions: np.ndarray) -> np.ndarray:
         costs = np.where(stops, mdp.stop_costs, costs)
     alpha = mdp.discount
 
-    def step(l, v):  # K_l @ v
-        return np.where(stops[l], 0.0, (flat[l] @ v)[rows[l]])
+    def step(l, v):  # K_l @ v on the states that do not stop
+        return (flat[l] @ v)[rows[l]]
 
     dead = np.all(~stops & (flat[stage, rows, state] == 1.0) & (costs == 0.0), axis=0)
-    # the entries are nonnegative, so a row sum over some states is 0
-    # exactly when the row has no positive entry on them; a stopping
-    # state's zero row makes it exit
-    exits = [dead | (step(l, ~dead) == 0.0) for l in range(T)]
+    exits = dead | stops
     running = [np.flatnonzero(~e) for e in exits]
     # backward over one cycle: ``base`` holds the stage values when the
     # running states of the next cycle's stage 0 are worth 0, ``cycle`` the
@@ -369,7 +366,7 @@ def evaluate_policy(mdp: PeriodicMdp, actions: np.ndarray) -> np.ndarray:
     values[0] = v0
     nxt = v0
     for l in range(T - 1, 0, -1):
-        nxt = values[l] = costs[l] + alpha * step(l, nxt)
+        nxt = values[l] = np.where(exits[l], costs[l], costs[l] + alpha * step(l, nxt))
     return values
 
 

@@ -68,6 +68,11 @@ def test_config_built_directly_has_unit_variances_and_solves(tmp_path):
     assert cfg.scenario() == parse_config(MINIMAL).scenario()
     assert cfg.horizon == default_horizon(cfg.scenario()) == parse_config(MINIMAL).horizon
     assert _tradeoff(cfg, tmp_path, "direct", (1e-2,)) == 0
+    # the model types check a config built directly, horizon given or not
+    with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\), got 2.0"):
+        replace(cfg, rho=2.0, horizon=100)
+    with pytest.raises(ValueError, match="false-alarm penalties must be finite and positive"):
+        replace(cfg, false_alarm_penalties=(-1.0, 1.0))
 
 
 def test_parse_config_reports_field_and_line():
@@ -624,6 +629,15 @@ def test_exit_code_parse_failure(tmp_path, capsys, text, where):
     err = capsys.readouterr().err
     assert f"error: {bad}{where}" in err
     assert f"{bad}:0" not in err
+
+
+def test_hazard_too_small_for_a_default_horizon_is_a_parse_error(tmp_path, capsys):
+    # 50 / rho overflows to inf, which no integer horizon holds
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text(MINIMAL.replace("rho = 0.01", "rho = 1e-320"))
+    assert main(["solve", "--config", str(tiny), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tiny}: rho 1e-320 is too small for a default horizon; set one\n")
 
 
 TWO_STATE = "states 2\nactions 1\nperiod 1\ndiscount 0.9\n"

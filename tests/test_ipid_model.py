@@ -254,6 +254,18 @@ def test_kl_closed_form_matches_quadrature(f, g):
     assert _kl_quadrature(g, f) == pytest.approx(_kl_divergence(g, f), abs=1e-6)
 
 
+def test_kl_information_of_other_densities_meets_the_closed_form():
+    # stage pairs that are not ``Gaussian`` instances go to quadrature
+    laws = [((0.0, 1.0), (0.75, 1.0)), ((-1.0, 2.0), (1.5, 0.5)), ((0.0, 1.0), (0.0, 3.0))]
+    calls = []
+    other = IpidScenario(pre=tuple(CountingGaussian(*f, calls) for f, _ in laws),
+                         post=tuple(CountingGaussian(*g, calls) for _, g in laws), rho=0.01)
+    gaussian = IpidScenario(pre=tuple(Gaussian(*f) for f, _ in laws),
+                            post=tuple(Gaussian(*g) for _, g in laws), rho=0.01)
+    assert kl_information(other) == pytest.approx(kl_information(gaussian), abs=1e-10)
+    assert len(calls) == 2 * len(laws)
+
+
 # ── prior tail exponent ────────────────────────────────────────────────
 
 

@@ -151,6 +151,15 @@ def test_kernel_validation(t2):
             _simulate_stopping(scenario, np.array(levels), 8, 50, 1)
 
 
+def test_bayes_cost_estimators_refuse_penalties_of_another_period(t2):
+    scenario, _ = t2
+    costs = DetectionCostSpec(false_alarm=(5.0,), delay=(1.0,))
+    for call in (lambda: estimate_bayes_cost(scenario, costs, (0.5, 0.5), 10),
+                 lambda: sweep_single_threshold(scenario, costs, (0.5,), 10)):
+        with pytest.raises(ValueError, match="^scenario period 2 != cost spec period 1$"):
+            call()
+
+
 def test_estimators_take_horizon_and_seed_by_keyword_only(t2):
     # positionally, sweep_single_threshold took (seed, horizon) and the
     # other two (horizon, seed), so a swapped call ran silently

@@ -95,6 +95,8 @@ def test_mdp_validation():
         PeriodicMdp(transitions=HAND_P, costs=np.where(HAND_C > 0, np.nan, HAND_C), discount=0.5)
     with pytest.raises(ValueError, match="discount"):
         PeriodicMdp(transitions=HAND_P, costs=HAND_C, discount=1.5)
+    with pytest.raises(ValueError, match=re.escape("costs shape (2, 1, 2) does not match")):
+        PeriodicMdp(transitions=HAND_P, costs=HAND_C[:, :1], discount=0.5)
 
 
 def test_mdp_rejects_nan_transition():
@@ -305,6 +307,16 @@ def test_solvers_reject_tol_outside_positive_reals(tol):
             solve()
 
 
+def test_sweep_and_solvers_reject_a_bad_vector_or_cycle_cap():
+    mdp = hand_mdp()
+    with pytest.raises(ValueError, match=re.escape("value vector must have shape (2,)")):
+        apply_cycle_operator(np.zeros(3), mdp)
+    for solve in (lambda: value_iterate(mdp, max_cycles=0),
+                  lambda: policy_iterate(mdp, np.zeros((2, 2), dtype=int), max_cycles=0)):
+        with pytest.raises(ValueError, match="max_cycles must be >= 1"):
+            solve()
+
+
 def test_value_iterate_undiscounted_bound_is_not_certified():
     mdp = PeriodicMdp(transitions=HAND_P, costs=np.zeros_like(HAND_C), discount=1.0)
     assert value_iterate(mdp).error_bound == np.inf
@@ -437,6 +449,30 @@ def test_improper_policy_names_the_stuck_state():
         evaluate_policy(mdp, actions), exact_periodic_policy_value(mdp, actions, zero=(3,)),
         rtol=0, atol=1e-12,
     )
+
+
+def chain_mdp(period, back=False):
+    """States 0 -> 1 -> 2 -> 3 -> 4 at unit cost, state 4 absorbing at cost
+    0, at every stage; with ``back`` state 1 returns to state 0 instead."""
+    P = np.zeros((period, 5, 1, 5))
+    P[:, np.arange(5), 0, [1, 2, 3, 4, 4]] = 1.0
+    if back:
+        P[:, 1, 0] = np.eye(5)[0]
+    c = np.ones((period, 5, 1))
+    c[:, 4] = 0.0
+    return PeriodicMdp(transitions=P, costs=c, discount=1.0)
+
+
+@pytest.mark.parametrize("period", [1, 2])
+def test_undiscounted_chain_reaches_its_exit_over_several_cycles(period):
+    # reaching state 4 from state 0 takes more than one cycle, so the
+    # properness check has to grow its reach; state 3's row lies on the
+    # dead state only, and it runs with a zero row of the cycle kernel
+    never_stop = np.zeros((period, 5), dtype=int)
+    np.testing.assert_array_equal(evaluate_policy(chain_mdp(period), never_stop),
+                                  np.tile([4.0, 3.0, 2.0, 1.0, 0.0], (period, 1)))
+    with pytest.raises(ValueError, match=re.escape("policy is improper: 2 state(s), first 0, ")):
+        evaluate_policy(chain_mdp(period, back=True), never_stop)
 
 
 DETECTION_CASES = {
