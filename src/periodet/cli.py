@@ -110,8 +110,8 @@ class ExperimentConfig:
 
     Each config key is declared here once, with its parser, range and
     default; variances left out are 1.0 per stage, and a horizon left out
-    is the scenario's ``default_horizon``.  Construction runs the checks of
-    the scenario and the cost spec, which raise ``ValueError``."""
+    is the scenario's ``default_horizon``.  Construction checks each list's
+    length, the scenario and the cost spec, and raises ``ValueError``."""
 
     period: int = _field(int, lambda v: v >= 1, ">= 1")
     rho: float = _field(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
@@ -133,6 +133,10 @@ class ExperimentConfig:
         for name in ("pre_vars", "post_vars"):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, (1.0,) * self.period)
+        for f in fields(self):
+            seq = getattr(self, f.name)
+            if f.metadata["spec"][0] is _numbers and len(seq) != self.period:
+                raise ValueError(f"field {f.name!r} has {len(seq)} entries, period is {self.period}")
         scenario, _ = self.scenario(), self.cost_spec()
         if self.horizon is None:
             object.__setattr__(self, "horizon", default_horizon(scenario))
@@ -423,7 +427,7 @@ def _tradeoff(cfg: ExperimentConfig, out_dir: Path, stem: str, alphas) -> int:
 
 
 def _reproduce_table(args) -> int:
-    exit_code, rows = EXIT_OK, []
+    exit_code, rows, lines = EXIT_OK, [], []
     for row in REPRODUCE_TABLES[args.id]:
         cfg = _inputs(args, row.config)[0]
         solution, code = _optimal_policy(cfg)
@@ -434,14 +438,14 @@ def _reproduce_table(args) -> int:
             optimal.estimate, optimal.std_error, solution.value_at_zero,
             row.target_single, row.target_optimal,
         ])
-        print(f"{row.label}: single {best.cost:.2f} (target {row.target_single}), "
-              f"optimal {optimal.estimate:.2f} (target {row.target_optimal})")
+        lines.append(f"{row.label}: single {best.cost:.2f} (target {row.target_single}), "
+                     f"optimal {optimal.estimate:.2f} (target {row.target_optimal})")
     _emit(Path(args.out_dir), {
         args.id: (["row", "single_threshold_cost", "single_threshold_se",
                    "single_best_threshold", "optimal_policy_cost", "optimal_policy_se",
                    "solver_value_at_zero", "target_single_threshold_cost",
                    "target_optimal_cost"], rows),
-    })
+    }, lines)
     return exit_code
 
 
@@ -455,7 +459,7 @@ def cmd_reproduce(args) -> int:
     if args.id == "fig3":
         _reject_solver_flags(args, "reproduce fig3")
         return _tradeoff(cfg, out_dir, stem, DEFAULT_TRADEOFF_ALPHAS)
-    print(f"target value at p=0: {FIGURE_TARGETS[args.id]}")
+    _emit(out_dir, {}, [f"target value at p=0: {FIGURE_TARGETS[args.id]}"])
     solution, exit_code = _optimal_policy(cfg)
     _write_solution(solution, out_dir, stem)
     _write_sweep(_sweep(cfg), out_dir, stem)

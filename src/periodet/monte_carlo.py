@@ -20,16 +20,17 @@ censored fraction is reported.  All estimators are bit-reproducible
 given (seed, n_paths, horizon): observations are drawn from one
 generator in a fixed order, vectorized over the still-running paths.
 
-One simulation kernel serves one rule or many.  A threshold rule does
-not change the observations, only when it stops reading them, so a sweep
-over single thresholds (``sweep_single_threshold``, and
-``estimate_add_pfa`` given several thresholds) draws each path once, until
-it has passed the largest threshold, and reads every threshold's stopping
-time off it.  The grid points are then common-random-number estimates,
-each path's stopping time is nondecreasing in the threshold, and the
-largest threshold's estimate equals its one-rule run at the same seed.
-Separate calls (``estimate_bayes_cost`` for two policies, say) share only
-the change points.
+One simulation kernel serves one rule, or a grid of single thresholds.
+A threshold rule does not change the observations, only when it stops
+reading them, so a sweep over single thresholds (``sweep_single_threshold``,
+and ``estimate_add_pfa`` given several thresholds) draws each path once,
+until it has passed the largest threshold, and reads every threshold's
+stopping time off it.  The grid points are then common-random-number
+estimates, each path's stopping time is nondecreasing in the threshold,
+and the largest threshold's estimate equals its one-rule run at the same
+seed.  Separate calls (``estimate_bayes_cost`` for two policies, say)
+share only the change points.
+
 
 Paths are drawn here and nowhere else, by one change-point draw and one
 step (observation n of every running path, and its log odds);
@@ -168,25 +169,23 @@ def _simulate_stopping(
     seed: int,
     with_log_r: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Vectorized runs of K threshold rules over one set of sample paths.
+    """Vectorized runs of one rule, or K single thresholds, on shared paths.
 
-    ``thresholds`` is (K, T): K rules (K = 1 for one) whose levels are
-    nondecreasing in k at every stage.  A path's observations do not
-    depend on when a rule stops, so each path is drawn until it has
-    crossed all K levels (or the horizon ends), and tau[:, k] is the first
-    time its log-odds exceeds level k.  A running path compares its
-    log-odds with its first level not yet crossed only; on a crossing a
-    ``searchsorted`` over the stage's levels finds every level passed at
-    once, but only the first of them gets its time (and log odds) written,
-    and the running paths are compacted only when one has passed its last
-    level.  After the last step, level by level and in place, each level
-    left unwritten takes the time of the level below (it was passed in
-    the same step, as tau is nondecreasing in k), and the levels a
-    censored path never reached get the sentinel.  Paths run in ascending
-    change-point order and compaction keeps that order, so the post-change
-    paths are always a prefix: their count is the number of running
-    indices below the number of change points <= n, and they take a
-    step's first draws; one rule sees the same draws at every K.
+    ``thresholds`` is (K, T): one rule as a (1, T) row, or K single
+    thresholds, each row one level at every stage and nondecreasing in k.
+    Each path is drawn until it has crossed all K levels (or the horizon
+    ends), and tau[:, k] is the first time its log-odds exceeds level k.
+    A running path compares its log-odds with its first level not yet
+    crossed only; on a crossing a ``searchsorted`` over the stage's levels
+    finds every level passed at once, but only the first of them gets its
+    time (and log odds) written, and the running paths are compacted only
+    when one has passed its last level.  After the last step the levels a
+    censored path never reached get the sentinel, and one running maximum
+    over k fills both records: a level passed later than the one below
+    holds a larger time and log odds, and one passed with it holds none.
+    Paths run in ascending change-point order and compaction keeps that
+    order, so the post-change paths are a prefix of the running ones and
+    take a step's first draws; one rule sees the same draws at every K.
 
     Returns (nu, tau, log_r_at_tau), nu ascending and row i of tau
     holding the stopping times of the path with change point nu[i].  tau
@@ -203,17 +202,19 @@ def _simulate_stopping(
     levels = np.asarray(thresholds, dtype=float)
     if levels.shape[1:] != (scenario.period,):
         raise ValueError(f"thresholds must have shape (K, {scenario.period}), got {levels.shape}")
-    if np.any(np.diff(levels, axis=0) < 0.0):
-        raise ValueError("threshold rows must be nondecreasing at every stage")
     n_levels = levels.shape[0]
+    if n_levels > 1 and np.any(levels != levels[:, :1]):
+        raise ValueError("K > 1 threshold rows must be single thresholds, one level at every stage")
+    if np.any(np.diff(levels, axis=0) < 0.0):
+        raise ValueError("threshold rows must be nondecreasing in k")
     # stage_levels[s] holds the K log-odds levels of stage s, sorted
     stage_levels = belief_to_log_odds(levels.T)
 
     rng = np.random.default_rng(seed)
     nu = _change_points(rng, scenario.rho, n_paths, horizon)
-    # (K, n_paths), one row per level; 0 marks a time not yet written
+    # (K, n_paths), one row per level; 0 and -inf mark a record not yet written
     tau = np.zeros((n_levels, n_paths), dtype=np.int32)
-    log_r_at_tau = np.empty((n_levels, n_paths)) if with_log_r else None
+    log_r_at_tau = np.full((n_levels, n_paths), -math.inf) if with_log_r else None
     alive = np.arange(n_paths)
     next_level = np.zeros(n_paths, dtype=np.intp)
     log_r = np.full(n_paths, -math.inf)
@@ -235,18 +236,12 @@ def _simulate_stopping(
                 alive, log_r, next_level = alive[running], log_r[running], next_level[running]
                 if alive.size == 0:
                     break
-    # a 0 is a level passed in the same step as the one below; the paths
-    # still running passed only their first next_level levels
-    for k in range(1, n_levels):
-        same_step = tau[k] == 0
-        np.copyto(tau[k], tau[k - 1], where=same_step)
-        if log_r_at_tau is not None:
-            np.copyto(log_r_at_tau[k], log_r_at_tau[k - 1], where=same_step)
-    for k in range(n_levels):
-        never = alive[next_level <= k]
-        tau[k, never] = horizon + 1
-        if log_r_at_tau is not None:
-            log_r_at_tau[k, never] = math.inf
+    never = np.arange(n_levels)[:, None] >= next_level  # levels a running path never reached
+    tau[:, alive] = np.where(never, horizon + 1, tau[:, alive])
+    np.maximum.accumulate(tau, axis=0, out=tau)
+    if log_r_at_tau is not None:
+        log_r_at_tau[:, alive] = np.where(never, math.inf, log_r_at_tau[:, alive])
+        np.maximum.accumulate(log_r_at_tau, axis=0, out=log_r_at_tau)
     return nu, tau.T, None if log_r_at_tau is None else log_r_at_tau.T
 
 

@@ -75,6 +75,20 @@ def test_config_built_directly_has_unit_variances_and_solves(tmp_path):
         replace(cfg, false_alarm_penalties=(-1.0, 1.0))
 
 
+def test_config_built_directly_checks_list_lengths_against_period():
+    # parse_config checks the lengths at their lines; a config built directly
+    # kept only the first `period` stages of a longer list
+    kw = dict(rho=0.01, pre_means=(0.0, 0.0), post_means=(2.0, 1.0),
+              false_alarm_penalties=(20.0, 5.0), delay_penalties=(10.0, 1.0))
+    with pytest.raises(ValueError, match=r"^field 'pre_means' has 3 entries, period is 2$"):
+        ExperimentConfig(period=2, **{**kw, "pre_means": (0.0, 0.0, 0.0),
+                                      "post_means": (2.0, 1.0, 9.0)})
+    for build in (lambda: ExperimentConfig(period=3, **kw),
+                  lambda: replace(ExperimentConfig(period=2, **kw), period=3)):
+        with pytest.raises(ValueError, match=r"^field 'pre_means' has 2 entries, period is 3$"):
+            build()
+
+
 def test_parse_config_reports_field_and_line():
     bad = MINIMAL.replace("false_alarm_penalties = 20, 5", "false_alarm_penalties = 20")
     with pytest.raises(ConfigError) as err:

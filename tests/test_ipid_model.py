@@ -12,6 +12,7 @@ from periodet import (
     kl_information,
     log_likelihood_ratio,
     prior_tail_exponent,
+    simpson_window,
 )
 from periodet.ipid_model import _kl_quadrature
 
@@ -238,6 +239,34 @@ def test_kl_information_single_stage():
 def test_kl_information_rejects_degenerate():
     with pytest.raises(ValueError, match="zero divergence"):
         kl_information(make_scenario([0.0, 1.0], [0.0, 1.0]))
+
+
+@dataclass(frozen=True)
+class SymmetricUniform:
+    """Uniform on [-1, 1], a density of bounded support."""
+
+    loc: float = 0.0
+    scale: float = 1.0 / math.sqrt(3.0)
+
+    def logpdf(self, x):
+        return np.where(np.abs(x) <= 1.0, -math.log(2.0), -math.inf)
+
+    def sample(self, rng, size=None):
+        return rng.uniform(-1.0, 1.0, size)
+
+
+def test_kl_information_rejects_infinite_divergence():
+    # a post-change law with mass outside the pre-change support has
+    # D(g || f) = inf: no finite detection rate
+    scen = IpidScenario(pre=(SymmetricUniform(),), post=(Gaussian(0.0, 1.0),), rho=0.01)
+    with pytest.raises(ValueError, match="per-stage divergence is not finite"):
+        kl_information(scen)
+
+
+@pytest.mark.parametrize("n_nodes", [1600, 1])
+def test_simpson_window_needs_an_odd_node_count(n_nodes):
+    with pytest.raises(ValueError, match="odd node count >= 3"):
+        simpson_window(Gaussian(0.0), Gaussian(2.0), 8.0, n_nodes)
 
 
 @pytest.mark.parametrize(

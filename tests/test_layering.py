@@ -1,6 +1,6 @@
 """The Monte-Carlo harness checks the grid solver from outside: it reads
 the model's inputs and the belief recursion only, and the model and the
-solver never import it."""
+solver never import it.  The CLI has one stdout writer, ``_emit``."""
 
 import ast
 import importlib
@@ -37,3 +37,18 @@ def test_ipid_model_imports_no_package_module():
 
 def test_detection_dp_does_not_import_monte_carlo():
     assert "monte_carlo" not in package_imports("detection_dp")
+
+
+def test_cli_prints_to_stdout_from_emit_only():
+    # every other print of the CLI names sys.stderr as its file
+    tree = ast.parse(Path(importlib.import_module("periodet.cli").__file__).read_text())
+    emit = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_emit")
+    in_emit = {id(node) for node in ast.walk(emit)}
+    prints = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "print"]
+    assert any(id(call) in in_emit for call in prints)
+    for call in prints:
+        files = [ast.unparse(kw.value) for kw in call.keywords if kw.arg == "file"]
+        want = [] if id(call) in in_emit else ["sys.stderr"]
+        assert files == want, f"cli.py:{call.lineno} prints to {files or 'stdout'}"

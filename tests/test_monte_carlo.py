@@ -78,12 +78,11 @@ def test_kernel_tau_monotone_in_level(t2):
     scenario, _ = t2
     grid = np.array([0.0, 0.05, 0.3, 0.3, 0.7, 0.95])
     single = np.repeat(grid[:, None], 2, axis=1)
-    periodic = np.array([[0.1, 0.0], [0.2, 0.4], [0.6, 0.4], [0.9, 1.0]])
-    for levels in (single, periodic):
+    for levels in (single, np.array([[0.9, 1.0]])):
         _, tau, _ = _simulate_stopping(scenario, levels, 500, 300, seed=6)
         assert tau.shape == (500, len(levels)) and tau.dtype == np.int32
         assert np.all(np.diff(tau, axis=1) >= 0)
-    # stage-1 level 1.0 never stops, so the last rule alarms at odd n only
+    # stage-1 level 1.0 never stops, so the rule alarms at odd n only
     assert np.all((tau[:, -1] % 2 == 1) | (tau[:, -1] == 301))
 
 
@@ -91,7 +90,7 @@ def test_kernel_levels_match_one_rule_runs(t2):
     # each level of one (K, T) run is the first crossing of that level on
     # the shared paths; the top level sees the same draws as a run alone
     scenario, _ = t2
-    levels = np.array([[0.2, 0.1], [0.5, 0.5], [0.9, 0.8]])
+    levels = np.repeat([[0.2], [0.5], [0.9]], 2, axis=1)
     nu, tau, log_r = _simulate_stopping(scenario, levels, 300, 400, 8, with_log_r=True)
     top = _simulate_stopping(scenario, levels[-1:], 300, 400, 8, with_log_r=True)
     np.testing.assert_array_equal(nu, top[0])
@@ -107,22 +106,24 @@ def test_kernel_levels_match_one_rule_runs(t2):
 
 CROSSING_LEVELS = {
     1: np.array([[0.6, 0.6]]),
-    # level 1.0 is +inf log odds: the top rule alarms at stage 0 only
-    3: np.array([[0.1, 0.05], [0.5, 0.6], [0.9, 1.0]]),
+    3: np.repeat([[0.1], [0.5], [0.9]], 2, axis=1),
     # levels 0.18 apart in log odds, passed several at a time
     33: np.repeat(np.linspace(0.05, 0.95, 33)[:, None], 2, axis=1),
+    # one rule; level 1.0 is +inf log odds, so it alarms at stage 0 only
+    "rule": np.array([[0.9, 1.0]]),
 }
 
 
-@pytest.mark.parametrize("n_levels", sorted(CROSSING_LEVELS))
+@pytest.mark.parametrize("key", list(CROSSING_LEVELS))
 @pytest.mark.parametrize("seed", [1, 7, 2024])
-def test_kernel_crossing_record_matches_per_level_writes(t2, n_levels, seed):
+def test_kernel_crossing_record_matches_per_level_writes(t2, key, seed):
     # the kernel writes a crossing path's first passed level only and
     # fills the rest after the loop; the reference writes every passed
     # level at its step.  Horizon 20 censors most paths, some part-way;
     # by horizon 600 every path has passed every level it can.
     scenario, _ = t2
-    levels = CROSSING_LEVELS[n_levels]
+    levels = CROSSING_LEVELS[key]
+    n_levels = len(levels)
     for horizon in (20, 600):
         want = crossing_record_per_level(scenario, levels, 400, horizon, seed)
         got = _simulate_stopping(scenario, levels, 400, horizon, seed, with_log_r=True)
@@ -140,9 +141,14 @@ def test_kernel_crossing_record_matches_per_level_writes(t2, n_levels, seed):
 
 
 def test_kernel_validation(t2):
-    scenario, _ = t2
+    scenario, costs = t2
+    with pytest.raises(ValueError, match="^need n_paths >= 1 and horizon >= 1$"):
+        estimate_bayes_cost(scenario, costs, (0.5, 0.5), 0, horizon=10)
     with pytest.raises(ValueError, match="nondecreasing"):
-        _simulate_stopping(scenario, np.array([[0.5, 0.5], [0.4, 0.6]]), 8, 50, 1)
+        _simulate_stopping(scenario, np.array([[0.5, 0.5], [0.4, 0.4]]), 8, 50, 1)
+    # K > 1 rows are single thresholds; nested periodic rules are refused
+    with pytest.raises(ValueError, match="single thresholds, one level at every stage"):
+        _simulate_stopping(scenario, np.array([[0.1, 0.2], [0.5, 0.6]]), 8, 50, 1)
     with pytest.raises(ValueError, match="int32"):
         _simulate_stopping(scenario, np.array([[0.5, 0.5]]), 8, np.iinfo(np.int32).max, 1)
     # one rule is a (1, T) row, never a bare (T,) vector
@@ -286,6 +292,11 @@ def test_sample_path_records_beyond_horizon_change():
     path = sample_path(scen, horizon=10, seed=3)
     assert path.change_point is None
     assert not path.change_active(10)
+
+
+def test_sample_path_needs_a_horizon(t2):
+    with pytest.raises(ValueError, match="^horizon must be >= 1$"):
+        sample_path(t2[0], 0, seed=1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 123])
