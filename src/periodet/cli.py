@@ -296,10 +296,10 @@ def _write_sweep(sweep: SweepResult, out_dir: Path, stem: str) -> None:
     best = sweep.best
     _emit(out_dir, {
         f"{stem}_sweep": (["threshold", "cost", "std_error", "censored_fraction"],
-                          [[p.threshold, p.cost, p.std_error, p.censored_fraction]
+                          [[p.thresholds[0], p.estimate, p.std_error, p.censored_fraction]
                            for p in sweep.points]),
-    }, [f"best single threshold: cost {best.cost:.4f} +- {best.std_error:.4f} "
-        f"at A = {best.threshold}"])
+    }, [f"best single threshold: cost {best.estimate:.4f} +- {best.std_error:.4f} "
+        f"at A = {best.thresholds[0]}"])
 
 
 # library calls on a config's own settings, shared by the subcommands
@@ -434,11 +434,11 @@ def _reproduce_table(args) -> int:
         exit_code = max(exit_code, code)
         optimal, best = _bayes_cost(cfg, solution.thresholds), _sweep(cfg).best
         rows.append([
-            row.label, best.cost, best.std_error, best.threshold,
+            row.label, best.estimate, best.std_error, best.thresholds[0],
             optimal.estimate, optimal.std_error, solution.value_at_zero,
             row.target_single, row.target_optimal,
         ])
-        lines.append(f"{row.label}: single {best.cost:.2f} (target {row.target_single}), "
+        lines.append(f"{row.label}: single {best.estimate:.2f} (target {row.target_single}), "
                      f"optimal {optimal.estimate:.2f} (target {row.target_optimal})")
     _emit(Path(args.out_dir), {
         args.id: (["row", "single_threshold_cost", "single_threshold_se",

@@ -25,11 +25,11 @@ prefix sums of w f and w g give each cell's mass and first moment, which
 fix the cell's share for its two grid points.  The mass the window
 misses goes to state M, so it adds nothing to the cost-to-go; a row
 summing above one (a window too coarse for the stage's densities)
-fails the row-sum check of ``PeriodicMdp``.  ``solve_detection`` solves
-it exactly with ``periodic_mdp.policy_iterate`` from the proper policy
-"stop everywhere" and reads the stage, continue and stop curves off the
-Q-tables it returns, those of its last ``apply_cycle_operator`` sweep, and
-the thresholds off the policy it returns.
+fails the row-sum check of ``PeriodicMdp``.  ``solve_detection`` solves it
+exactly with ``periodic_mdp.policy_iterate`` from the proper policy "stop
+everywhere", reads the curves off the Q-tables of its last
+``apply_cycle_operator`` sweep and the thresholds off its policy, and
+checks the shape of a converged solve's curves and stop sets.
 
 Timing convention (applied identically here and in the Monte-Carlo
 harness): observations are numbered n = 1, 2, ..., and observation n has
@@ -226,13 +226,15 @@ def solve_detection(
     """Solve ``detection_mdp`` by ``periodic_mdp.policy_iterate`` from the
     policy that stops everywhere, which is proper at discount 1.
     ``max_cycles`` caps the improvement steps, and ``converged`` means the
-    policy repeated with a fixed-point residual within ``tol`` (the
-    solvers' discount-1 default when None); ``cycles``
-    and the histories count improvement steps.  The returned curves are
-    read off the Q-tables that ``policy_iterate`` returns, those of one
-    cycle applied to the last evaluated policy's stage-0 values, and the
-    thresholds off the policy it returns, the first grid belief where it
-    stops at each stage."""
+    policy repeated with a fixed-point residual within ``tol`` (the solvers'
+    discount-1 default when None); ``cycles`` and the histories count
+    improvement steps.  The curves are read off the Q-tables that
+    ``policy_iterate`` returns, those of one cycle applied to the last
+    evaluated policy's stage-0 values, and the thresholds off its policy, the
+    first grid belief where it stops at each stage.  In a converged solve, a
+    stage curve with a second difference above 1e-9 * max(1, the stage's
+    largest stop cost), or a stop set that is not one upper interval of the
+    grid, raises ``ValueError`` naming the stage and the grid point."""
     mdp = detection_mdp(scenario, costs, grid_resolution)
     stop_everywhere = np.ones((mdp.period, mdp.num_states), dtype=int)
     result = policy_iterate(mdp, stop_everywhere, tol=tol, max_cycles=max_cycles)
@@ -240,12 +242,23 @@ def solve_detection(
     M = grid.resolution
     cont, stop, entry = result.q[:, :M, 0], result.q[:, :M, 1], result.q[:, :M].min(axis=2)
     stops = result.actions[:, :M] == 1
+    first = np.where(stops.any(axis=1), stops.argmax(axis=1), M)  # M: never stops
+    if result.converged:  # the optimum's shape; a capped solve's last policy need not have it
+        bent = np.diff(entry, 2, axis=1) > 1e-9 * np.maximum(1.0, stop.max(axis=1))[:, None]
+        gaps = stops != (np.arange(M) >= first[:, None])
+        for s in range(mdp.period):
+            if bent[s].any():
+                raise ValueError(f"stage {s}: solved curve not concave at grid point "
+                                 f"{bent[s].argmax() + 1}")
+            if gaps[s].any():
+                raise ValueError(f"stage {s}: policy continues at grid point {gaps[s].argmax()} "
+                                 "above its first stop")
     return DetectionSolution(
         grid=grid,
         stage_curves=entry,
         continue_curves=cont,
         stop_curves=stop,
-        thresholds=np.where(stops.any(axis=1), grid.points[stops.argmax(axis=1)], 1.0),
+        thresholds=np.append(grid.points, 1.0)[first],
         value_at_zero=float(entry[0, 0]),
         converged=result.converged,
         cycles=result.cycles,

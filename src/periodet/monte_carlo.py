@@ -20,16 +20,17 @@ censored fraction is reported.  All estimators are bit-reproducible
 given (seed, n_paths, horizon): observations are drawn from one
 generator in a fixed order, vectorized over the still-running paths.
 
-One simulation kernel serves one rule, or a grid of single thresholds.
-A threshold rule does not change the observations, only when it stops
-reading them, so a sweep over single thresholds (``sweep_single_threshold``,
-and ``estimate_add_pfa`` given several thresholds) draws each path once,
-until it has passed the largest threshold, and reads every threshold's
-stopping time off it.  The grid points are then common-random-number
-estimates, each path's stopping time is nondecreasing in the threshold,
-and the largest threshold's estimate equals its one-rule run at the same
-seed.  Separate calls (``estimate_bayes_cost`` for two policies, say)
-share only the change points.
+One simulation kernel serves one rule, or a grid of single thresholds.  A
+threshold rule does not change the observations, only when it stops reading
+them, so a sweep over single thresholds (``sweep_single_threshold``, and
+``estimate_add_pfa`` given several thresholds) draws each path once, until
+it has passed the largest threshold, and reads every threshold's stopping
+time off it.  The grid points are then common-random-number estimates and
+each path's stopping time is nondecreasing in the threshold.  Every
+estimate is a ``SimulationReport`` naming its rule's stage thresholds, a
+sweep's points are those reports, and the largest threshold's point ``==``
+its one-rule run at the same seed.  Separate calls (``estimate_bayes_cost``
+for two policies, say) share only the change points.
 
 
 Paths are drawn here and nowhere else, by one change-point draw and one
@@ -57,7 +58,6 @@ __all__ = [
     "SamplePath",
     "AddPfaResult",
     "AddPfaSweep",
-    "SweepPoint",
     "SweepResult",
     "sample_path",
     "estimate_bayes_cost",
@@ -70,10 +70,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Point estimate with its Monte-Carlo context; ``n_paths`` counts the
-    paths the estimate averages."""
+    """Point estimate with its Monte-Carlo context: the rule's T stage
+    ``thresholds``, and ``n_paths`` counts the paths the estimate averages."""
 
     kind: str
+    thresholds: tuple[float, ...]
     estimate: float
     std_error: float
     n_paths: int
@@ -245,15 +246,10 @@ def _simulate_stopping(
     return nu, tau.T, None if log_r_at_tau is None else log_r_at_tau.T
 
 
-def _sorted_levels(
-    thresholds: Iterable[float], period: int
-) -> tuple[list[float], np.ndarray, np.ndarray]:
-    """Validate single thresholds and stack them in ascending order.
-
-    Returns (grid, rank, levels): the thresholds as floats in the caller's
-    order, the row of ``levels`` that holds each of them, and the (K, T)
-    stage levels of the sorted rules.
-    """
+def _sorted_levels(thresholds: Iterable[float], period: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validate single thresholds and stack them in ascending order: returns
+    (rank, levels), the row of ``levels`` that holds each threshold in the
+    caller's order, and the (K, T) stage levels of the sorted rules."""
     grid = np.fromiter(thresholds, dtype=float)
     if grid.size == 0:
         raise ValueError("threshold grid is empty")
@@ -261,7 +257,7 @@ def _sorted_levels(
     if outside.any():
         raise ValueError(f"threshold must lie in [0, 1), got {grid[outside][0]}")
     order = np.argsort(grid, kind="stable")
-    return grid.tolist(), np.argsort(order), np.repeat(grid[order, None], period, axis=1)
+    return np.argsort(order), np.repeat(grid[order, None], period, axis=1)
 
 
 def _delay_cost_table(delay: Sequence[float], horizon: int) -> np.ndarray:
@@ -269,11 +265,12 @@ def _delay_cost_table(delay: Sequence[float], horizon: int) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.resize(delay, horizon + 1))))
 
 
-def _report(kind, values, seed, horizon, censored) -> SimulationReport:
+def _report(kind, rule, values, seed, horizon, censored) -> SimulationReport:
     values = np.asarray(values, dtype=float)
     se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else math.nan
     return SimulationReport(
         kind=kind,
+        thresholds=tuple(np.asarray(rule, dtype=float).tolist()),
         estimate=float(values.mean()) if values.size else math.nan,
         std_error=se,
         n_paths=values.size,
@@ -294,12 +291,12 @@ def _bayes_costs(scenario: IpidScenario, costs: DetectionCostSpec, levels, n_pat
     dcum = _delay_cost_table(costs.delay, horizon)
     lam = np.resize(costs.false_alarm, horizon + 1)  # lam[t - 1]: a false alarm at time t
     reports = []
-    for tau_k in tau.T:
+    for rule, tau_k in zip(levels, tau.T):
         false_alarm = tau_k < nu
         delay_cost = dcum[np.maximum(tau_k - 1, 0)] - dcum[np.minimum(nu, tau_k) - 1]
         cost = np.where(false_alarm, lam[tau_k - 1], delay_cost)
         censored = float((tau_k > horizon).mean())
-        reports.append(_report("bayes_cost", cost, seed, horizon, censored))
+        reports.append(_report("bayes_cost", rule, cost, seed, horizon, censored))
     return reports
 
 
@@ -328,20 +325,12 @@ def estimate_bayes_cost(
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    threshold: float
-    cost: float
-    std_error: float
-    censored_fraction: float
-
-
-@dataclass(frozen=True)
 class SweepResult:
-    points: tuple[SweepPoint, ...]
+    points: tuple[SimulationReport, ...]
 
     @property
-    def best(self) -> SweepPoint:
-        return min(self.points, key=lambda r: r.cost)
+    def best(self) -> SimulationReport:
+        return min(self.points, key=lambda r: r.estimate)
 
 
 def sweep_single_threshold(
@@ -358,23 +347,19 @@ def sweep_single_threshold(
     One simulation serves the whole grid: every threshold is read off the
     same paths, so the points are common-random-number estimates of one
     another and each path's stopping time is nondecreasing in the
-    threshold.  The largest threshold's point equals
-    ``estimate_bayes_cost`` at that threshold and seed; the others differ
-    from a one-threshold run, which stops drawing a path at its own alarm.
-    Points come back in the grid's order, duplicates included.
+    threshold.  Each point is a ``SimulationReport``.  The largest
+    threshold's point ``==`` ``estimate_bayes_cost`` at that seed; the
+    others differ from a one-threshold run, which stops drawing a path at
+    its own alarm.  Points come in the grid's order, duplicates included.
     """
-    grid, rank, levels = _sorted_levels(threshold_grid, scenario.period)
+    rank, levels = _sorted_levels(threshold_grid, scenario.period)
     reports = _bayes_costs(scenario, costs, levels, n_paths, horizon, seed)
-    return SweepResult(points=tuple(
-        SweepPoint(a, reports[k].estimate, reports[k].std_error, reports[k].censored_fraction)
-        for a, k in zip(grid, rank)
-    ))
+    return SweepResult(points=tuple(reports[k] for k in rank))
 
 
-def _add_pfa_result(
-    nu: np.ndarray, tau: np.ndarray, log_r_at_tau: np.ndarray, seed: int, horizon: int
-) -> AddPfaResult:
-    """ADD/PFA estimates of one rule from its stopping times."""
+def _add_pfa_result(rule: np.ndarray, nu: np.ndarray, tau: np.ndarray,
+                    log_r_at_tau: np.ndarray, seed: int, horizon: int) -> AddPfaResult:
+    """ADD/PFA estimates of one rule, ``rule`` its stage thresholds, from its stopping times."""
     censored = float((tau > horizon).mean())
     add = np.maximum(tau - nu, 0)
     detected = (tau >= nu) & (nu <= horizon)
@@ -383,9 +368,9 @@ def _add_pfa_result(
     one_minus_p = log_odds_to_belief(-log_r_at_tau)
     pfa_posterior = float(np.where(tau <= horizon, one_minus_p, 0.0).mean())
     return AddPfaResult(
-        add=_report("add", add, seed, horizon, censored),
-        conditional_add=_report("conditional_add", cond, seed, horizon, censored),
-        pfa=_report("pfa", pfa, seed, horizon, censored),
+        add=_report("add", rule, add, seed, horizon, censored),
+        conditional_add=_report("conditional_add", rule, cond, seed, horizon, censored),
+        pfa=_report("pfa", rule, pfa, seed, horizon, censored),
         pfa_posterior=pfa_posterior,
         censored_fraction=censored,
     )
@@ -427,11 +412,11 @@ def estimate_add_pfa(
     call at that seed.
     """
     horizon = default_horizon(scenario) if horizon is None else horizon
-    _, rank, levels = _sorted_levels(np.atleast_1d(threshold), scenario.period)
+    rank, levels = _sorted_levels(np.atleast_1d(threshold), scenario.period)
     nu, tau, log_r_at_tau = _simulate_stopping(
         scenario, levels, n_paths, horizon, seed, with_log_r=True
     )
-    points = tuple(_add_pfa_result(nu, tau[:, k], log_r_at_tau[:, k], seed, horizon)
+    points = tuple(_add_pfa_result(levels[k], nu, tau[:, k], log_r_at_tau[:, k], seed, horizon)
                    for k in rank)
     return points[0] if np.ndim(threshold) == 0 else AddPfaSweep(points=points)
 

@@ -123,12 +123,12 @@ def test_criterion_3_single_threshold_sweeps():
     best4 = swept_single("decaying_t4")
     tol2 = max(0.5, 3 * best2.std_error)
     tol4 = max(0.6, 3 * best4.std_error)
-    ok = abs(best2.cost - 10.2) <= tol2 and abs(best4.cost - 11.3) <= tol4
+    ok = abs(best2.estimate - 10.2) <= tol2 and abs(best4.estimate - 11.3) <= tol4
     line = _line(
         "criterion 3",
         ok,
-        f"T2 best {best2.cost:.3f} @ A={best2.threshold} (target 10.2 +- {tol2:.2f}); "
-        f"T4 best {best4.cost:.3f} @ A={best4.threshold} (target 11.3 +- {tol4:.2f})",
+        f"T2 best {best2.estimate:.3f} @ A={best2.thresholds[0]} (target 10.2 +- {tol2:.2f}); "
+        f"T4 best {best4.estimate:.3f} @ A={best4.thresholds[0]} (target 11.3 +- {tol4:.2f})",
     )
     assert ok, line
 
@@ -141,12 +141,12 @@ def _check_table(criterion: str, table: str, tolerance: float) -> None:
         optimal = simulated_optimal(row.config)
         tol_single = max(tolerance, 3 * best.std_error)
         tol_opt = max(tolerance, 3 * optimal.std_error)
-        ok_single = abs(best.cost - row.target_single) <= tol_single
+        ok_single = abs(best.estimate - row.target_single) <= tol_single
         ok_opt = abs(optimal.estimate - row.target_optimal) <= tol_opt
         if not (ok_single and ok_opt):
             failures.append(row.label)
         details.append(
-            f"{row.label}: single {best.cost:.2f}/{row.target_single}, "
+            f"{row.label}: single {best.estimate:.2f}/{row.target_single}, "
             f"optimal {optimal.estimate:.2f}/{row.target_optimal}"
         )
     line = _line(criterion, not failures, "; ".join(details))
@@ -165,12 +165,12 @@ def test_criterion_6_table3_penalty_choices():
     _check_table("criterion 6", "table3", 0.4)
     best = swept_single("penalties_5_5_1_1")
     optimal = simulated_optimal("penalties_5_5_1_1")
-    gap = best.cost - optimal.estimate
+    gap = best.estimate - optimal.estimate
     ok = gap <= 0.2
     line = _line(
         "criterion 6 (equal-penalty gap)",
         ok,
-        f"single {best.cost:.3f} vs optimal {optimal.estimate:.3f}: gap {gap:.3f} <= 0.2",
+        f"single {best.estimate:.3f} vs optimal {optimal.estimate:.3f}: gap {gap:.3f} <= 0.2",
     )
     assert ok, line
 

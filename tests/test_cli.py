@@ -554,6 +554,20 @@ def test_reproduce_table_row_matches_simulate_and_sweep(tmp_path):
     assert got["single_threshold_cost"] == best["cost"]
 
 
+def test_one_threshold_sweep_writes_the_simulate_record(tmp_path):
+    # a sweep point is its rule's report, so a one-threshold sweep and
+    # simulate of that single threshold write the same three numbers
+    config = _bundled_copy(tmp_path, "decaying_t4")
+    for command in (["sweep", "--thresholds", "0.4"], ["simulate", "--policy", "single:0.4"]):
+        assert main([*command, "--config", str(config), "--out-dir", str(tmp_path),
+                     *SIMULATION_FLAGS]) == 0
+    (point,) = _csv_rows(tmp_path / "decaying_t4_sweep.csv")
+    (report,) = _csv_rows(tmp_path / "decaying_t4_simulate.csv")
+    assert point["threshold"] == "0.4"
+    assert ([point["cost"], point["std_error"], point["censored_fraction"]]
+            == [report["estimate"], report["std_error"], report["censored_fraction"]])
+
+
 def test_cmd_mdp_solve_zero_costs(tmp_path, capsys):
     instance = tmp_path / "zero.mdp"
     instance.write_text(ZERO_COST_INSTANCE)

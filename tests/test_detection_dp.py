@@ -546,6 +546,52 @@ def test_solve_tie_resolves_to_stop(monkeypatch):
     np.testing.assert_array_equal(actions[:, 10], 1)
 
 
+def solve_with_tampered_result(monkeypatch, problem, tamper):
+    """``solve_detection`` on ``problem`` at M = 100, with ``tamper``
+    applied to the result of its ``policy_iterate`` call."""
+    def tampered(*a, **kw):
+        result = policy_iterate(*a, **kw)
+        tamper(result)
+        return result
+
+    monkeypatch.setattr(detection_dp, "policy_iterate", tampered)
+    return solve_detection(*problem, grid_resolution=100)
+
+
+def test_solve_refuses_a_curve_that_is_not_concave(monkeypatch, alternating_t2):
+    # both actions' Q at stage 1, point 30, raised by 0.5: the entry curve
+    # bends up there, so its second difference centred on point 29 is > 0
+    def bump(result):
+        result.q[1, 30] += 0.5
+
+    with pytest.raises(ValueError, match="^stage 1: solved curve not concave at grid point 29$"):
+        solve_with_tampered_result(monkeypatch, alternating_t2, bump)
+
+
+def test_solve_refuses_a_stop_set_with_a_gap(monkeypatch, alternating_t2):
+    # stage 0 stops from its threshold on; one cleared stop action above it
+    # leaves a stop set that is not one upper interval of the grid
+    sol = solve_detection(*alternating_t2, grid_resolution=100)
+    first = int(np.searchsorted(sol.grid.points, sol.thresholds[0]))
+
+    def clear(result):
+        result.actions[0, first + 5] = 0
+
+    with pytest.raises(ValueError, match=f"^stage 0: policy continues at grid point {first + 5} "
+                                         "above its first stop$"):
+        solve_with_tampered_result(monkeypatch, alternating_t2, clear)
+
+
+def test_capped_solve_is_returned_though_its_curve_bends():
+    # three improvement steps stop short of the optimum here, and the last
+    # policy's stage-1 curve bends up by 4e-4; the shape is the optimum's,
+    # so an unconverged solve is returned, not refused
+    cfg = bundled_config("penalties_5_5_1_1")
+    sol = solve_detection(cfg.scenario(), cfg.cost_spec(), grid_resolution=200, max_cycles=3)
+    assert not sol.converged
+    assert np.diff(sol.stage_curves[1], 2).max() > 1e-4
+
+
 def test_threshold_consistency_with_curves(solved_t2, solved_t4):
     # scanning the whole grid reproduces the reported thresholds
     for sol in (solved_t2, solved_t4):

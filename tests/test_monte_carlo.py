@@ -18,7 +18,7 @@ from periodet import (
     sweep_single_threshold,
     update_odds,
 )
-from periodet.monte_carlo import SweepPoint, _simulate_stopping, _step, default_horizon
+from periodet.monte_carlo import _simulate_stopping, _step, default_horizon
 
 from conftest import crossing_record_per_level, make_scenario
 
@@ -386,9 +386,9 @@ def test_sweep_returns_argmin(t2):
     scenario, costs = t2
     result = sweep_single_threshold(scenario, costs, (0.0, 0.3, 0.9), 2000, seed=13)
     assert len(result.points) == 3
-    assert result.best.cost == min(p.cost for p in result.points)
+    assert result.best.estimate == min(p.estimate for p in result.points)
     at_zero = result.points[0]
-    assert at_zero.cost == pytest.approx(0.99 * 20.0, abs=4 * at_zero.std_error)
+    assert at_zero.estimate == pytest.approx(0.99 * 20.0, abs=4 * at_zero.std_error)
 
 
 def test_sweep_rejects_empty_grid(t2):
@@ -410,16 +410,28 @@ def test_sweep_end_points_match_bayes_cost(t2):
     scenario, costs = t2
     for grid in ((0.4,), (0.05, 0.4), (0.4, 0.0, 0.2, 0.1)):
         point = max(sweep_single_threshold(scenario, costs, grid, 1500, seed=12).points,
-                    key=lambda p: p.threshold)
-        report = estimate_bayes_cost(scenario, costs, (0.4, 0.4), 1500, seed=12)
-        assert point == SweepPoint(0.4, report.estimate, report.std_error,
-                                   report.censored_fraction)
+                    key=lambda p: p.thresholds[0])
+        assert point == estimate_bayes_cost(scenario, costs, (0.4, 0.4), 1500, seed=12)
+
+
+def test_every_report_names_its_rule(t2, weak_t2):
+    """Each report carries its rule's T stage thresholds as Python floats:
+    a one-rule run, a sweep point and each ADD/PFA report."""
+    scenario, costs = t2
+    report = estimate_bayes_cost(scenario, costs, (0, 1), 200, seed=3)
+    assert report.thresholds == (0.0, 1.0)
+    sweep = sweep_single_threshold(scenario, costs, (0.3, 0.1, 0.3), 200, seed=3)
+    assert [p.thresholds for p in sweep.points] == [(0.3, 0.3), (0.1, 0.1), (0.3, 0.3)]
+    assert {type(a) for r in (report, *sweep.points) for a in r.thresholds} == {float}
+    for threshold, res in zip((0.9, 0.5), estimate_add_pfa(weak_t2, (0.9, 0.5), 200).points):
+        assert {r.thresholds for r in (res.add, res.conditional_add, res.pfa)} == {
+            (threshold, threshold)}
 
 
 def test_sweep_keeps_caller_order(t2):
     scenario, costs = t2
     ordered = sweep_single_threshold(scenario, costs, (0.0, 0.1, 0.3, 0.6), 1500, seed=14)
-    by_threshold = {p.threshold: p for p in ordered.points}
+    by_threshold = {p.thresholds[0]: p for p in ordered.points}
     shuffled = (0.3, 0.6, 0.0, 0.3, 0.1, 0.6)
     result = sweep_single_threshold(scenario, costs, shuffled, 1500, seed=14)
     assert result.points == tuple(by_threshold[a] for a in shuffled)
@@ -555,8 +567,8 @@ def test_classical_single_stage_costs_match_solver():
         scenario, costs, np.round(np.arange(0.05, 1.0, 0.05), 2), 10_000, seed=37
     )
     assert abs(optimal.estimate - sol.value_at_zero) <= 0.2 + 3 * optimal.std_error
-    assert abs(sweep.best.cost - sol.value_at_zero) <= 0.2 + 3 * sweep.best.std_error
-    assert sweep.best.cost >= optimal.estimate - 3 * (
+    assert abs(sweep.best.estimate - sol.value_at_zero) <= 0.2 + 3 * sweep.best.std_error
+    assert sweep.best.estimate >= optimal.estimate - 3 * (
         sweep.best.std_error + optimal.std_error
     )
 

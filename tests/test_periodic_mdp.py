@@ -259,6 +259,28 @@ def test_value_iterate_zero_cost_converges_immediately():
     np.testing.assert_array_equal(values.values, 0.0)
 
 
+def test_value_iterate_refuses_a_falling_iterate(monkeypatch, tmp_path, capsys):
+    # from zero the cycle iterates of nonnegative costs only rise; a sweep
+    # that hands back a lower stage-0 iterate breaks the checked invariant
+    from importlib import resources
+
+    from periodet.cli import main
+
+    def falling(v, mdp):
+        q, entries = apply_cycle_operator(v, mdp)
+        if v.any():  # every sweep after the first, which starts from zero
+            entries = np.concatenate(([v - 1.0], entries[1:]))
+        return q, entries
+
+    monkeypatch.setattr(periodic_mdp, "apply_cycle_operator", falling)
+    instance = resources.files("periodet.configs").joinpath("instance_three_state_t2.mdp")
+    message = "cycle iterates must be pointwise nondecreasing"
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        value_iterate(load_instance(instance))
+    assert main(["mdp-solve", str(instance), "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_value_iterate_residual_and_oracle_bound():
     rng = np.random.default_rng(7)
     mdp = random_mdp(rng, 5, 3, 2, 0.9)
