@@ -54,6 +54,7 @@ from .monte_carlo import (
 )
 from .periodic_mdp import (
     DEFAULT_MAX_CYCLES,
+    DEFAULT_UNDISCOUNTED_TOL,
     InstanceFormatError,
     fixed_point_residual,
     load_instance,
@@ -123,7 +124,7 @@ class ExperimentConfig:
     pre_vars: tuple[float, ...] | None = _field(_numbers, _positive, "finite and > 0", None)
     post_vars: tuple[float, ...] | None = _field(_numbers, _positive, "finite and > 0", None)
     grid_points: int = _field(int, lambda v: v >= 2, ">= 2", DEFAULT_GRID_POINTS)
-    tolerance: float | None = _field(float, _positive, "finite and > 0", None)
+    tolerance: float = _field(float, _positive, "finite and > 0", DEFAULT_UNDISCOUNTED_TOL)
     max_cycles: int = _field(int, lambda v: v >= 1, ">= 1", DEFAULT_MAX_CYCLES)
     paths: int = _field(int, lambda v: v >= 1, ">= 1", 10_000)
     horizon: int | None = _field(int, lambda v: v >= 1, ">= 1", None)
@@ -414,7 +415,7 @@ def _tradeoff(cfg: ExperimentConfig, out_dir: Path, stem: str, alphas) -> int:
         horizon=cfg.horizon, seed=cfg.seed,
     )
     rows = [[alpha, abs(math.log(alpha)), res.add.estimate, res.conditional_add.estimate,
-             res.pfa.estimate, res.pfa_posterior, analytic_delay(alpha, info, tail)]
+             res.pfa.estimate, res.pfa_posterior.estimate, analytic_delay(alpha, info, tail)]
             for alpha, res in zip(alphas, sweep.points)]
     _emit(out_dir, {
         f"{stem}_tradeoff": (["alpha", "log_alpha_magnitude", "add_sim", "conditional_add_sim",

@@ -85,7 +85,7 @@ class SimulationReport:
 
 @dataclass(frozen=True)
 class AddPfaResult:
-    """Delay and false-alarm estimates for one threshold.
+    """Delay and false-alarm estimates for one threshold, each a ``SimulationReport``.
 
     ``pfa`` counts alarms strictly before the change; ``pfa_posterior`` is
     the zero-variance-in-the-limit alternative E[1 - p_tau], which stays
@@ -97,8 +97,7 @@ class AddPfaResult:
     add: SimulationReport
     conditional_add: SimulationReport
     pfa: SimulationReport
-    pfa_posterior: float
-    censored_fraction: float
+    pfa_posterior: SimulationReport
 
 
 def default_horizon(scenario: IpidScenario) -> int:
@@ -365,14 +364,12 @@ def _add_pfa_result(rule: np.ndarray, nu: np.ndarray, tau: np.ndarray,
     detected = (tau >= nu) & (nu <= horizon)
     cond = (tau - nu)[detected]
     pfa = (tau < nu).astype(float)
-    one_minus_p = log_odds_to_belief(-log_r_at_tau)
-    pfa_posterior = float(np.where(tau <= horizon, one_minus_p, 0.0).mean())
+    one_minus_p = np.where(tau <= horizon, log_odds_to_belief(-log_r_at_tau), 0.0)
     return AddPfaResult(
         add=_report("add", rule, add, seed, horizon, censored),
         conditional_add=_report("conditional_add", rule, cond, seed, horizon, censored),
         pfa=_report("pfa", rule, pfa, seed, horizon, censored),
-        pfa_posterior=pfa_posterior,
-        censored_fraction=censored,
+        pfa_posterior=_report("pfa_posterior", rule, one_minus_p, seed, horizon, censored),
     )
 
 
@@ -386,7 +383,7 @@ class AddPfaSweep:
     @property
     def censored_fraction(self) -> float:
         """The largest censored fraction over the thresholds."""
-        return max(p.censored_fraction for p in self.points)
+        return max(p.add.censored_fraction for p in self.points)
 
 
 def estimate_add_pfa(

@@ -67,6 +67,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_CYCLES = 100_000
+# the solvers' default tolerance at discount 1, where no error bound exists
+DEFAULT_UNDISCOUNTED_TOL = 1e-6
 _ROW_SUM_TOL = 1e-12
 # policy improvement keeps the current action unless another is better by
 # this relative margin, so rounding cannot make the policy cycle
@@ -206,10 +208,11 @@ def apply_cycle_operator(
 
 
 def _checked_tol(mdp: PeriodicMdp, tol: float | None, max_cycles: int) -> float:
-    """The solvers' tolerance, 1e-8 for alpha < 1 and 1e-6 at alpha = 1 by
-    default, after checking it and ``max_cycles``."""
+    """The solvers' tolerance, 1e-8 for alpha < 1 and
+    ``DEFAULT_UNDISCOUNTED_TOL`` at alpha = 1 by default, after checking it
+    and ``max_cycles``."""
     if tol is None:
-        tol = 1e-8 if mdp.discount < 1.0 else 1e-6
+        tol = 1e-8 if mdp.discount < 1.0 else DEFAULT_UNDISCOUNTED_TOL
     if not 0.0 < tol < math.inf:  # NaN fails too
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_cycles < 1:

@@ -27,6 +27,7 @@ from periodet.cli import (
     main,
     parse_config,
 )
+from periodet.periodic_mdp import DEFAULT_UNDISCOUNTED_TOL
 
 MINIMAL = """\
 period = 2
@@ -51,6 +52,8 @@ def test_parse_minimal_config_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.period == 2
     assert cfg.grid_points == 100
+    # the detection solve's own default tolerance, as a number
+    assert cfg.tolerance == DEFAULT_UNDISCOUNTED_TOL == 1e-6
     assert cfg.paths == 10_000
     assert cfg.horizon == 5000
     assert cfg.pre_vars == (1.0, 1.0)

@@ -1,10 +1,17 @@
 """The Monte-Carlo harness checks the grid solver from outside: it reads
 the model's inputs and the belief recursion only, and the model and the
-solver never import it.  The CLI has one stdout writer, ``_emit``."""
+solver never import it.  The package imports nothing beyond the standard
+library and the dependencies that ``pyproject.toml`` declares.  The CLI
+has one stdout writer, ``_emit``."""
 
 import ast
 import importlib
+import re
+import sys
+import tomllib
 from pathlib import Path
+
+import periodet
 
 
 def package_imports(name: str) -> set[str]:
@@ -37,6 +44,28 @@ def test_ipid_model_imports_no_package_module():
 
 def test_detection_dp_does_not_import_monte_carlo():
     assert "monte_carlo" not in package_imports("detection_dp")
+
+
+def test_package_imports_only_the_stdlib_and_declared_dependencies():
+    # an undeclared import would fail where only the declared ones are
+    # installed, and SciPy alone costs a few hundred ms of start-up
+    package = Path(periodet.__file__).parent
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
+                for spec in pyproject["project"]["dependencies"]}
+    assert declared == {"numpy"}
+    allowed = declared | set(sys.stdlib_module_names) | {"periodet"}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in allowed, f"{path.name}:{node.lineno} imports {name}"
 
 
 def test_cli_prints_to_stdout_from_emit_only():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from periodet import (
     Gaussian,
     IpidScenario,
     OddsState,
+    SimulationReport,
     analytic_delay,
     belief_to_log_odds,
     estimate_add_pfa,
@@ -18,6 +20,7 @@ from periodet import (
     sweep_single_threshold,
     update_odds,
 )
+from periodet.cli import bundled_config
 from periodet.monte_carlo import _simulate_stopping, _step, default_horizon
 
 from conftest import crossing_record_per_level, make_scenario
@@ -424,7 +427,7 @@ def test_every_report_names_its_rule(t2, weak_t2):
     assert [p.thresholds for p in sweep.points] == [(0.3, 0.3), (0.1, 0.1), (0.3, 0.3)]
     assert {type(a) for r in (report, *sweep.points) for a in r.thresholds} == {float}
     for threshold, res in zip((0.9, 0.5), estimate_add_pfa(weak_t2, (0.9, 0.5), 200).points):
-        assert {r.thresholds for r in (res.add, res.conditional_add, res.pfa)} == {
+        assert {getattr(res, f.name).thresholds for f in dataclasses.fields(res)} == {
             (threshold, threshold)}
 
 
@@ -446,7 +449,7 @@ def test_add_pfa_calibrated_threshold_order(weak_t2):
     res = estimate_add_pfa(weak_t2, 1.0 - alpha, 4000, seed=17)
     # posterior-based false-alarm estimate is pinned below alpha by the
     # threshold and stays within an order of magnitude of it
-    assert 0.05 * alpha <= res.pfa_posterior <= alpha
+    assert 0.05 * alpha <= res.pfa_posterior.estimate <= alpha
     assert res.pfa.estimate <= 3.0 * alpha
     assert res.add.estimate > 0
 
@@ -463,7 +466,8 @@ def test_add_pfa_identical_densities_deterministic_belief():
         tau_det += 1
     pfa_exact = (1.0 - rho) ** tau_det
     assert res.pfa.estimate == pytest.approx(pfa_exact, abs=3 * res.pfa.std_error)
-    assert res.pfa_posterior == pytest.approx(pfa_exact, abs=1e-9)
+    assert res.pfa_posterior.estimate == pytest.approx(pfa_exact, abs=1e-9)
+    assert res.pfa_posterior.std_error < 1e-12
 
 
 def test_conditional_add_counts_the_paths_it_averages():
@@ -476,6 +480,32 @@ def test_conditional_add_counts_the_paths_it_averages():
     assert res.add.n_paths == res.pfa.n_paths == 2000
     assert res.conditional_add.n_paths == delay.size < 1500
     assert res.conditional_add.estimate == delay.mean()
+
+
+def test_add_pfa_result_is_four_reports(weak_t2):
+    res = estimate_add_pfa(weak_t2, 0.9, 500, horizon=300, seed=5)
+    names = [f.name for f in dataclasses.fields(res)]
+    assert names == ["add", "conditional_add", "pfa", "pfa_posterior"]
+    reports = [getattr(res, name) for name in names]
+    assert all(isinstance(r, SimulationReport) for r in reports)
+    assert [r.kind for r in reports] == names
+    assert {(r.seed, r.horizon, r.censored_fraction) for r in reports} == {
+        (5, 300, res.add.censored_fraction)}
+    assert res.add.censored_fraction > 0.0
+
+
+def test_posterior_pfa_agrees_with_counted_pfa_at_lower_variance():
+    """On ``tradeoff_t2`` at alpha = 1e-2, on the paths drawn, the two PFA
+    estimators agree within three standard errors of their difference and
+    the posterior form has the smaller standard error."""
+    cfg = bundled_config("tradeoff_t2")
+    res = estimate_add_pfa(cfg.scenario(), 1.0 - 1e-2, cfg.paths, horizon=cfg.horizon,
+                           seed=cfg.seed)
+    counted, posterior = res.pfa, res.pfa_posterior
+    assert counted.estimate * counted.n_paths >= 30  # enough alarms to count
+    assert abs(posterior.estimate - counted.estimate) <= 3.0 * math.hypot(
+        counted.std_error, posterior.std_error)
+    assert posterior.std_error < counted.std_error
 
 
 def test_add_monotone_pfa_antitone_in_threshold(weak_t2):
@@ -500,7 +530,7 @@ def test_add_pfa_levels_share_paths(weak_t2):
     sweep = estimate_add_pfa(weak_t2, levels, 2000, seed=41)
     results = sweep.points
     assert len(results) == 4
-    assert sweep.censored_fraction == max(r.censored_fraction for r in results)
+    assert sweep.censored_fraction == max(r.add.censored_fraction for r in results)
     assert results[1] == results[3]
     assert results[0] == estimate_add_pfa(weak_t2, 0.999, 2000, seed=41)
     low, mid, high = results[1], results[2], results[0]
