@@ -98,6 +98,11 @@ def _positive(v: float) -> bool:
     return 0.0 < v < math.inf
 
 
+def _in_range(parse, in_range, value) -> bool:
+    """Whether every number of ``value``, as ``parse`` returned it, passes ``in_range``."""
+    return all(map(in_range, value if parse is _numbers else (value,)))
+
+
 def _field(parse, in_range, what: str, default=MISSING):
     """A config field read by ``parse`` (``_numbers`` for a list, one entry
     per stage) whose every number passes ``in_range``, the range ``what``;
@@ -112,7 +117,8 @@ class ExperimentConfig:
     Each config key is declared here once, with its parser, range and
     default; variances left out are 1.0 per stage, and a horizon left out
     is the scenario's ``default_horizon``.  Construction checks each list's
-    length, the scenario and the cost spec, and raises ``ValueError``."""
+    length, the scenario, the cost spec and then each field's range, and
+    raises ``ValueError``."""
 
     period: int = _field(int, lambda v: v >= 1, ">= 1")
     rho: float = _field(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
@@ -139,6 +145,10 @@ class ExperimentConfig:
             if f.metadata["spec"][0] is _numbers and len(seq) != self.period:
                 raise ValueError(f"field {f.name!r} has {len(seq)} entries, period is {self.period}")
         scenario, _ = self.scenario(), self.cost_spec()
+        for f in fields(self):
+            value, (parse, in_range, what) = getattr(self, f.name), f.metadata["spec"]
+            if value is not None and not _in_range(parse, in_range, value):
+                raise ValueError(f"field {f.name!r} must be {what}, got {value!r}")
         if self.horizon is None:
             object.__setattr__(self, "horizon", default_horizon(scenario))
 
@@ -187,7 +197,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         except ValueError:
             kind = "list" if parse is _numbers else "value"
             raise ConfigError(source, line_no, f"field {key!r}: bad {kind} {value!r}") from None
-        if not all(map(in_range, values[key] if parse is _numbers else (values[key],))):
+        if not _in_range(parse, in_range, values[key]):
             raise ConfigError(source, line_no, f"field {key!r} must be {what}, got {value!r}")
         lines_of[key] = line_no
 
@@ -494,7 +504,7 @@ def _flag_type(name: str, parse, in_range, what: str):
 
     def convert(text: str):
         value = parse(text)  # a ValueError reads "invalid <name> value"
-        if not all(map(in_range, value if parse is _numbers else (value,))):
+        if not _in_range(parse, in_range, value):
             raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
 

@@ -27,11 +27,10 @@ them, so a sweep over single thresholds (``sweep_single_threshold``, and
 it has passed the largest threshold, and reads every threshold's stopping
 time off it.  The grid points are then common-random-number estimates and
 each path's stopping time is nondecreasing in the threshold.  Every
-estimate is a ``SimulationReport`` naming its rule's stage thresholds, a
-sweep's points are those reports, and the largest threshold's point ``==``
-its one-rule run at the same seed.  Separate calls (``estimate_bayes_cost``
-for two policies, say) share only the change points.
-
+estimate is a ``SimulationReport`` naming its rule's stage thresholds,
+several thresholds give a ``SweepResult`` of their records, and the largest
+threshold's point ``==`` its one-rule run at the same seed.  Separate calls
+(``estimate_bayes_cost`` for two policies, say) share only the change points.
 
 Paths are drawn here and nowhere else, by one change-point draw and one
 step (observation n of every running path, and its log odds);
@@ -57,7 +56,6 @@ __all__ = [
     "SimulationReport",
     "SamplePath",
     "AddPfaResult",
-    "AddPfaSweep",
     "SweepResult",
     "sample_path",
     "estimate_bayes_cost",
@@ -80,24 +78,30 @@ class SimulationReport:
     n_paths: int
     seed: int
     horizon: int
-    censored_fraction: float = 0.0
+    censored_fraction: float
 
 
 @dataclass(frozen=True)
 class AddPfaResult:
     """Delay and false-alarm estimates for one threshold, each a ``SimulationReport``.
 
-    ``pfa`` counts alarms strictly before the change; ``pfa_posterior`` is
-    the zero-variance-in-the-limit alternative E[1 - p_tau], which stays
-    informative when alarms before the change are too rare to count.
-    ``conditional_add`` averages over the detected paths only, and its
-    ``n_paths`` counts those.
+    ``pfa`` counts alarms strictly before the change; its standard error is
+    a normal approximation, so with no such alarm it reads 0 +- 0.
+    ``pfa_posterior`` is the zero-variance-in-the-limit alternative
+    E[1 - p_tau], which stays informative when alarms before the change
+    are too rare to count: read it there.  ``conditional_add`` averages
+    over the detected paths only, and its ``n_paths`` counts those.
     """
 
     add: SimulationReport
     conditional_add: SimulationReport
     pfa: SimulationReport
     pfa_posterior: SimulationReport
+
+    @property
+    def censored_fraction(self) -> float:
+        """The fraction of paths with no alarm by the horizon, as each report holds it."""
+        return self.add.censored_fraction
 
 
 def default_horizon(scenario: IpidScenario) -> int:
@@ -325,11 +329,19 @@ def estimate_bayes_cost(
 
 @dataclass(frozen=True)
 class SweepResult:
-    points: tuple[SimulationReport, ...]
+    """One record per threshold, in the caller's order, all read off one set
+    of paths: Bayes-cost reports, whose ``best`` has the least estimate, or
+    ``AddPfaResult``s.  ``censored_fraction`` is the largest over them."""
+
+    points: tuple[SimulationReport, ...] | tuple[AddPfaResult, ...]
 
     @property
     def best(self) -> SimulationReport:
         return min(self.points, key=lambda r: r.estimate)
+
+    @property
+    def censored_fraction(self) -> float:
+        return max(p.censored_fraction for p in self.points)
 
 
 def sweep_single_threshold(
@@ -373,19 +385,6 @@ def _add_pfa_result(rule: np.ndarray, nu: np.ndarray, tau: np.ndarray,
     )
 
 
-@dataclass(frozen=True)
-class AddPfaSweep:
-    """``AddPfaResult`` per threshold, in the caller's order, all read off
-    one set of paths."""
-
-    points: tuple[AddPfaResult, ...]
-
-    @property
-    def censored_fraction(self) -> float:
-        """The largest censored fraction over the thresholds."""
-        return max(p.add.censored_fraction for p in self.points)
-
-
 def estimate_add_pfa(
     scenario: IpidScenario,
     threshold: float | Sequence[float],
@@ -393,7 +392,7 @@ def estimate_add_pfa(
     *,
     horizon: int | None = None,
     seed: int = 0,
-) -> AddPfaResult | AddPfaSweep:
+) -> AddPfaResult | SweepResult:
     """Delay and false-alarm performance of single-threshold rules.
 
     ADD averages (tau - nu)^+ over all paths; the conditional version
@@ -402,7 +401,7 @@ def estimate_add_pfa(
     tau < nu.
 
     One threshold gives one ``AddPfaResult``.  A sequence of thresholds
-    gives an ``AddPfaSweep`` whose points follow the sequence's order, all
+    gives a ``SweepResult`` of those records in the sequence's order, all
     read off one set of paths as in ``sweep_single_threshold``: ADD is
     then pathwise nondecreasing and PFA pathwise nonincreasing in the
     threshold, and the largest threshold's point equals a one-threshold
@@ -410,12 +409,11 @@ def estimate_add_pfa(
     """
     horizon = default_horizon(scenario) if horizon is None else horizon
     rank, levels = _sorted_levels(np.atleast_1d(threshold), scenario.period)
-    nu, tau, log_r_at_tau = _simulate_stopping(
-        scenario, levels, n_paths, horizon, seed, with_log_r=True
-    )
+    nu, tau, log_r_at_tau = _simulate_stopping(scenario, levels, n_paths, horizon, seed,
+                                               with_log_r=True)
     points = tuple(_add_pfa_result(levels[k], nu, tau[:, k], log_r_at_tau[:, k], seed, horizon)
                    for k in rank)
-    return points[0] if np.ndim(threshold) == 0 else AddPfaSweep(points=points)
+    return points[0] if np.ndim(threshold) == 0 else SweepResult(points=points)
 
 
 def analytic_delay(alpha: float, info: float, tail_exponent: float) -> float:

@@ -317,7 +317,7 @@ def evaluate_policy(mdp: PeriodicMdp, actions: np.ndarray) -> np.ndarray:
     reaches an exit along the positive entries of the kernels (the policy
     is proper); otherwise ``ValueError`` names the first that does not.
     """
-    actions = _checked_actions(mdp, actions, "actions")
+    actions = _checked_actions(mdp, actions)
     T, S, A = mdp.costs.shape
     stage, state = np.ogrid[:T, :S]
     stops = actions == A  # the stop action, if the MDP has one
@@ -373,17 +373,17 @@ def evaluate_policy(mdp: PeriodicMdp, actions: np.ndarray) -> np.ndarray:
     return values
 
 
-def _checked_actions(mdp: PeriodicMdp, actions, name: str) -> np.ndarray:
+def _checked_actions(mdp: PeriodicMdp, actions) -> np.ndarray:
     """``actions`` as an int array, after checking that it is a (T, S) integer
-    map into the action range; ``name`` is the argument named in the error."""
+    map into the action range."""
     actions = np.asarray(actions)
     T, S = mdp.period, mdp.num_states
     if actions.shape != (T, S):
-        raise ValueError(f"{name} must have shape ({T}, {S}), got {actions.shape}")
+        raise ValueError(f"actions must have shape ({T}, {S}), got {actions.shape}")
     if not np.issubdtype(actions.dtype, np.integer):
-        raise ValueError(f"{name} must hold integer actions, got dtype {actions.dtype}")
+        raise ValueError(f"actions must hold integer actions, got dtype {actions.dtype}")
     if np.any((actions < 0) | (actions >= mdp.num_actions)):
-        raise ValueError(f"{name} must lie in [0, {mdp.num_actions})")
+        raise ValueError(f"actions must lie in [0, {mdp.num_actions})")
     return actions.astype(int)
 
 
@@ -412,7 +412,7 @@ def policy_iterate(
     ``evaluate_policy``); greedy steps from a proper policy stay proper.
     """
     tol = _checked_tol(mdp, tol, max_cycles)
-    actions = _checked_actions(mdp, actions, "actions")
+    actions = _checked_actions(mdp, actions)
     sup_hist: list[float] = []
     l2_hist: list[float] = []
     converged = False
@@ -475,14 +475,14 @@ def finite_horizon_oracle(mdp: PeriodicMdp, horizon: int) -> np.ndarray:
 
 def simulate_policy(
     mdp: PeriodicMdp,
-    stage_maps: np.ndarray,
+    actions: np.ndarray,
     n_paths: int,
     horizon: int,
     seed: int,
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of a policy's discounted cost from state 0.
 
-    ``stage_maps`` has shape (T, S); a stationary policy is the same row
+    ``actions`` has shape (T, S); a stationary policy is the same row
     repeated.  Returns (mean cost, standard error) over ``n_paths`` >= 1
     paths of ``horizon`` >= 0 steps; the standard error of a single path
     is NaN.  The truncation bias is at most alpha^horizon * max_cost /
@@ -500,14 +500,14 @@ def simulate_policy(
     about one comparison per kernel entry in the path's bucket.
     """
     _refuse_stop_costs(mdp, "simulate_policy")
-    stage_maps = _checked_actions(mdp, stage_maps, "stage_maps")
+    actions = _checked_actions(mdp, actions)
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     T, S = mdp.period, mdp.num_states
     stage, state = np.ogrid[:T, :S]
-    costs = mdp.costs[stage, state, stage_maps]  # (T, S)
+    costs = mdp.costs[stage, state, actions]  # (T, S)
     # row r = l*S + s of the table is cum[0], ..., cum[S-1], +inf, where the
     # search stops; the int32 guide holds counts of at most S, not offsets
     width = S + 1
@@ -517,7 +517,7 @@ def simulate_policy(
     buckets = np.arange(S)
     for r, (l, s) in enumerate(np.ndindex(T, S)):
         cum = table[r, :-1]
-        np.cumsum(mdp.transitions[l, s, stage_maps[l, s]], out=cum)
+        np.cumsum(mdp.transitions[l, s, actions[l, s]], out=cum)
         guide[r] = np.searchsorted(cum * S, buckets)
     flat, flat_guide = table.ravel(), guide.ravel()
 

@@ -32,3 +32,28 @@ def test_traced_pass_of_every_workload_is_correct():
     for line in run.stdout.splitlines():
         if line.startswith("run directory: "):
             shutil.rmtree(line.removeprefix("run directory: "))
+
+
+def test_tracer_reads_every_monte_carlo_return_form(monkeypatch):
+    """The tracer reads ``censored_fraction`` off whatever a Monte-Carlo
+    estimator returns: one ADD/PFA record, a sweep of them, one Bayes-cost
+    report and a sweep of those.  No workload returns the first two."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+    from periodet import monte_carlo
+    from periodet.cli import bundled_config
+
+    cfg = bundled_config("tradeoff_t2")
+    scenario, costs, kw = cfg.scenario(), cfg.cost_spec(), dict(horizon=300, seed=cfg.seed)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        returns = [monte_carlo.estimate_add_pfa(scenario, 0.99, 200, **kw),
+                   monte_carlo.estimate_add_pfa(scenario, [0.999, 0.9], 200, **kw),
+                   monte_carlo.estimate_bayes_cost(scenario, costs, (0.9, 0.9), 200, **kw),
+                   monte_carlo.sweep_single_threshold(scenario, costs, (0.5, 0.99), 200, **kw)]
+    finally:
+        tracer.uninstall()
+    largest = max(r.censored_fraction for r in returns)
+    assert tracer.maxima["monte_carlo.censored_frac_max"] == largest > 0.0
+    assert tracer.counts["monte_carlo.sweep_points"] == 2

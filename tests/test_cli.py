@@ -92,6 +92,23 @@ def test_config_built_directly_checks_list_lengths_against_period():
             build()
 
 
+@pytest.mark.parametrize("name,value,what", [
+    ("paths", 0, ">= 1"), ("grid_points", 1, ">= 2"), ("tolerance", -1.0, "finite and > 0"),
+    ("tolerance", math.nan, "finite and > 0"), ("seed", -3, ">= 0"), ("horizon", 0, ">= 1"),
+    ("max_cycles", 0, ">= 1"),
+])
+def test_config_built_directly_checks_field_ranges(name, value, what):
+    # parse_config and the flags check each field's range; a config built
+    # directly, or by replace, ran with the value
+    kw = dict(period=2, rho=0.01, pre_means=(0.0, 0.0), post_means=(2.0, 1.0),
+              false_alarm_penalties=(20.0, 5.0), delay_penalties=(10.0, 1.0))
+    message = f"^field '{name}' must be {what}, got {value!r}$"
+    for build in (lambda: ExperimentConfig(**kw, **{name: value}),
+                  lambda: replace(ExperimentConfig(**kw), **{name: value})):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
 def test_parse_config_reports_field_and_line():
     bad = MINIMAL.replace("false_alarm_penalties = 20, 5", "false_alarm_penalties = 20")
     with pytest.raises(ConfigError) as err:

@@ -10,6 +10,7 @@ from periodet import (
     IpidScenario,
     OddsState,
     SimulationReport,
+    SweepResult,
     analytic_delay,
     belief_to_log_odds,
     estimate_add_pfa,
@@ -440,6 +441,7 @@ def test_sweep_keeps_caller_order(t2):
     assert result.points == tuple(by_threshold[a] for a in shuffled)
     again = sweep_single_threshold(scenario, costs, shuffled, 1500, seed=14)
     assert again == result  # bit-identical at the same seed
+    assert result.censored_fraction == max(p.censored_fraction for p in result.points)
 
 
 # ── delay / false-alarm estimation ─────────────────────────────────────
@@ -490,8 +492,8 @@ def test_add_pfa_result_is_four_reports(weak_t2):
     assert all(isinstance(r, SimulationReport) for r in reports)
     assert [r.kind for r in reports] == names
     assert {(r.seed, r.horizon, r.censored_fraction) for r in reports} == {
-        (5, 300, res.add.censored_fraction)}
-    assert res.add.censored_fraction > 0.0
+        (5, 300, res.censored_fraction)}
+    assert res.censored_fraction == res.add.censored_fraction > 0.0
 
 
 def test_posterior_pfa_agrees_with_counted_pfa_at_lower_variance():
@@ -527,12 +529,12 @@ def test_add_pfa_levels_share_paths(weak_t2):
     # paths: ADD and PFA are then exactly monotone in the threshold, and
     # the largest threshold matches its one-threshold run bit for bit
     levels = (0.999, 0.9, 0.99, 0.9)
-    sweep = estimate_add_pfa(weak_t2, levels, 2000, seed=41)
+    sweep = estimate_add_pfa(weak_t2, levels, 2000, seed=41, horizon=400)
     results = sweep.points
-    assert len(results) == 4
-    assert sweep.censored_fraction == max(r.add.censored_fraction for r in results)
+    assert isinstance(sweep, SweepResult) and len(results) == 4
+    assert sweep.censored_fraction == max(r.censored_fraction for r in results) > 0.0
     assert results[1] == results[3]
-    assert results[0] == estimate_add_pfa(weak_t2, 0.999, 2000, seed=41)
+    assert results[0] == estimate_add_pfa(weak_t2, 0.999, 2000, seed=41, horizon=400)
     low, mid, high = results[1], results[2], results[0]
     assert low.add.estimate <= mid.add.estimate <= high.add.estimate
     assert low.pfa.estimate >= mid.pfa.estimate >= high.pfa.estimate
