@@ -43,6 +43,7 @@ from .detection_dp import DEFAULT_GRID_POINTS, DetectionSolution, solve_detectio
 from .ipid_model import (DetectionCostSpec, Gaussian, IpidScenario, kl_information,
                          prior_tail_exponent)
 from .monte_carlo import (
+    MAX_HORIZON,
     SimulationReport,
     SweepResult,
     analytic_delay,
@@ -133,7 +134,8 @@ class ExperimentConfig:
     tolerance: float = _field(float, _positive, "finite and > 0", DEFAULT_UNDISCOUNTED_TOL)
     max_cycles: int = _field(int, lambda v: v >= 1, ">= 1", DEFAULT_MAX_CYCLES)
     paths: int = _field(int, lambda v: v >= 1, ">= 1", 10_000)
-    horizon: int | None = _field(int, lambda v: v >= 1, ">= 1", None)
+    horizon: int | None = _field(int, lambda v: 1 <= v <= MAX_HORIZON, f"in [1, {MAX_HORIZON}]",
+                                 None)
     seed: int = _field(int, lambda v: v >= 0, ">= 0", 0)
 
     def __post_init__(self):

@@ -24,10 +24,11 @@ detection DP and the Monte-Carlo engine both rely on.
 
 Indexing: observation n >= 1 has 0-based stage (n - 1) % T, so the density
 lists are addressed as pre[stage], post[stage].  The off-by-one lives in
-three places: ``IpidScenario.stage_index``; ``monte_carlo._bayes_costs``,
-which reads the penalty charged at time t as entry t - 1 of the per-stage
-penalties repeated by ``np.resize``; and ``detection_dp.detection_mdp``,
-which continues from stage s over the next observation's stage (s + 1) % T.
+three places: ``IpidScenario.stage_index``; ``monte_carlo._charged``,
+which charges time n the penalty of stage (n - 1) % T, so that the
+penalties charged at times 1..t and the stage of time t + 1 come from one
+divmod of t by T; and ``detection_dp.detection_mdp``, which continues from
+stage s over the next observation's stage (s + 1) % T.
 """
 
 from __future__ import annotations

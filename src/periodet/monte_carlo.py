@@ -65,6 +65,9 @@ __all__ = [
     "default_horizon",
 ]
 
+# stopping times are int32, and horizon + 1 stands for "never"
+MAX_HORIZON = int(np.iinfo(np.int32).max) - 1
+
 
 @dataclass(frozen=True)
 class SimulationReport:
@@ -106,9 +109,9 @@ class AddPfaResult:
 
 def default_horizon(scenario: IpidScenario) -> int:
     """50 expected change times; long enough that censoring is rare.
-    Raises ``ValueError`` when 50 / rho overflows."""
+    Raises ``ValueError`` when 50 / rho exceeds ``MAX_HORIZON``."""
     horizon = 50.0 / scenario.rho
-    if horizon == math.inf:
+    if horizon > MAX_HORIZON:
         raise ValueError(f"rho {scenario.rho} is too small for a default horizon; set one")
     return int(math.ceil(horizon))
 
@@ -201,7 +204,7 @@ def _simulate_stopping(
     """
     if n_paths < 1 or horizon < 1:
         raise ValueError("need n_paths >= 1 and horizon >= 1")
-    if horizon + 1 > np.iinfo(np.int32).max:
+    if horizon > MAX_HORIZON:
         raise ValueError(f"horizon {horizon} does not fit int32 stopping times")
     levels = np.asarray(thresholds, dtype=float)
     if levels.shape[1:] != (scenario.period,):
@@ -263,9 +266,12 @@ def _sorted_levels(thresholds: Iterable[float], period: int) -> tuple[np.ndarray
     return np.argsort(order), np.repeat(grid[order, None], period, axis=1)
 
 
-def _delay_cost_table(delay: Sequence[float], horizon: int) -> np.ndarray:
-    """cum[t] = sum of the delay penalties charged at times 1..t."""
-    return np.concatenate(([0.0], np.cumsum(np.resize(delay, horizon + 1))))
+def _charged(per_stage: Sequence[float], t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The penalty charged at times 1..t, time n paying per_stage[(n - 1) % T]
+    (whole cycles pay the cycle's sum), and the stage of time t + 1."""
+    cycles, stage = np.divmod(t, len(per_stage))
+    cum = np.concatenate(([0.0], np.cumsum(per_stage)))
+    return cycles * cum[-1] + cum[stage], stage
 
 
 def _report(kind, rule, values, seed, horizon, censored) -> SimulationReport:
@@ -291,13 +297,13 @@ def _bayes_costs(scenario: IpidScenario, costs: DetectionCostSpec, levels, n_pat
         raise ValueError(f"scenario period {scenario.period} != cost spec period {costs.period}")
     horizon = default_horizon(scenario) if horizon is None else horizon
     nu, tau, _ = _simulate_stopping(scenario, levels, n_paths, horizon, seed)
-    dcum = _delay_cost_table(costs.delay, horizon)
-    lam = np.resize(costs.false_alarm, horizon + 1)  # lam[t - 1]: a false alarm at time t
+    before_change, _ = _charged(costs.delay, nu - 1)
+    false_alarm = np.asarray(costs.false_alarm)
     reports = []
     for rule, tau_k in zip(levels, tau.T):
-        false_alarm = tau_k < nu
-        delay_cost = dcum[np.maximum(tau_k - 1, 0)] - dcum[np.minimum(nu, tau_k) - 1]
-        cost = np.where(false_alarm, lam[tau_k - 1], delay_cost)
+        # the delay charged before the alarm, and the stage of the alarm
+        spent, stage = _charged(costs.delay, tau_k - 1)
+        cost = np.where(tau_k < nu, false_alarm[stage], spent - before_change)
         censored = float((tau_k > horizon).mean())
         reports.append(_report("bayes_cost", rule, cost, seed, horizon, censored))
     return reports

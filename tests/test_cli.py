@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import math
+import re
 import shlex
 import shutil
 import subprocess
@@ -94,7 +95,8 @@ def test_config_built_directly_checks_list_lengths_against_period():
 
 @pytest.mark.parametrize("name,value,what", [
     ("paths", 0, ">= 1"), ("grid_points", 1, ">= 2"), ("tolerance", -1.0, "finite and > 0"),
-    ("tolerance", math.nan, "finite and > 0"), ("seed", -3, ">= 0"), ("horizon", 0, ">= 1"),
+    ("tolerance", math.nan, "finite and > 0"), ("seed", -3, ">= 0"),
+    ("horizon", 0, "in [1, 2147483646]"), ("horizon", 2**31 - 1, "in [1, 2147483646]"),
     ("max_cycles", 0, ">= 1"),
 ])
 def test_config_built_directly_checks_field_ranges(name, value, what):
@@ -102,7 +104,7 @@ def test_config_built_directly_checks_field_ranges(name, value, what):
     # directly, or by replace, ran with the value
     kw = dict(period=2, rho=0.01, pre_means=(0.0, 0.0), post_means=(2.0, 1.0),
               false_alarm_penalties=(20.0, 5.0), delay_penalties=(10.0, 1.0))
-    message = f"^field '{name}' must be {what}, got {value!r}$"
+    message = f"^{re.escape(f'field {name!r} must be {what}, got {value!r}')}$"
     for build in (lambda: ExperimentConfig(**kw, **{name: value}),
                   lambda: replace(ExperimentConfig(**kw), **{name: value})):
         with pytest.raises(ValueError, match=message):
@@ -686,6 +688,23 @@ def test_hazard_too_small_for_a_default_horizon_is_a_parse_error(tmp_path, capsy
     assert main(["solve", "--config", str(tiny), "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
         f"error: {tiny}: rho 1e-320 is too small for a default horizon; set one\n")
+
+
+@pytest.mark.parametrize("mutation,message", [
+    (("rho = 0.01", "rho = 1e-9"), ": rho 1e-09 is too small for a default horizon; set one"),
+    (("delay_penalties = 10, 1", "delay_penalties = 10, 1\nhorizon = 3000000000"),
+     ":7: field 'horizon' must be in [1, 2147483646], got '3000000000'"),
+], ids=["default", "given"])
+@pytest.mark.parametrize("command", ["simulate", "tradeoff"])
+def test_horizon_beyond_int32_stopping_times_is_a_parse_error(tmp_path, capsys, mutation,
+                                                               message, command):
+    # stopping times are int32 with horizon + 1 for "never": a longer
+    # horizon, set or defaulted, is refused before anything is solved or drawn
+    path = tmp_path / "long.cfg"
+    path.write_text(MINIMAL.replace(*mutation))
+    assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}{message}\n"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 TWO_STATE = "states 2\nactions 1\nperiod 1\ndiscount 0.9\n"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from periodet import (
     update_odds,
 )
 from periodet.cli import bundled_config
-from periodet.monte_carlo import _simulate_stopping, _step, default_horizon
+from periodet.monte_carlo import _charged, _simulate_stopping, _step, default_horizon
 
 from conftest import crossing_record_per_level, make_scenario
 
@@ -372,15 +373,56 @@ def test_bayes_cost_censoring_flagged(t2):
 
 def test_bayes_cost_delay_accounting_single_path():
     """Frozen-path check of the stage-indexed delay sum."""
-    scenario = make_scenario([0.0, 0.0], [2.0, 1.0])
     costs = DetectionCostSpec(false_alarm=(20.0, 5.0), delay=(10.0, 1.0))
+    charged, stage = _charged(costs.delay, np.array([0, 1, 2, 3]))
     # nu = 1 and stop at tau = 4: delay = d0 + d1 + d0 (times 1, 2, 3)
-    from periodet.monte_carlo import _delay_cost_table
-
-    dcum = _delay_cost_table(costs.delay, horizon=10)
-    assert dcum[3] - dcum[0] == pytest.approx(21.0)
+    assert charged[3] - charged[0] == 21.0
     # nu = 2, tau = 3: only time 2 accrues, at stage (2-1) % 2 = 1
-    assert dcum[2] - dcum[1] == pytest.approx(1.0)
+    assert charged[2] - charged[1] == 1.0
+    # time t + 1 has stage t % T: an alarm there pays false_alarm[t % T]
+    assert stage.tolist() == [0, 1, 0, 1]
+    # whole cycles pay the cycle's sum: times 1..7 of T = 3 are 2 cycles and d0
+    charged, stage = _charged((0.5, 0.25, 2.0), np.array([7]))
+    assert (charged.tolist(), stage.tolist()) == ([6.0], [1])
+
+
+@pytest.mark.parametrize("period", [1, 2, 3])
+def test_bayes_cost_is_the_time_by_time_cost_of_the_kernel_paths(period):
+    """With fractional penalties, the estimate is the mean over paths of the
+    cost summed time by time from the kernel's (nu, tau)."""
+    rng = np.random.default_rng(period)
+    scenario = make_scenario([0.0] * period, rng.uniform(0.5, 2.0, period), rho=0.05)
+    costs = DetectionCostSpec(false_alarm=rng.uniform(1.0, 10.0, period),
+                              delay=rng.uniform(0.0, 1.0, period))
+    rule = rng.uniform(0.6, 0.95, period)
+    n_paths, horizon, seed = 400, 40, 3
+    nu, tau, _ = _simulate_stopping(scenario, rule[None, :], n_paths, horizon, seed)
+    tau = tau[:, 0]
+    # the paths hold false alarms, detections and censored runs
+    assert (tau < nu).any() and ((nu <= tau) & (tau <= horizon)).any() and (tau > horizon).any()
+    cost = [costs.false_alarm[(t - 1) % period] if t < v
+            else sum(costs.delay[(n - 1) % period] for n in range(v, t))
+            for v, t in zip(nu.tolist(), tau.tolist())]
+    report = estimate_bayes_cost(scenario, costs, rule, n_paths, horizon=horizon, seed=seed)
+    assert report.estimate == pytest.approx(np.mean(cost), rel=1e-12, abs=0.0)
+
+
+def test_bayes_cost_memory_does_not_grow_with_the_horizon(t2):
+    """The horizon only caps the steps a path may run: every path here
+    alarms at time 1, and no array is sized by the horizon."""
+    scenario, costs = t2
+
+    def run():
+        return estimate_bayes_cost(scenario, costs, (0.0, 0.0), 1000, horizon=10**6, seed=4)
+
+    run()  # warm-up
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ── sweeps ─────────────────────────────────────────────────────────────
@@ -608,3 +650,6 @@ def test_classical_single_stage_costs_match_solver():
 def test_default_horizon_rule():
     assert default_horizon(make_scenario([0.0], [1.0], rho=0.01)) == 5000
     assert default_horizon(make_scenario([0.0], [1.0], rho=0.5)) == 100
+    # 50 / rho is finite, but no int32 stopping time holds the horizon + 1
+    with pytest.raises(ValueError, match="^rho 1e-09 is too small for a default horizon; set one$"):
+        default_horizon(make_scenario([0.0], [1.0], rho=1e-9))
